@@ -8,7 +8,9 @@
 //!     [--threshold 20] [--strict]
 //! ```
 //!
-//! Rows are matched by `(backend, block, threads)`. A row whose `events_per_sec`
+//! Rows are matched by `(backend, block)`; rows of older documents that
+//! carry a `threads` value other than 1 (multi-lane measurements, no
+//! longer produced) are skipped. A row whose `events_per_sec`
 //! fell more than `threshold` percent below the baseline is reported as
 //! a regression with a GitHub Actions `::warning::` annotation (or
 //! `::error::` plus a non-zero exit under `--strict` — quick-mode CI
@@ -58,18 +60,16 @@ fn rows_of(doc: &JsonValue, path: &str) -> Result<Vec<Row>, String> {
         .and_then(JsonValue::as_array)
         .ok_or_else(|| format!("{path}: no rows array"))?;
     rows.iter()
+        .filter(|r| r.get("threads").and_then(JsonValue::as_u64).unwrap_or(1) == 1)
         .map(|r| {
             let backend = r
                 .get("backend")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("{path}: row without backend"))?;
-            let mut key = match r.get("block").and_then(JsonValue::as_u64) {
+            let key = match r.get("block").and_then(JsonValue::as_u64) {
                 Some(b) => format!("{backend} (block {b})"),
                 None => backend.to_string(),
             };
-            if let Some(t) = r.get("threads").and_then(JsonValue::as_u64) {
-                key = format!("{key} ({t}t)");
-            }
             let events_per_sec = r
                 .get("events_per_sec")
                 .and_then(JsonValue::as_f64)
@@ -81,11 +81,6 @@ fn rows_of(doc: &JsonValue, path: &str) -> Result<Vec<Row>, String> {
                 ("pairs_per_scan", true),
                 ("queue_high_water", true),
                 ("row_hit_rate", false),
-                // The parallel-scaling factor on the sharded rows:
-                // wall-clock-derived (so noisier than the counters),
-                // but a falling speedup means shard resolution stopped
-                // scaling and deserves the same annotation.
-                ("speedup_vs_1t", false),
             ]
             .into_iter()
             .filter_map(|(name, rising_is_bad)| {

@@ -1,9 +1,8 @@
 //! The engine throughput bench behind CI's `BENCH_engine.json` artifact:
 //! events/sec at 10k nodes on the static lazy backend versus the full
-//! temporal channel (mobility + shadowing + block fading), plus a
-//! parallel-scaling pair — 100k nodes resolved serially and across 4
-//! spatial shards, with a `speedup_vs_1t` column — one JSON document
-//! per run so the perf trajectory accumulates across commits.
+//! temporal channel (mobility + shadowing + block fading), plus the
+//! same static workload at 100k nodes — one JSON document per run so
+//! the perf trajectory accumulates across commits.
 //!
 //! ```text
 //! cargo run --release -p decay-bench --bin engine_bench -- --quick --out BENCH_engine.json
@@ -27,7 +26,7 @@
 //!   this binary's static-row events/sec against a previous run's and
 //!   exits non-zero when it fell more than `<pct>` percent — the gate
 //!   that keeps enabled-timing overhead bounded.
-//! - `--trace-out <path>` arms per-shard span recording on every
+//! - `--trace-out <path>` arms phase-span recording on every
 //!   measured engine and writes the collected spans as Chrome Trace
 //!   Event JSON (load in Perfetto / `chrome://tracing`). Spans exist
 //!   only under `--features telemetry-timing`, and arming them perturbs
@@ -105,7 +104,7 @@ struct Measurement {
     queue_high_water: u64,
     /// Engine sink merged with the backend's (when it has one).
     counters: CounterSnapshot,
-    /// Per-shard phase spans, when recording was armed (timing builds).
+    /// Phase spans, when recording was armed (timing builds).
     spans: Vec<SpanEvent>,
 }
 
@@ -143,13 +142,12 @@ fn measure_best<B: DecayBackend + 'static>(
     mk: impl Fn() -> B,
     n: usize,
     horizon: u64,
-    threads: usize,
     k: usize,
     record_spans: bool,
 ) -> Measurement {
-    let mut best = measure(mk(), n, horizon, threads, record_spans);
+    let mut best = measure(mk(), n, horizon, record_spans);
     for _ in 1..k {
-        let m = measure(mk(), n, horizon, threads, record_spans);
+        let m = measure(mk(), n, horizon, record_spans);
         if m.events_per_sec > best.events_per_sec {
             best = m;
         }
@@ -161,20 +159,18 @@ fn measure(
     backend: impl DecayBackend + 'static,
     n: usize,
     horizon: u64,
-    threads: usize,
     record_spans: bool,
 ) -> Measurement {
     let behaviors = (0..n).map(|_| Gossiper { mean_gap: 50 }).collect();
     let config = EngineConfig {
         reach_decay: Some(100.0),
         top_k: Some(8),
-        threads,
         ..EngineConfig::default()
     };
     let mut engine =
         Engine::new(backend, behaviors, SinrParams::default(), config, 7).expect("engine builds");
     if record_spans {
-        engine.arm_span_recording();
+        engine.arm_spans();
     }
     #[allow(clippy::disallowed_methods)] // report-only harness timing
     let start = Instant::now();
@@ -268,18 +264,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut telemetry_rows: Vec<JsonValue> = Vec::new();
     let mut all_spans: Vec<SpanEvent> = Vec::new();
     let mut static_rate = 0.0;
-    let mut push = |backend: &str,
-                    block: Option<u64>,
-                    threads: Option<u64>,
-                    speedup: Option<f64>,
-                    mut m: Measurement| {
+    let mut push = |backend: &str, block: Option<u64>, mut m: Measurement| {
         all_spans.append(&mut m.spans);
         let mut pairs = vec![("backend", s(backend))];
         if let Some(b) = block {
             pairs.push(("block", int(b)));
-        }
-        if let Some(t) = threads {
-            pairs.push(("threads", int(t)));
         }
         pairs.extend([
             ("events", int(m.events)),
@@ -292,29 +281,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("row_hit_rate", num(m.row_hit_rate())),
             ("queue_high_water", int(m.queue_high_water)),
         ]);
-        if let Some(x) = speedup {
-            pairs.push(("speedup_vs_1t", num(x)));
-        }
         rows.push(obj(pairs));
         let mut tele = vec![("backend", s(backend))];
         if let Some(b) = block {
             tele.push(("block", int(b)));
         }
-        if let Some(t) = threads {
-            tele.push(("threads", int(t)));
-        }
         tele.push(("counters", counters_json(&m)));
         telemetry_rows.push(obj(tele));
         eprintln!(
-            "{backend}{}{}: {} events, {:.0} events/sec, qhw {}{}",
+            "{backend}{}: {} events, {:.0} events/sec, qhw {}",
             block.map(|b| format!(" (block {b})")).unwrap_or_default(),
-            threads.map(|t| format!(" ({t}t)")).unwrap_or_default(),
             m.events,
             m.events_per_sec,
             m.queue_high_water,
-            speedup
-                .map(|x| format!(", speedup {x:.2}x"))
-                .unwrap_or_default(),
         );
         if backend == "static" {
             static_rate = m.events_per_sec;
@@ -324,52 +303,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     push(
         "static",
         None,
-        None,
-        None,
-        measure_best(|| lazy_line(n), n, horizon, 1, best_of, record_spans),
+        measure_best(|| lazy_line(n), n, horizon, best_of, record_spans),
     );
     for block in [1u64, 16, 64] {
         push(
             "temporal",
             Some(block),
-            None,
-            None,
-            measure_best(|| temporal(n, block), n, horizon, 1, best_of, record_spans),
+            measure_best(|| temporal(n, block), n, horizon, best_of, record_spans),
         );
     }
 
-    // Parallel-scaling rows: the same gossip workload at 100k nodes,
-    // resolved serially and across 4 spatial shards. `threads` is a
-    // pure execution knob — the two rows dispatch bit-identical traces
-    // (asserted below), so the only thing that may differ is the wall
-    // clock, and `speedup_vs_1t` is the scaling factor bench_trend
-    // watches for regressions.
+    // The same static gossip workload at 100k nodes.
     let n_scale = 100_000;
     let scale_horizon = if quick { 40 } else { 120 };
-    let serial = measure_best(
-        || lazy_line(n_scale),
-        n_scale,
-        scale_horizon,
-        1,
-        best_of,
-        record_spans,
+    push(
+        "static-100k",
+        None,
+        measure_best(
+            || lazy_line(n_scale),
+            n_scale,
+            scale_horizon,
+            best_of,
+            record_spans,
+        ),
     );
-    let sharded = measure_best(
-        || lazy_line(n_scale),
-        n_scale,
-        scale_horizon,
-        4,
-        best_of,
-        record_spans,
-    );
-    assert_eq!(
-        (serial.events, serial.deliveries),
-        (sharded.events, sharded.deliveries),
-        "sharded resolution forked the trace"
-    );
-    let speedup = sharded.events_per_sec / serial.events_per_sec.max(1e-9);
-    push("static-100k", None, Some(1), Some(1.0), serial);
-    push("static-100k", None, Some(4), Some(speedup), sharded);
 
     // Compiled-scenario cache row: the same broadcast spec submitted
     // twice through a ScenarioCache, timed end to end (compile + run).

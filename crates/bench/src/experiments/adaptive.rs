@@ -40,7 +40,6 @@ fn storm_spec(block: Tick, adaptive: bool) -> ScenarioSpec {
         ),
         seed: 40,
         horizon: HORIZON,
-        threads: 1,
         check_interval: CHECK,
         topology: TopologySpec::Random {
             n: 24,

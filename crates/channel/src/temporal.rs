@@ -209,9 +209,9 @@ pub struct TemporalAdapter {
     telemetry: Counters,
 }
 
-/// Compile-time `Send + Sync` audit: the adapter is shared by resolver
-/// lanes during parallel SINR resolution and moves between worker
-/// threads when a run session is parked and resumed, so its whole cache
+/// Compile-time `Send + Sync` audit: the adapter is a `DecayBackend`
+/// (`Send + Sync`) and moves between worker threads when a run session
+/// is parked and resumed, so its whole cache
 /// machinery (`EpochCell`, `OnceLock` rows, telemetry sink) must be
 /// thread-safe. If a field regresses, this stops compiling.
 #[allow(dead_code)]
@@ -322,12 +322,11 @@ impl TemporalAdapter {
         reach: f64,
     ) -> Option<&'a SourceRow> {
         let cell = &snapshot.rows[from.index()];
-        // Hit/miss attribution must be deterministic at any thread
-        // count, so a *hit* is defined as "this lookup did not run the
-        // build" (hits = lookups − builds) rather than "the row existed
-        // when we first peeked". `get_or_init` runs the closure exactly
-        // once per cell even when concurrent shards race, so both terms
-        // are fixed by the access pattern alone.
+        // A *hit* is defined as "this lookup did not run the build"
+        // (hits = lookups − builds) rather than "the row existed when we
+        // first peeked". `get_or_init` runs the closure exactly once per
+        // cell even when concurrent readers race, so both terms are
+        // fixed by the access pattern alone.
         let mut built = false;
         let row = cell.get_or_init(|| {
             built = true;

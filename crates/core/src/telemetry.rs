@@ -159,14 +159,10 @@ pub struct TimerStart {
 /// outside the determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Phase name (`dispatch`, `resolve`, `row_build`, or a per-shard
-    /// phase like `resolve_shard`).
+    /// Phase name (`dispatch`, `resolve`, or `row_build`).
     pub name: &'static str,
-    /// Recording thread, as a small stable-per-thread id (workers are
-    /// persistent, so a lane keeps its id for the process lifetime).
+    /// Recording thread, as a small stable-per-thread id.
     pub tid: u32,
-    /// Shard lane the span ran on, when it was a per-lane phase.
-    pub lane: Option<u32>,
     /// Start offset from the process-wide span epoch, nanoseconds.
     pub start_ns: u64,
     /// Span duration, nanoseconds.
@@ -248,7 +244,7 @@ impl Counters {
     /// Records `value` into `counter` if it exceeds the current value
     /// (a relaxed high-water mark). A single atomic `fetch_max` — not a
     /// check-then-store, which would lose updates when concurrent
-    /// shards race each other past the check.
+    /// recorders race each other past the check.
     #[inline]
     pub fn record_max(&self, counter: Counter, value: u64) {
         self.counts[counter as usize].fetch_max(value, Ordering::Relaxed);
@@ -283,7 +279,7 @@ impl Counters {
             self.timer_ns[timer as usize].fetch_add(ns, Ordering::Relaxed);
             self.timer_calls[timer as usize].fetch_add(1, Ordering::Relaxed);
             if self.spans_armed.load(Ordering::Relaxed) {
-                self.push_span(timer.name(), None, start, ns);
+                self.push_span(timer.name(), start, ns);
             }
         }
         #[cfg(not(feature = "telemetry-timing"))]
@@ -300,18 +296,6 @@ impl Counters {
         self.spans_armed.store(true, Ordering::Relaxed);
     }
 
-    /// Whether timeline spans are currently being recorded.
-    pub fn spans_armed(&self) -> bool {
-        #[cfg(feature = "telemetry-timing")]
-        {
-            self.spans_armed.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "telemetry-timing"))]
-        {
-            false
-        }
-    }
-
     /// Drains every recorded span (oldest first). Always empty when
     /// timing is compiled out or spans were never armed.
     pub fn take_spans(&self) -> Vec<SpanEvent> {
@@ -325,33 +309,14 @@ impl Counters {
         }
     }
 
-    /// Records a named span that began at `start`, attributed to shard
-    /// `lane`, ending now. A no-op unless timing is compiled in *and*
-    /// spans are armed.
-    #[inline]
-    pub fn span_record(&self, name: &'static str, lane: Option<u32>, start: TimerStart) {
-        #[cfg(feature = "telemetry-timing")]
-        {
-            if self.spans_armed.load(Ordering::Relaxed) {
-                let ns = start.at.elapsed().as_nanos() as u64;
-                self.push_span(name, lane, start, ns);
-            }
-        }
-        #[cfg(not(feature = "telemetry-timing"))]
-        {
-            let _ = (name, lane, start);
-        }
-    }
-
     #[cfg(feature = "telemetry-timing")]
-    fn push_span(&self, name: &'static str, lane: Option<u32>, start: TimerStart, dur_ns: u64) {
+    fn push_span(&self, name: &'static str, start: TimerStart, dur_ns: u64) {
         // The epoch pins itself to the first span ever recorded, so the
         // earliest span sits at t=0 and everything else is relative.
         let start_ns = start.at.saturating_duration_since(span_epoch()).as_nanos() as u64;
         let event = SpanEvent {
             name,
             tid: current_tid(),
-            lane,
             start_ns,
             dur_ns,
         };
@@ -642,30 +607,24 @@ mod tests {
     #[test]
     fn spans_record_only_when_armed() {
         let c = Counters::new();
-        assert!(!c.spans_armed());
-        // Unarmed: neither explicit spans nor timer-stop spans record.
+        // Unarmed: timer stops record no span.
         let start = c.timer_start();
-        c.span_record("warmup", Some(0), start);
         c.timer_stop(Timer::Resolve, start);
         assert!(c.take_spans().is_empty());
 
         c.arm_spans();
         let start = c.timer_start();
-        c.span_record("resolve_shard", Some(2), start);
+        c.timer_stop(Timer::Resolve, start);
         c.timer_stop(Timer::Dispatch, start);
         let spans = c.take_spans();
         if Counters::timing_enabled() {
-            assert!(c.spans_armed());
             assert_eq!(spans.len(), 2);
-            assert_eq!(spans[0].name, "resolve_shard");
-            assert_eq!(spans[0].lane, Some(2));
+            assert_eq!(spans[0].name, "resolve");
             assert_eq!(spans[1].name, "dispatch");
-            assert_eq!(spans[1].lane, None);
             assert!(spans.iter().all(|s| s.tid > 0));
             // Drained: a second take is empty.
             assert!(c.take_spans().is_empty());
         } else {
-            assert!(!c.spans_armed());
             assert!(spans.is_empty());
         }
     }

@@ -19,9 +19,9 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use decay_core::telemetry::{Counter, Counters, Ring, SpanEvent, Timer};
 use decay_core::NodeId;
@@ -34,7 +34,6 @@ use crate::backend::DecayBackend;
 use crate::codec::{Codec, CodecError};
 use crate::event::{Event, QueuedEvent, Tick};
 use crate::rng::EngineRng;
-use crate::shard::ShardPool;
 
 /// Reserved RNG stream ids; per-node streams start after these.
 const STREAM_CHURN: u64 = 0;
@@ -245,18 +244,7 @@ pub enum JamSchedule {
 }
 
 /// Engine configuration: physics, dynamics, and instrumentation.
-///
-/// # Codec / equality split
-///
-/// [`threads`](Self::threads) is an *execution* knob, not a
-/// trace-defining one: any thread count produces bit-identical traces
-/// (see [`Engine`]'s determinism contract), so — exactly like
-/// [`EngineStats::queue_high_water`] — it is excluded from the
-/// checkpoint [`Codec`] (format v4 stays frozen; restored engines
-/// default to 1 and the caller re-applies its preference via
-/// [`Engine::set_threads`]) **and** from `PartialEq` (two configs that
-/// differ only in thread count describe the same run).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Decay beyond which a signal is treated as unreceivable. `None`
     /// considers every node a candidate (`O(n)` per transmission —
@@ -282,12 +270,6 @@ pub struct EngineConfig {
     /// Whether to record the full delivery trace (the rolling
     /// [`Engine::trace_hash`] is always maintained).
     pub record_trace: bool,
-    /// Resolution lanes: `1` (the default) resolves SINR serially; `N`
-    /// splits each resolution round across `N` spatial shards backed by
-    /// a persistent worker pool. Purely an execution knob — traces,
-    /// digests, and checkpoints are bit-identical at every value (see
-    /// the struct docs for why it sits outside the codec and equality).
-    pub threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -301,22 +283,7 @@ impl Default for EngineConfig {
             jamming: JamSchedule::None,
             faults: FaultPlan::none(),
             record_trace: false,
-            threads: 1,
         }
-    }
-}
-
-impl PartialEq for EngineConfig {
-    fn eq(&self, other: &Self) -> bool {
-        // `threads` is deliberately ignored — see struct docs.
-        self.reach_decay == other.reach_decay
-            && self.top_k == other.top_k
-            && self.reception == other.reception
-            && self.latency == other.latency
-            && self.churn == other.churn
-            && self.jamming == other.jamming
-            && self.faults == other.faults
-            && self.record_trace == other.record_trace
     }
 }
 
@@ -334,9 +301,6 @@ impl EngineConfig {
         }
         if self.top_k == Some(0) {
             return bad("top_k must keep at least one signal");
-        }
-        if self.threads == 0 {
-            return bad("threads must be at least 1");
         }
         if let Some(churn) = &self.churn {
             if churn.interval == 0 {
@@ -648,10 +612,6 @@ impl Codec for JamSchedule {
 }
 
 impl Codec for EngineConfig {
-    // `threads` stays out of the wire format: checkpoint format v4
-    // encodes exactly the trace-defining knobs (see the struct docs).
-    // Decode leaves it at 1; callers re-apply their preference through
-    // `Engine::set_threads` after a restore.
     fn encode(&self, out: &mut Vec<u8>) {
         self.reach_decay.encode(out);
         self.top_k.encode(out);
@@ -672,7 +632,6 @@ impl Codec for EngineConfig {
             jamming: JamSchedule::decode(input)?,
             faults: Codec::decode(input)?,
             record_trace: bool::decode(input)?,
-            threads: 1,
         })
     }
 }
@@ -860,10 +819,13 @@ pub struct Engine<B> {
     /// deliberately outside [`EngineConfig`] so checkpoint format v4
     /// is untouched.
     event_log: Option<Ring<crate::telemetry::EventRecord>>,
-    /// The persistent shard worker pool, spun up lazily on the first
-    /// parallel resolution round (`config.threads > 1`) so serial
-    /// engines never spawn a thread. Runtime state, never checkpointed.
-    pool: Option<ShardPool>,
+    /// Resolve scratch, reused across ticks and never checkpointed:
+    /// per-node "transmits this tick" flags (set and cleared within one
+    /// resolution round), the sorted `(listener, tx index)` pair list,
+    /// and one listener group's received powers.
+    transmitting: Vec<bool>,
+    pairs: Vec<(NodeId, usize)>,
+    rx: Vec<(usize, f64)>,
 }
 
 impl<B> fmt::Debug for Engine<B> {
@@ -887,158 +849,6 @@ fn _assert_engine_is_send<B: Send>() {
     fn assert_send<T: Send>() {}
     assert_send::<Engine<B>>();
     assert_send::<Checkpoint<B>>();
-}
-
-/// The immutable per-tick state every resolution lane reads: the
-/// tick's transmissions, the radio modes, the fault plan, and the SINR
-/// constants. Built once per resolution round from field borrows, so
-/// shards share it without touching the engine.
-struct ResolveView<'a> {
-    txs: &'a [(NodeId, f64, u64)],
-    modes: &'a [NodeMode],
-    faults: &'a FaultPlan,
-    // decay-lint: allow(hash-iteration) — lookup-only: shards only call
-    // `.contains`; nothing ever iterates the set.
-    transmitting: &'a HashSet<NodeId>,
-    now: Tick,
-    reception: ReceptionModel,
-    top_k: Option<usize>,
-    noise: f64,
-    beta: f64,
-}
-
-impl ResolveView<'_> {
-    /// Whether listener `v`'s whole candidate group is skipped this
-    /// tick. One predicate shared by the fade pass and the shard
-    /// resolvers — the two walks must agree on which groups consume
-    /// fading draws, or the Rayleigh stream would de-synchronize.
-    fn group_skipped(&self, v: NodeId) -> bool {
-        self.modes[v.index()] != NodeMode::Listening
-            || fault_until_in(self.faults, v, self.now).is_some()
-            || self.transmitting.contains(&v)
-    }
-}
-
-/// One shard's resolution output, merged on the main thread in fixed
-/// shard order.
-#[derive(Default)]
-struct ShardOut {
-    /// Won receptions as `(listener, tx index, received power)`, in
-    /// ascending listener order within the shard.
-    deliveries: Vec<(NodeId, usize, f64)>,
-    /// Backend `decay_at` evaluations this shard issued.
-    decay_calls: u64,
-}
-
-/// The (listener, transmitter-index) pairs whose listener falls in
-/// `[lo, hi)`, sorted by (listener, tx order). Shards cover contiguous
-/// listener ranges, so concatenating their pair lists in shard order
-/// reproduces the serial path's single globally sorted list — the
-/// ordering the whole determinism contract hangs off.
-fn collect_shard_pairs(recv: &[Vec<NodeId>], lo: usize, hi: usize) -> Vec<(NodeId, usize)> {
-    let mut pairs = Vec::new();
-    for (k, list) in recv.iter().enumerate() {
-        for &v in list {
-            if (lo..hi).contains(&v.index()) {
-                pairs.push((v, k));
-            }
-        }
-    }
-    pairs.sort_unstable_by_key(|&(v, k)| (v.index(), k));
-    pairs
-}
-
-/// Resolves one shard's pair list under SINR. `fades` holds this
-/// shard's pre-drawn Rayleigh fades (empty under `Threshold`), one per
-/// non-skipped pair in group order — drawn ahead of time on the main
-/// thread so the fading stream stays a single serial sequence at any
-/// thread count.
-fn resolve_shard(
-    view: &ResolveView<'_>,
-    backend: &dyn DecayBackend,
-    pairs: &[(NodeId, usize)],
-    fades: &[f64],
-) -> ShardOut {
-    let mut out = ShardOut::default();
-    let mut fade_cursor = 0;
-    let mut i = 0;
-    while i < pairs.len() {
-        let v = pairs[i].0;
-        let mut end = i;
-        while end < pairs.len() && pairs[end].0 == v {
-            end += 1;
-        }
-        let group = &pairs[i..end];
-        i = end;
-        if view.group_skipped(v) {
-            continue;
-        }
-        // Received power from each in-reach concurrent transmitter
-        // (out-of-reach interference is below the reach cutoff by
-        // construction).
-        let mut rx: Vec<(usize, f64)> = Vec::with_capacity(group.len());
-        out.decay_calls += group.len() as u64;
-        for &(_, k) in group {
-            let (t, power, _) = view.txs[k];
-            let fade = match view.reception {
-                ReceptionModel::Threshold => 1.0,
-                ReceptionModel::Rayleigh => {
-                    let f = fades[fade_cursor];
-                    fade_cursor += 1;
-                    f
-                }
-            };
-            rx.push((k, fade * power / backend.decay_at(view.now, t, v)));
-        }
-        // Top-k affectance pruning: keep only the k strongest signals
-        // in the SINR denominator. Stable sort keeps the earliest
-        // transmitter first among ties.
-        if let Some(k) = view.top_k {
-            if rx.len() > k {
-                rx.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(CmpOrdering::Equal));
-                rx.truncate(k);
-            }
-        }
-        // First strict maximum wins ties, as in the slot simulator.
-        let (mut best_k, mut best_p) = rx[0];
-        let mut total = 0.0;
-        for &(k, p) in &rx {
-            total += p;
-            if p > best_p {
-                best_k = k;
-                best_p = p;
-            }
-        }
-        let interference = total - best_p + view.noise;
-        let sinr = if interference > 0.0 {
-            best_p / interference
-        } else {
-            f64::INFINITY
-        };
-        if sinr >= view.beta * (1.0 - 1e-12) {
-            out.deliveries.push((v, best_k, best_p));
-        }
-    }
-    out
-}
-
-/// [`Engine::fault_until`] as a free function over the plan, so shard
-/// workers (which only hold field borrows, never `&self`) can evaluate
-/// the identical predicate.
-fn fault_until_in(faults: &FaultPlan, node: NodeId, tick: Tick) -> Option<Tick> {
-    let slot = usize::try_from(tick).unwrap_or(usize::MAX);
-    faults
-        .outages()
-        .iter()
-        .filter(|o| o.node == node && o.covers(slot))
-        .map(|o| {
-            if o.until_slot == usize::MAX {
-                Tick::MAX
-            } else {
-                o.until_slot as Tick
-            }
-        })
-        .max()
 }
 
 /// FNV-1a over one delivery tuple, folded into the rolling hash.
@@ -1103,7 +913,9 @@ impl<B: EventBehavior> Engine<B> {
             scratch: Vec::new(),
             telemetry: Arc::new(Counters::new()),
             event_log: None,
-            pool: None,
+            transmitting: vec![false; n],
+            pairs: Vec::new(),
+            rx: Vec::new(),
             config,
         };
         for i in 0..n {
@@ -1145,6 +957,7 @@ impl<B: EventBehavior> Engine<B> {
                 found: backend.channel_signature(),
             });
         }
+        let n = checkpoint.modes.len();
         let mut engine = Engine {
             backend: Box::new(backend),
             behaviors: checkpoint.behaviors,
@@ -1174,7 +987,9 @@ impl<B: EventBehavior> Engine<B> {
             // the rebuilt queue's current depth.
             telemetry: Arc::new(Counters::new()),
             event_log: None,
-            pool: None,
+            transmitting: vec![false; n],
+            pairs: Vec::new(),
+            rx: Vec::new(),
         };
         engine.stats.queue_high_water =
             engine.stats.queue_high_water.max(engine.queue.len() as u64);
@@ -1332,25 +1147,6 @@ impl<B: EventBehavior> Engine<B> {
         self.controller
     }
 
-    /// Sets the number of resolution lanes (see [`EngineConfig::threads`]).
-    /// Safe to call at any pause: thread count never affects the trace,
-    /// so switching mid-run cannot diverge a run. The worker pool is
-    /// (re)built lazily at the next parallel resolution round.
-    ///
-    /// The knob is excluded from the checkpoint codec, so callers that
-    /// resume from bytes re-apply their preference with this method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "threads must be at least 1");
-        self.config.threads = threads;
-        if self.pool.as_ref().map(|p| p.lanes()) != Some(threads) {
-            self.pool = None;
-        }
-    }
-
     /// Raises the queue high-water mark to at least `prior`. The mark is
     /// display-only and outside the checkpoint codec, so a resumed run
     /// restarts it from the restore point; callers that know the
@@ -1424,7 +1220,7 @@ impl<B: EventBehavior> Engine<B> {
     /// the backend's (when it has one). Spans only actually record in
     /// `telemetry-timing` builds; like the event log, arming is runtime
     /// state that cannot change checkpoints, traces, or digests.
-    pub fn arm_span_recording(&self) {
+    pub fn arm_spans(&self) {
         self.telemetry.arm_spans();
         if let Some(t) = self.backend.telemetry() {
             t.arm_spans();
@@ -1433,7 +1229,7 @@ impl<B: EventBehavior> Engine<B> {
 
     /// Drains every recorded timeline span from the engine's and the
     /// backend's sinks, merged in start order. Always empty unless
-    /// [`Self::arm_span_recording`] ran on a `telemetry-timing` build.
+    /// [`Self::arm_spans`] ran on a `telemetry-timing` build.
     pub fn take_spans(&self) -> Vec<SpanEvent> {
         let mut spans = self.telemetry.take_spans();
         if let Some(t) = self.backend.telemetry() {
@@ -1517,7 +1313,20 @@ impl<B: EventBehavior> Engine<B> {
     /// down at `tick`; `None` when it is up. `Tick::MAX` means a
     /// permanent crash.
     fn fault_until(&self, node: NodeId, tick: Tick) -> Option<Tick> {
-        fault_until_in(&self.config.faults, node, tick)
+        let slot = usize::try_from(tick).unwrap_or(usize::MAX);
+        self.config
+            .faults
+            .outages()
+            .iter()
+            .filter(|o| o.node == node && o.covers(slot))
+            .map(|o| {
+                if o.until_slot == usize::MAX {
+                    Tick::MAX
+                } else {
+                    o.until_slot as Tick
+                }
+            })
+            .max()
     }
 
     fn dispatch(&mut self, event: Event) {
@@ -1624,199 +1433,85 @@ impl<B: EventBehavior> Engine<B> {
         }
     }
 
-    /// SINR resolution for one tick's transmissions, sharded across
-    /// `config.threads` contiguous listener-index ranges. One code path
-    /// at every thread count — with one lane everything runs inline and
-    /// no pool exists — structured so the trace cannot depend on the
-    /// lane count:
+    /// SINR resolution for one tick's transmissions, in one serial
+    /// pass whose order is the determinism contract:
     ///
-    /// 1. **Reach scans** (parallel over transmitters): per-tx receiver
-    ///    lists, landed in per-tx slots — no merge order to get wrong.
-    /// 2. **Shard pair lists** (parallel over shards): each shard keeps
-    ///    the pairs whose listener falls in its range, sorted by
-    ///    (listener, tx order); contiguous ranges concatenate to the
-    ///    serial path's single sorted list.
-    /// 3. **Fade pass** (main thread, Rayleigh only): fades for every
-    ///    non-skipped pair, drawn from the one fading stream in global
-    ///    group order — identical to the serial draw sequence.
-    /// 4. **Shard resolution** (parallel over shards): pure SINR over
-    ///    immutable state into per-shard scratch.
-    /// 5. **Merge** (main thread, fixed shard order = ascending
-    ///    listener id): latency draws and event scheduling, exactly the
-    ///    serial path's delivery order.
+    /// 1. **Reach scans**, in transmission order, collected as
+    ///    `(listener, tx index)` pairs and sorted by (listener, tx
+    ///    order), so each listener's candidates form one group.
+    /// 2. **Per listener group**, ascending listener id: a listener that
+    ///    is not listening, is inside an outage, or transmits this tick
+    ///    is skipped. Otherwise each pair draws its Rayleigh fade (before
+    ///    top-k pruning) and looks up its decay, and the strongest signal
+    ///    is tested against SINR.
+    /// 3. **Per won reception**: the latency jitter draw and the
+    ///    delivery event. Fades and jitter come from separate streams,
+    ///    so both draw sequences are fixed by the group order alone.
     fn resolve_pairs(&mut self, txs: &[(NodeId, f64, u64)], per_tx_receivers: &mut [Vec<NodeId>]) {
-        // A single transmission has nothing to shard; skip the pool.
-        let lanes = if txs.len() > 1 {
-            self.config.threads
-        } else {
-            1
-        };
-
-        // Phase 1: per-transmitter receiver lists (lanes stride the tx
-        // index so uneven list sizes balance).
-        let recv: Vec<Vec<NodeId>> = if lanes > 1 {
-            if self.pool.as_ref().map(ShardPool::lanes) != Some(lanes) {
-                self.pool = Some(ShardPool::new(lanes));
-            }
-            let pool = self.pool.as_ref().expect("pool just built");
-            let backend = &*self.backend;
-            let now = self.now;
-            let reach = self.config.reach_decay;
-            let telemetry = &self.telemetry;
-            let cells: Vec<OnceLock<Vec<NodeId>>> =
-                (0..txs.len()).map(|_| OnceLock::new()).collect();
-            pool.broadcast(&|lane| {
-                let span = telemetry.spans_armed().then(|| telemetry.timer_start());
-                let mut k = lane;
-                while k < txs.len() {
-                    let (t, _, _) = txs[k];
-                    let _ = cells[k].set(backend.potential_receivers_at(now, t, reach));
-                    k += lanes;
-                }
-                if let Some(t0) = span {
-                    telemetry.span_record("shard_scan", Some(lane as u32), t0);
-                }
-            });
-            cells
-                .into_iter()
-                .map(|c| c.into_inner().unwrap_or_default())
-                .collect()
-        } else {
-            txs.iter()
-                .map(|&(t, _, _)| {
-                    self.backend
-                        .potential_receivers_at(self.now, t, self.config.reach_decay)
-                })
-                .collect()
-        };
+        let mut pairs = std::mem::take(&mut self.pairs);
+        let mut rx = std::mem::take(&mut self.rx);
+        pairs.clear();
+        for (k, &(t, _, _)) in txs.iter().enumerate() {
+            let receivers =
+                self.backend
+                    .potential_receivers_at(self.now, t, self.config.reach_decay);
+            pairs.extend(receivers.into_iter().map(|v| (v, k)));
+            self.transmitting[t.index()] = true;
+        }
         self.telemetry.add(Counter::ReachScans, txs.len() as u64);
-        self.telemetry.add(
-            Counter::SinrPairs,
-            // decay-lint: allow(unordered-reduce) — integer addition over
-            // u64 counts is order-free; no floats involved.
-            recv.iter().map(|r| r.len() as u64).sum(),
-        );
+        self.telemetry.add(Counter::SinrPairs, pairs.len() as u64);
+        pairs.sort_unstable_by_key(|&(v, k)| (v.index(), k));
 
-        // Phase 2: per-shard sorted pair lists over contiguous listener
-        // ranges.
-        let n = self.modes.len();
-        let bounds: Vec<(usize, usize)> = (0..lanes)
-            .map(|s| (s * n / lanes, (s + 1) * n / lanes))
-            .collect();
-        let shard_pairs: Vec<Vec<(NodeId, usize)>> = if lanes > 1 {
-            let pool = self.pool.as_ref().expect("pool");
-            let recv = &recv;
-            let bounds = &bounds;
-            let telemetry = &self.telemetry;
-            let cells: Vec<OnceLock<Vec<(NodeId, usize)>>> =
-                (0..lanes).map(|_| OnceLock::new()).collect();
-            pool.broadcast(&|lane| {
-                let span = telemetry.spans_armed().then(|| telemetry.timer_start());
-                let (lo, hi) = bounds[lane];
-                let _ = cells[lane].set(collect_shard_pairs(recv, lo, hi));
-                if let Some(t0) = span {
-                    telemetry.span_record("shard_pairs", Some(lane as u32), t0);
-                }
-            });
-            cells
-                .into_iter()
-                .map(|c| c.into_inner().unwrap_or_default())
-                .collect()
-        } else {
-            vec![collect_shard_pairs(&recv, 0, n)]
-        };
-        drop(recv);
-
-        // decay-lint: allow(hash-iteration) — lookup-only: O(1)
-        // transmitter-exclusion membership; hash order cannot leak into
-        // the trace because the set is never iterated.
-        let transmitting: HashSet<NodeId> = txs.iter().map(|&(t, _, _)| t).collect();
-        let view = ResolveView {
-            txs,
-            modes: &self.modes,
-            faults: &self.config.faults,
-            transmitting: &transmitting,
-            now: self.now,
-            reception: self.config.reception,
-            top_k: self.config.top_k,
-            noise: self.params.noise(),
-            beta: self.params.beta(),
-        };
-
-        // Phase 3: Rayleigh fades, drawn on the main thread from the
-        // single fading stream by walking shards in fixed order — the
-        // global group order, so the draw sequence is byte-identical to
-        // the serial path's (draws happen per non-skipped pair, before
-        // top-k pruning, exactly as they always did).
-        let shard_fades: Vec<Vec<f64>> = match self.config.reception {
-            ReceptionModel::Threshold => vec![Vec::new(); lanes],
-            ReceptionModel::Rayleigh => shard_pairs
-                .iter()
-                .map(|pairs| {
-                    let mut fades = Vec::new();
-                    let mut i = 0;
-                    while i < pairs.len() {
-                        let v = pairs[i].0;
-                        let mut end = i;
-                        while end < pairs.len() && pairs[end].0 == v {
-                            end += 1;
-                        }
-                        let len = end - i;
-                        i = end;
-                        if view.group_skipped(v) {
-                            continue;
-                        }
-                        for _ in 0..len {
-                            // Unit-mean exponential via inverse CDF, as
-                            // in the slot simulator.
-                            fades.push(-(1.0 - self.fading_rng.gen::<f64>()).ln());
-                        }
-                    }
-                    fades
-                })
-                .collect(),
-        };
-
-        // Phase 4: resolve every shard against immutable state.
-        let outs: Vec<ShardOut> = if lanes > 1 {
-            let pool = self.pool.as_ref().expect("pool");
-            let backend = &*self.backend;
-            let view = &view;
-            let shard_pairs = &shard_pairs;
-            let shard_fades = &shard_fades;
-            let telemetry = &self.telemetry;
-            let cells: Vec<OnceLock<ShardOut>> = (0..lanes).map(|_| OnceLock::new()).collect();
-            pool.broadcast(&|lane| {
-                let span = telemetry.spans_armed().then(|| telemetry.timer_start());
-                let _ = cells[lane].set(resolve_shard(
-                    view,
-                    backend,
-                    &shard_pairs[lane],
-                    &shard_fades[lane],
-                ));
-                if let Some(t0) = span {
-                    telemetry.span_record("resolve_shard", Some(lane as u32), t0);
-                }
-            });
-            cells
-                .into_iter()
-                .map(|c| c.into_inner().unwrap_or_default())
-                .collect()
-        } else {
-            vec![resolve_shard(
-                &view,
-                &*self.backend,
-                &shard_pairs[0],
-                &shard_fades[0],
-            )]
-        };
-        // Phase 5: merge in fixed shard order (= ascending listener id,
-        // the serial path's delivery order). Latency is drawn per
-        // delivery, in order, from the single jitter stream.
         let mut decay_calls = 0u64;
-        for out in outs {
-            decay_calls += out.decay_calls;
-            for (v, k, p) in out.deliveries {
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let v = group[0].0;
+            if self.modes[v.index()] != NodeMode::Listening
+                || self.transmitting[v.index()]
+                || self.fault_until(v, self.now).is_some()
+            {
+                continue;
+            }
+            // Received power from each in-reach concurrent transmitter
+            // (out-of-reach interference is below the reach cutoff by
+            // construction).
+            rx.clear();
+            decay_calls += group.len() as u64;
+            for &(_, k) in group {
+                let (t, power, _) = txs[k];
+                let fade = match self.config.reception {
+                    ReceptionModel::Threshold => 1.0,
+                    // Unit-mean exponential via inverse CDF, as in the
+                    // slot simulator.
+                    ReceptionModel::Rayleigh => -(1.0 - self.fading_rng.gen::<f64>()).ln(),
+                };
+                rx.push((k, fade * power / self.backend.decay_at(self.now, t, v)));
+            }
+            // Top-k affectance pruning: keep only the k strongest signals
+            // in the SINR denominator. Stable sort keeps the earliest
+            // transmitter first among ties.
+            if let Some(keep) = self.config.top_k {
+                if rx.len() > keep {
+                    rx.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(CmpOrdering::Equal));
+                    rx.truncate(keep);
+                }
+            }
+            // First strict maximum wins ties, as in the slot simulator.
+            let (mut best_k, mut best_p) = rx[0];
+            let mut total = 0.0;
+            for &(k, p) in &rx {
+                total += p;
+                if p > best_p {
+                    best_k = k;
+                    best_p = p;
+                }
+            }
+            let interference = total - best_p + self.params.noise();
+            let sinr = if interference > 0.0 {
+                best_p / interference
+            } else {
+                f64::INFINITY
+            };
+            if sinr >= self.params.beta() * (1.0 - 1e-12) {
                 let delay = match self.config.latency {
                     LatencyModel::Immediate => 0,
                     LatencyModel::Fixed { ticks } => ticks,
@@ -1828,21 +1523,26 @@ impl<B: EventBehavior> Engine<B> {
                         }
                     }
                 };
-                let (from, _, message) = txs[k];
+                let (from, _, message) = txs[best_k];
                 self.push_event(
                     self.now + delay,
                     Event::Deliver {
                         to: v,
                         from,
                         message,
-                        power: p,
+                        power: best_p,
                         incarnation: self.incarnations[v.index()],
                         sent: self.now,
                     },
                 );
-                per_tx_receivers[k].push(v);
+                per_tx_receivers[best_k].push(v);
             }
         }
+        for &(t, _, _) in txs {
+            self.transmitting[t.index()] = false;
+        }
         self.telemetry.add(Counter::DecayCalls, decay_calls);
+        self.pairs = pairs;
+        self.rx = rx;
     }
 }

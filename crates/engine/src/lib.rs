@@ -31,7 +31,7 @@
 //!   monitoring, windowed PRR) and steering it ([`Controller`]:
 //!   grid-aligned re-tuning whose identity is folded into checkpoint
 //!   signatures), composed over one shared drive loop
-//!   ([`drive_probed`] / [`drive_until`] / [`drive_controlled`]).
+//!   ([`drive_probed`] / [`drive_until`]).
 //! * **Compatibility** ([`SlotAdapter`]) — every existing
 //!   [`decay_netsim::NodeBehavior`] protocol runs unmodified.
 //!
@@ -116,7 +116,6 @@ mod engine;
 mod event;
 pub mod probe;
 mod rng;
-mod shard;
 pub mod telemetry;
 
 pub use adapter::SlotAdapter;
@@ -128,8 +127,8 @@ pub use engine::{
 };
 pub use event::{Event, QueuedEvent, Tick};
 pub use probe::{
-    apply_directives, drive_controlled, drive_probed, drive_until, Controller, Directive, PauseCtx,
-    Probe, PrrWindowSample, Tunable, WindowedPrr,
+    apply_directives, drive_probed, drive_until, Controller, Directive, PauseCtx, Probe,
+    PrrWindowSample, Tunable, WindowedPrr,
 };
 pub use rng::{geometric_gap, EngineRng};
 pub use telemetry::{dump_flight, EventKind, EventRecord, TelemetryProbe};

@@ -239,7 +239,7 @@ pub fn apply_directives<B: EventBehavior + Tunable>(
 }
 
 /// Which lifecycle callback a pause corresponds to.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Phase {
     Start,
     Pause,
@@ -271,15 +271,13 @@ pub fn with_pause<B: EventBehavior, R>(
     f(&ctx)
 }
 
-/// Feeds the probes the phase-appropriate callback at one pause and
-/// returns the controller's directives (empty without a controller).
+/// Feeds the probes the phase-appropriate callback at one pause.
 fn pause_probes<B: EventBehavior>(
     engine: &mut Engine<B>,
     horizon: Tick,
     phase: Phase,
     probes: &mut [&mut dyn Probe],
-    decide: &mut dyn FnMut(&PauseCtx<'_>) -> Vec<Directive>,
-) -> Vec<Directive> {
+) {
     with_pause(engine, horizon, |ctx| {
         for p in probes.iter_mut() {
             match phase {
@@ -288,12 +286,7 @@ fn pause_probes<B: EventBehavior>(
                 Phase::Finish => p.on_finish(ctx),
             }
         }
-        if phase == Phase::Finish {
-            Vec::new()
-        } else {
-            decide(ctx)
-        }
-    })
+    });
 }
 
 /// Drives `engine` to `horizon` on the `check_interval` pause grid,
@@ -313,15 +306,7 @@ pub fn drive_probed<B: EventBehavior>(
     check_interval: Tick,
     probes: &mut [&mut dyn Probe],
 ) -> EngineStats {
-    drive(
-        engine,
-        horizon,
-        check_interval,
-        probes,
-        &mut |_| Vec::new(),
-        &mut |_, _| {},
-        &mut |_| false,
-    );
+    drive(engine, horizon, check_interval, probes, &mut |_| false);
     engine.stats()
 }
 
@@ -341,42 +326,7 @@ pub fn drive_until<B: EventBehavior>(
     probes: &mut [&mut dyn Probe],
     mut done: impl FnMut(&Engine<B>) -> bool,
 ) -> Option<Tick> {
-    drive(
-        engine,
-        horizon,
-        check_interval,
-        probes,
-        &mut |_| Vec::new(),
-        &mut |_, _| {},
-        &mut done,
-    )
-}
-
-/// [`drive_probed`] with a [`Controller`] steering the run: after the
-/// probes observe each pause, the controller's directives are applied
-/// to the behaviors. The caller is responsible for having set
-/// [`Engine::set_controller_signature`] if checkpoints are taken.
-///
-/// # Panics
-///
-/// Panics if `check_interval` is zero or a directive is out of range.
-pub fn drive_controlled<B: EventBehavior + Tunable>(
-    engine: &mut Engine<B>,
-    horizon: Tick,
-    check_interval: Tick,
-    probes: &mut [&mut dyn Probe],
-    controller: &mut dyn Controller,
-) -> EngineStats {
-    drive(
-        engine,
-        horizon,
-        check_interval,
-        probes,
-        &mut |ctx| controller.decide(ctx),
-        &mut |engine, directives| apply_directives(engine, directives),
-        &mut |_| false,
-    );
-    engine.stats()
+    drive(engine, horizon, check_interval, probes, &mut done)
 }
 
 fn drive<B: EventBehavior>(
@@ -384,25 +334,21 @@ fn drive<B: EventBehavior>(
     horizon: Tick,
     check_interval: Tick,
     probes: &mut [&mut dyn Probe],
-    decide: &mut dyn FnMut(&PauseCtx<'_>) -> Vec<Directive>,
-    apply: &mut dyn FnMut(&mut Engine<B>, &[Directive]),
     done: &mut dyn FnMut(&Engine<B>) -> bool,
 ) -> Option<Tick> {
     assert!(check_interval > 0, "check_interval must be at least 1");
-    let directives = pause_probes(engine, horizon, Phase::Start, probes, decide);
-    apply(engine, &directives);
+    pause_probes(engine, horizon, Phase::Start, probes);
     let mut completed_at = None;
     while engine.now() < horizon {
         let next = ((engine.now() / check_interval + 1) * check_interval).min(horizon);
         engine.run_until(next);
-        let directives = pause_probes(engine, horizon, Phase::Pause, probes, decide);
-        apply(engine, &directives);
+        pause_probes(engine, horizon, Phase::Pause, probes);
         if done(engine) {
             completed_at = Some(engine.now());
             break;
         }
     }
-    pause_probes(engine, horizon, Phase::Finish, probes, decide);
+    pause_probes(engine, horizon, Phase::Finish, probes);
     completed_at
 }
 
@@ -694,7 +640,16 @@ mod tests {
         let controlled = |p: f64| {
             let mut engine = line_engine(10, 5);
             let mut ctl = Throttle { at: 50, p };
-            drive_controlled(&mut engine, 200, 25, &mut [], &mut ctl);
+            // Decide at the start pause and at every grid stop, applying
+            // the directives before the engine runs on.
+            loop {
+                let directives = with_pause(&mut engine, 200, |ctx| ctl.decide(ctx));
+                apply_directives(&mut engine, &directives);
+                if engine.now() >= 200 {
+                    break;
+                }
+                engine.run_until(engine.now() + 25);
+            }
             (engine.trace_hash(), engine.stats())
         };
         let (quiet_hash, quiet) = controlled(0.01);

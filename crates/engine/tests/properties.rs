@@ -139,37 +139,6 @@ proptest! {
         prop_assert_eq!(a.checkpoint(), b.checkpoint());
     }
 
-    /// `threads` is a pure execution knob: resolving across 2 or 4
-    /// spatial shards reproduces the serial trace bit for bit — hash,
-    /// delivery records, stats, and checkpoint bytes — under churn,
-    /// jamming, jitter, faults, and Rayleigh fading all at once.
-    #[test]
-    fn lane_count_never_changes_the_trace(
-        n in 3usize..12,
-        seed in 0u64..1000,
-        churn in 0u8..2,
-        jam in 0u8..2,
-        latency in 0u8..3,
-        lanes in 2usize..5,
-    ) {
-        let cfg = config_from(churn == 1, jam == 1, latency);
-        let sharded_cfg = EngineConfig { threads: lanes, ..cfg.clone() };
-        let mut serial = build(n, seed, &cfg);
-        let mut sharded = build(n, seed, &sharded_cfg);
-        serial.run_until(40);
-        sharded.run_until(40);
-        prop_assert_eq!(serial.trace_hash(), sharded.trace_hash());
-        prop_assert_eq!(serial.trace(), sharded.trace());
-        prop_assert_eq!(serial.stats(), sharded.stats());
-        // The checkpoints agree too: `threads` is excluded from config
-        // equality and from the codec, so the sharded engine's snapshot
-        // is byte-for-byte the serial one's.
-        prop_assert_eq!(
-            serial.checkpoint().to_bytes(),
-            sharded.checkpoint().to_bytes()
-        );
-    }
-
     /// A checkpoint taken mid-run resumes to a state bit-identical to the
     /// uninterrupted run — including through the byte codec.
     #[test]

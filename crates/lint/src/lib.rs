@@ -3,7 +3,7 @@
 //!
 //! Every claim this reproduction makes — ζ(t) trajectories, PRR
 //! series, golden trace digests — rests on runs being bit-identical
-//! across backends, lane counts, and resume splits. That contract is
+//! across backends and resume splits. That contract is
 //! exercised dynamically by the proptest suites; this crate enforces
 //! it *statically*, so a stray `HashMap` iteration or an ungated
 //! `Instant::now` is caught at lint time instead of after a fuzz

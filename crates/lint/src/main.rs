@@ -107,11 +107,11 @@ fn rule_glossary() -> String {
         "                     code or annotated report-only sites",
         "D3 ambient-entropy   no thread_rng/rand::random/from_entropy/OsRng anywhere;",
         "                     all randomness flows from explicit seeds",
-        "D4 atomic-ordering   Ordering::Relaxed only in the telemetry sink; epoch.rs/",
-        "                     shard.rs orderings must match crates/lint/data/atomic-orderings.txt",
+        "D4 atomic-ordering   Ordering::Relaxed only in the telemetry sink; epoch.rs",
+        "                     orderings must match crates/lint/data/atomic-orderings.txt",
         "D5 unsafe-safety     every `unsafe` carries a `// SAFETY:` comment",
         "D6 unordered-reduce  iterator reductions in resolve/merge paths must be",
-        "                     annotated shard-order-deterministic",
+        "                     annotated order-deterministic",
         "",
         "allow syntax: // decay-lint: allow(<rule>[, <rule>]) — <mandatory justification>",
     ]

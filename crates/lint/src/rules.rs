@@ -6,9 +6,9 @@
 //! | D1 `hash-iteration`   | no `HashMap`/`HashSet` in trace-affecting crates without an attested keyed-lookup-only annotation; iteration over them is always flagged |
 //! | D2 `wall-clock`       | no `Instant::now` / `SystemTime` outside `telemetry-timing`-gated code or annotated report-only sites |
 //! | D3 `ambient-entropy`  | no `thread_rng` / `rand::random` / `from_entropy` / `OsRng` anywhere — randomness flows from seeds |
-//! | D4 `atomic-ordering`  | `Ordering::Relaxed` only in the telemetry sink; `epoch.rs`/`shard.rs` orderings must match the checked-in table |
+//! | D4 `atomic-ordering`  | `Ordering::Relaxed` only in the telemetry sink; `epoch.rs` orderings must match the checked-in table |
 //! | D5 `unsafe-safety`    | every `unsafe` carries a `// SAFETY:` comment |
-//! | D6 `unordered-reduce` | iterator reductions in resolve/merge paths must be annotated shard-order-deterministic |
+//! | D6 `unordered-reduce` | iterator reductions in resolve/merge paths must be annotated order-deterministic |
 //!
 //! Suppression: `// decay-lint: allow(<rule>) — <justification>` on the
 //! violating line or the line above. The justification is mandatory; a
@@ -101,7 +101,6 @@ impl Config {
             d4_table: Vec::new(),
             d6_files: [
                 "crates/engine/src/engine.rs",
-                "crates/engine/src/shard.rs",
                 "crates/channel/src/temporal.rs",
                 "crates/channel/src/channel.rs",
                 "crates/sinr/src/affectance.rs",
@@ -504,7 +503,7 @@ const ATOMIC_OPS: [&str; 14] = [
 /// * `Ordering::Relaxed` is reserved for the telemetry counter sink
 ///   (`Config::d4_relaxed_files`) — telemetry orders nothing, but a
 ///   relaxed atomic anywhere else is a correctness smell.
-/// * Files listed in the checked-in table (`epoch.rs`, `shard.rs`) must
+/// * Files listed in the checked-in table (`epoch.rs`) must
 ///   use exactly the `(op, ordering)` multiset the table records; any
 ///   drift — a new atomic, a weakened ordering — fails until the table
 ///   (and its written justification) is updated.
@@ -656,7 +655,7 @@ fn has_safety_comment(model: &FileModel, idx: usize) -> bool {
 // ---------------------------------------------------------------- D6
 
 /// D6: iterator reductions (`sum` / `fold` / `product`) in resolve/
-/// merge-path files must be annotated shard-order-deterministic — the
+/// merge-path files must be annotated order-deterministic — the
 /// merge contract fixes iteration order, and every float fold must say
 /// which order it relies on. `fold(_, f64::min/max)` is exempt: min/max
 /// are order-commutative.
@@ -673,7 +672,7 @@ fn rule_unordered_reduce(model: &FileModel, out: &mut Vec<Violation>) {
                     idx + 1,
                     format!(
                         "`{pat}` in a resolve/merge path: annotate the reduction as \
-                         shard-order-deterministic (who fixes the iteration order?)"
+                         order-deterministic (who fixes the iteration order?)"
                     ),
                 ));
             }
@@ -693,7 +692,7 @@ fn rule_unordered_reduce(model: &FileModel, out: &mut Vec<Violation>) {
                     model,
                     idx + 1,
                     "`.fold(...)` in a resolve/merge path: annotate the reduction as \
-                     shard-order-deterministic (min/max folds are exempt)"
+                     order-deterministic (min/max folds are exempt)"
                         .to_string(),
                 ));
             }

@@ -99,12 +99,10 @@ impl MetricsCollector {
         prr_windows: Vec<PrrWindowSample>,
         telemetry: Vec<TelemetrySample>,
         scan_stats: Option<ScanStatsReport>,
-        threads: usize,
         channel_signature: u64,
     ) -> MetricsReport {
         MetricsReport {
             horizon,
-            threads,
             channel_signature,
             completed_at,
             prr,
@@ -169,10 +167,6 @@ impl ScanStatsReport {
 pub struct MetricsReport {
     /// The spec's horizon.
     pub horizon: Tick,
-    /// Resolved SINR lane count the run executed with (an execution
-    /// knob — never trace-defining — recorded so an archived report is
-    /// self-describing without the spec file).
-    pub threads: usize,
     /// The backend's channel signature (0 = static backend), the same
     /// fingerprint checkpoints fold in — ties an archived report to
     /// the temporal-channel configuration that produced it.
@@ -222,7 +216,6 @@ impl MetricsReport {
         };
         let mut pairs = vec![
             ("horizon", int(self.horizon)),
-            ("threads", int(self.threads as u64)),
             (
                 "channel_sig",
                 s(&format!("{:#018x}", self.channel_signature)),
@@ -462,7 +455,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             None,
-            1,
             0,
         );
         assert_eq!(report.latency_hist[0], 1, "latency 0");
@@ -534,7 +526,6 @@ mod tests {
                 pairs: 40,
                 row_hits: 12,
             }),
-            4,
             0x00AB_CDEF_0123_4567,
         );
         let text = report.to_string();
@@ -552,7 +543,6 @@ mod tests {
         );
         let json = report.to_json().pretty();
         assert!(json.contains("\"completed_at\": 40"));
-        assert!(json.contains("\"threads\": 4"), "{json}");
         assert!(
             json.contains("\"channel_sig\": \"0x00abcdef01234567\""),
             "{json}"
@@ -585,7 +575,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             None,
-            1,
             0,
         );
         let json = report.to_json().pretty();
@@ -609,7 +598,6 @@ mod tests {
             Vec::new(),
             Vec::new(),
             None,
-            1,
             0,
         );
         assert_eq!(report.mean_latency, 0.0);

@@ -26,9 +26,7 @@
 //!   five engine-side counters, ζ(t), PRR windows, deliveries,
 //!   directives) is derived from the event trace or the gain values,
 //!   never from backend-side caching behavior.
-//! * **Thread-invariant** — SINR lanes are an execution knob; runlogs
-//!   are byte-identical at every `threads` value, and the spec
-//!   signature deliberately excludes the `backend`/`threads` keys.
+//!   The spec signature deliberately excludes the `backend` key.
 //! * **Resume-invariant modulo the marker** — a run split by a
 //!   checkpoint/restore cycle produces the identical byte stream plus
 //!   one `resume` line. Counter deltas are accumulated across the
@@ -42,9 +40,8 @@
 //! # Span timelines
 //!
 //! Orthogonally to the runlog, [`chrome_trace_json`] renders the
-//! engine's recorded [`SpanEvent`]s (per-shard `shard_scan` /
-//! `shard_pairs` / `resolve_shard` lanes plus the `dispatch` /
-//! `resolve` / `row_build` phase timers) as Chrome Trace Event JSON,
+//! engine's recorded [`SpanEvent`]s (the `dispatch` / `resolve` /
+//! `row_build` phase timers) as Chrome Trace Event JSON,
 //! loadable in [Perfetto](https://ui.perfetto.dev) or
 //! `chrome://tracing`. Spans only exist on the `telemetry-timing`
 //! feature and are wall-clock by nature: nothing about them is part of
@@ -794,7 +791,7 @@ fn req_hex(v: &JsonValue, key: &str) -> Result<u64, String> {
 /// and strips the timing-gated `timers` object from every sample, then
 /// re-renders each record compactly. Two runs of the same
 /// trace-defining spec must normalize to identical bytes — across
-/// backends, thread counts, resume splits, and timing builds.
+/// backends, resume splits, and timing builds.
 ///
 /// # Errors
 ///
@@ -852,13 +849,12 @@ pub fn diff(a: &str, b: &str) -> Result<Option<String>, String> {
 /// Renders recorded spans as Chrome Trace Event JSON (the `X` complete
 /// event form), loadable in Perfetto or `chrome://tracing`. Timestamps
 /// are microseconds since the process's span epoch; each recording
-/// thread gets its own `tid` row, and shard-phase spans carry their
-/// lane index in `args.lane`.
+/// thread gets its own `tid` row.
 pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
     let events: Vec<JsonValue> = spans
         .iter()
         .map(|span| {
-            let mut fields = vec![
+            obj(vec![
                 ("name", s(span.name)),
                 ("cat", s("engine")),
                 ("ph", s("X")),
@@ -866,11 +862,7 @@ pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
                 ("dur", num(span.dur_ns as f64 / 1_000.0)),
                 ("pid", int(1)),
                 ("tid", int(u64::from(span.tid))),
-            ];
-            if let Some(lane) = span.lane {
-                fields.push(("args", obj(vec![("lane", int(u64::from(lane)))])));
-            }
-            obj(fields)
+            ])
         })
         .collect();
     obj(vec![
@@ -1043,16 +1035,14 @@ mod tests {
     fn chrome_trace_renders_and_validates() {
         let spans = [
             SpanEvent {
-                name: "resolve_shard",
+                name: "resolve",
                 tid: 3,
-                lane: Some(1),
                 start_ns: 1_500,
                 dur_ns: 2_000,
             },
             SpanEvent {
                 name: "dispatch",
                 tid: 1,
-                lane: None,
                 start_ns: 0,
                 dur_ns: 10_000,
             },
@@ -1062,14 +1052,7 @@ mod tests {
         let v = json::parse(&text).unwrap();
         let events = v.get("traceEvents").and_then(JsonValue::as_array).unwrap();
         assert_eq!(events[0].get("ts").and_then(JsonValue::as_f64), Some(1.5));
-        assert_eq!(
-            events[0]
-                .get("args")
-                .and_then(|a| a.get("lane"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert!(events[1].get("args").is_none());
+        assert_eq!(events[0].get("tid").and_then(JsonValue::as_u64), Some(3));
         assert!(validate_trace("{\"traceEvents\":[{\"name\":\"x\"}]}").is_err());
     }
 }

@@ -234,9 +234,9 @@ impl fmt::Display for ScenarioReport {
 }
 
 /// Optional attachments for [`ScenarioRunner::run_with_options`] and
-/// [`RunSession::new`]: the execution-knob overrides (backend, lane
-/// count — exactly the knobs [`crate::spec_signature`] excludes, so a
-/// cached compilation runs under the submitted knobs), the checkpoint
+/// [`RunSession::new`]: the backend override (the one execution knob
+/// [`crate::spec_signature`] excludes, so a cached compilation runs
+/// under the submitted backend), the checkpoint
 /// split, and the observability sinks (none of which can perturb the
 /// run — the runlog is read-only like a probe, spans are timing-gated
 /// telemetry, and the flight dump is written after the engine stops).
@@ -244,9 +244,6 @@ impl fmt::Display for ScenarioReport {
 pub struct RunOptions<'a> {
     /// Backend override (`None` = the spec's declared backend).
     pub backend: Option<BackendSpec>,
-    /// Worker-lane override (`None` = the spec's declared `threads`).
-    /// An execution knob: the trace is bit-identical at every value.
-    pub threads: Option<usize>,
     /// Checkpoint/restore split tick, as in
     /// [`ScenarioRunner::run_with_resume`].
     pub resume_at: Option<Tick>,
@@ -268,7 +265,6 @@ impl fmt::Debug for RunOptions<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunOptions")
             .field("backend", &self.backend)
-            .field("threads", &self.threads)
             .field("resume_at", &self.resume_at)
             .field("runlog", &self.runlog.is_some())
             .field("trace_spans", &self.trace_spans.is_some())

@@ -165,13 +165,35 @@ fn realize(
     }
 }
 
+/// The repository root baked in at build time, or — when it is not
+/// present (a binary deployed outside its build checkout) — the
+/// current working directory.
+fn repo_root_or_cwd() -> std::path::PathBuf {
+    let baked = crate::golden::repo_root();
+    if baked.is_dir() {
+        baked
+    } else {
+        std::path::PathBuf::from(".")
+    }
+}
+
+/// Validates `spec`, resolves its `channel.trace_path` against `root`,
+/// and returns its signature. The signature is taken after resolution,
+/// so two specs naming the same trace file by different paths — or one
+/// inlining what the other loads — compile to the same cache key.
+fn resolve(spec: &mut ScenarioSpec, root: &std::path::Path) -> Result<u64, ScenarioError> {
+    spec.validate()?;
+    spec.resolve_trace_path(root)?;
+    Ok(spec_signature(spec))
+}
+
 /// A validated, resolved, fully precomputed scenario: the immutable
 /// product of the **compile** phase.
 ///
 /// Holds the deployed point set (shared with every backend the
 /// compilation builds), the protocol plan, and the spec signature —
 /// the same [`spec_signature`] the runlog header records, with the
-/// execution knobs (`backend`, `threads`) excluded. It is `Send + Sync`,
+/// execution knob `backend` excluded. It is `Send + Sync`,
 /// so one compilation can feed concurrent sessions; [`ScenarioCache`]
 /// memoizes compilations by signature.
 pub struct CompiledScenario {
@@ -203,13 +225,7 @@ impl CompiledScenario {
     /// Returns the first validation failure, including an unreadable or
     /// malformed gain-trace file.
     pub fn compile(spec: ScenarioSpec) -> Result<CompiledScenario, ScenarioError> {
-        let baked = crate::golden::repo_root();
-        let root = if baked.is_dir() {
-            baked
-        } else {
-            std::path::PathBuf::from(".")
-        };
-        Self::compile_with_root(spec, &root)
+        Self::compile_with_root(spec, &repo_root_or_cwd())
     }
 
     /// [`Self::compile`] with an explicit root directory for
@@ -223,20 +239,21 @@ impl CompiledScenario {
         mut spec: ScenarioSpec,
         root: &std::path::Path,
     ) -> Result<CompiledScenario, ScenarioError> {
-        spec.validate()?;
-        spec.resolve_trace_path(root)?;
-        // The signature is taken after resolution, so two specs naming
-        // the same trace file by different paths — or one inlining what
-        // the other loads — compile to the same cache key.
-        let sig = spec_signature(&spec);
+        let sig = resolve(&mut spec, root)?;
+        Ok(Self::from_resolved(spec, sig))
+    }
+
+    /// Deploys the points and builds the protocol plan for a spec that
+    /// [`resolve`] already validated and signed.
+    fn from_resolved(spec: ScenarioSpec, sig: u64) -> CompiledScenario {
         let points = Arc::new(spec.topology.points());
         let plan = ProtocolPlan::compile(&spec, &points);
-        Ok(CompiledScenario {
+        CompiledScenario {
             spec,
             sig,
             points,
             plan,
-        })
+        }
     }
 
     /// The validated, trace-resolved spec.
@@ -245,8 +262,8 @@ impl CompiledScenario {
     }
 
     /// The spec signature ([`spec_signature`]): the cache key, and the
-    /// `spec_sig` the runlog header records. Execution knobs (`backend`,
-    /// `threads`) are excluded — they select *how* to run, not *what*.
+    /// `spec_sig` the runlog header records. The `backend` is excluded —
+    /// it selects *how* to run, not *what*.
     pub fn signature(&self) -> u64 {
         self.sig
     }
@@ -271,11 +288,10 @@ impl CompiledScenario {
 /// returns the same `Arc<CompiledScenario>` — the deployment, protocol
 /// plan, and resolved trace are shared, not rebuilt — and bumps the
 /// `compile_hits` telemetry counter. Because the key excludes the
-/// execution knobs (`backend`, `threads`), a hit may return a
-/// compilation whose stored spec carries *different* knobs than the
-/// submitted one: pass the run's knobs through
-/// [`RunOptions::backend`] / [`RunOptions::threads`] instead of relying
-/// on the cached spec's.
+/// `backend`, a hit may return a compilation whose stored spec names a
+/// *different* backend than the submitted one: pass the run's backend
+/// through [`RunOptions::backend`] instead of relying on the cached
+/// spec's.
 pub struct ScenarioCache {
     inner: Mutex<CacheState>,
     telemetry: Counters,
@@ -330,17 +346,10 @@ impl ScenarioCache {
     pub fn compile(&self, spec: ScenarioSpec) -> Result<Arc<CompiledScenario>, ScenarioError> {
         // Validation and trace resolution are cheap relative to the
         // deployment + plan probe, and the key must be taken over the
-        // *resolved* spec — so do that much before consulting the map.
-        let baked = crate::golden::repo_root();
-        let root = if baked.is_dir() {
-            baked
-        } else {
-            std::path::PathBuf::from(".")
-        };
+        // *resolved* spec — so do that much, once, before consulting
+        // the map.
         let mut spec = spec;
-        spec.validate()?;
-        spec.resolve_trace_path(&root)?;
-        let sig = spec_signature(&spec);
+        let sig = resolve(&mut spec, &repo_root_or_cwd())?;
 
         let mut state = self.inner.lock().expect("scenario cache poisoned");
         if let Some(hit) = state.map.get(&sig).cloned() {
@@ -349,7 +358,7 @@ impl ScenarioCache {
             self.telemetry.add(Counter::CompileHits, 1);
             return Ok(hit);
         }
-        let compiled = Arc::new(CompiledScenario::compile_with_root(spec, &root)?);
+        let compiled = Arc::new(CompiledScenario::from_resolved(spec, sig));
         state.map.insert(sig, Arc::clone(&compiled));
         state.order.push(sig);
         while state.map.len() > state.capacity {
@@ -402,7 +411,6 @@ trait EngineHarness: Send {
     fn prr(&self) -> f64;
     fn stats(&self) -> EngineStats;
     fn len(&self) -> usize;
-    fn threads(&self) -> usize;
     fn channel_signature(&self) -> u64;
     fn scan_stats(&self) -> Option<ScanStatsReport>;
     fn checkpoint_bytes(&mut self) -> Vec<u8>;
@@ -414,9 +422,8 @@ trait EngineHarness: Send {
     fn restore(&mut self, bytes: &[u8], controller_sig: u64) -> Result<(), ScenarioError>;
     fn set_controller_signature(&mut self, sig: u64);
     fn enable_event_log(&mut self, keep: usize);
-    fn set_threads(&mut self, threads: usize);
     fn note_queue_high_water(&mut self, mark: u64);
-    fn arm_span_recording(&mut self);
+    fn arm_spans(&mut self);
     fn take_spans(&mut self) -> Vec<SpanEvent>;
     fn recent_events(&self) -> Vec<EventRecord>;
 }
@@ -474,10 +481,6 @@ where
         self.engine().len()
     }
 
-    fn threads(&self) -> usize {
-        self.engine().config().threads
-    }
-
     fn channel_signature(&self) -> u64 {
         self.engine().backend().channel_signature()
     }
@@ -522,16 +525,12 @@ where
         self.engine_mut().enable_event_log(keep);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.engine_mut().set_threads(threads);
-    }
-
     fn note_queue_high_water(&mut self, mark: u64) {
         self.engine_mut().note_queue_high_water(mark);
     }
 
-    fn arm_span_recording(&mut self) {
-        self.engine_mut().arm_span_recording();
+    fn arm_spans(&mut self) {
+        self.engine_mut().arm_spans();
     }
 
     fn take_spans(&mut self) -> Vec<SpanEvent> {
@@ -544,8 +543,7 @@ where
 }
 
 /// Builds the protocol's engine + completion/PRR closures behind the
-/// erased harness. `config` already carries the session's resolved lane
-/// count.
+/// erased harness.
 fn build_harness(
     compiled: &Arc<CompiledScenario>,
     backend: BackendSpec,
@@ -708,7 +706,6 @@ pub struct RunSession<'a, 'p> {
     harness: Box<dyn EngineHarness>,
     horizon: Tick,
     ci: Tick,
-    threads: usize,
     metrics: MetricsProbe,
     monitor: Option<MetricityMonitor>,
     windowed_prr: Option<WindowedPrr>,
@@ -740,7 +737,6 @@ impl fmt::Debug for RunSession<'_, '_> {
         f.debug_struct("RunSession")
             .field("scenario", &self.compiled.spec.name)
             .field("horizon", &self.horizon)
-            .field("threads", &self.threads)
             .field("parked", &self.harness.is_parked())
             .field("breakpoint", &self.breakpoint)
             .finish()
@@ -750,10 +746,10 @@ impl fmt::Debug for RunSession<'_, '_> {
 impl<'a, 'p> RunSession<'a, 'p> {
     /// Opens a session over a compiled scenario: builds the engine on
     /// the resolved backend, arms every observer, and fires the start
-    /// pause. `opts.resume_at` becomes the initial breakpoint; the
-    /// execution knobs in `opts` override the spec's (that is how a
-    /// cached compilation — keyed without knobs — runs under the
-    /// submitted spec's backend and lane count).
+    /// pause. `opts.resume_at` becomes the initial breakpoint;
+    /// `opts.backend` overrides the spec's (that is how a cached
+    /// compilation — keyed without the backend — runs under the
+    /// submitted spec's backend).
     ///
     /// # Errors
     ///
@@ -766,9 +762,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
     ) -> Result<RunSession<'a, 'p>, ScenarioError> {
         let spec = compiled.spec();
         let backend = opts.backend.unwrap_or(spec.backend);
-        let threads = opts.threads.unwrap_or(spec.threads);
-        let mut config = spec.engine_config();
-        config.threads = threads;
+        let config = spec.engine_config();
 
         // The controller, when the spec declares one, is part of the
         // trace-defining configuration: its identity is folded into
@@ -804,13 +798,12 @@ impl<'a, 'p> RunSession<'a, 'p> {
             .take()
             .map(|w| RunLogProbe::new(w, spec, controller_sig));
         if opts.trace_spans.is_some() {
-            harness.arm_span_recording();
+            harness.arm_spans();
         }
 
         let mut session = RunSession {
             horizon: spec.horizon,
             ci: spec.check_interval,
-            threads,
             compiled,
             harness,
             metrics: MetricsProbe::new(),
@@ -896,17 +889,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
         self.harness.now()
     }
 
-    /// The lane count the engine is currently configured with (the
-    /// session re-applies it after every [`Self::resume`], since the
-    /// checkpoint codec deliberately excludes execution knobs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session is parked.
-    pub fn engine_threads(&self) -> usize {
-        self.harness.threads()
-    }
-
     /// Whether the session is parked (engine dropped, awaiting
     /// [`Self::resume`]).
     pub fn is_parked(&self) -> bool {
@@ -951,6 +933,9 @@ impl<'a, 'p> RunSession<'a, 'p> {
                     return SessionStep::Finished;
                 }
                 self.breakpoint = None;
+                if split >= self.horizon {
+                    return SessionStep::Finished;
+                }
                 return SessionStep::Breakpoint;
             }
             if split <= now {
@@ -961,6 +946,12 @@ impl<'a, 'p> RunSession<'a, 'p> {
         self.pause_all(RunPhase::Pause, true);
         if self.harness.done() {
             self.completed_at = Some(self.harness.now());
+            return SessionStep::Finished;
+        }
+        // The horizon ends the run even when the goal was not reached
+        // (`completed_at` stays `None`); a park there would write a
+        // resume marker that `RunLog::parse` rejects.
+        if grid_next >= self.horizon {
             return SessionStep::Finished;
         }
         SessionStep::Paused
@@ -1005,9 +996,8 @@ impl<'a, 'p> RunSession<'a, 'p> {
 
     /// Restores a parked session onto a freshly rebuilt backend and
     /// re-applies everything the checkpoint codec deliberately
-    /// excludes: the flight-recorder ring, the session's lane count,
-    /// the carried queue high-water mark, and span arming. This is the
-    /// single place spec threads are re-applied after a restore.
+    /// excludes: the flight-recorder ring, the carried queue high-water
+    /// mark, and span arming.
     ///
     /// # Errors
     ///
@@ -1042,14 +1032,9 @@ impl<'a, 'p> RunSession<'a, 'p> {
         }
         self.parked_events = Vec::new();
         self.harness.enable_event_log(FLIGHT_KEEP_EVENTS);
-        // Execution knobs live outside the checkpoint: the codec
-        // decodes `threads: 1`, so re-apply the session's lane count
-        // (the trace is bit-identical at every value, so this cannot
-        // fork the run).
-        self.harness.set_threads(self.threads);
         self.harness.note_queue_high_water(self.prior_high_water);
         if self.trace_spans.is_some() {
-            self.harness.arm_span_recording();
+            self.harness.arm_spans();
         }
         if let Some(rl) = self.runlog.as_mut() {
             rl.note_restore(self.parked_at);
@@ -1099,7 +1084,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
                 .unwrap_or_default(),
             self.telemetry.into_samples(),
             scan_stats,
-            self.threads,
             self.harness.channel_signature(),
         );
         let report = ScenarioReport {
@@ -1147,7 +1131,6 @@ mod tests {
             name: name.to_string(),
             seed,
             horizon: 32,
-            threads: 1,
             check_interval: 8,
             topology: TopologySpec::Line {
                 n: 8,
@@ -1208,7 +1191,6 @@ mod tests {
             tile_size: 4,
             max_tiles: 2,
         };
-        re_knobbed.threads = 4;
         let first = cache.compile(spec).expect("compiles");
         let second = cache.compile(re_knobbed).expect("compiles");
         assert_eq!(cache.compile_hits(), 1);

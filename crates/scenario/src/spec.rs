@@ -350,11 +350,6 @@ pub struct ScenarioSpec {
     /// ζ(t)-adaptive scheduling, if any (`None` = the spec's fixed
     /// probabilities for the whole run).
     pub adaptive: Option<AdaptiveSpec>,
-    /// SINR resolution lanes (default 1 = serial). Purely an execution
-    /// knob: traces, digests, and checkpoints are bit-identical at
-    /// every value, so two specs differing only here describe the same
-    /// run (and the field is omitted from JSON when 1).
-    pub threads: usize,
 }
 
 /// A spec that failed validation or decoding.
@@ -1076,17 +1071,17 @@ const SPEC_FIELDS: &[&str] = &[
 const SPEC_SIG_TAG: u64 = 0x5350_4543_5349_4731; // "SPECSIG1"
 
 /// FNV-1a fingerprint of the spec's *trace-defining* configuration:
-/// the canonical compact JSON with the `backend` and `threads` keys
-/// removed, because both are execution knobs the determinism contract
-/// promises cannot change the run. Two specs with equal signatures
-/// must produce byte-identical runlogs — which is also what makes the
-/// signature the [`ScenarioCache`](crate::ScenarioCache) key: a cached
+/// the canonical compact JSON with the `backend` key removed, because
+/// the backend is an execution knob the determinism contract promises
+/// cannot change the run. Two specs with equal signatures must produce
+/// byte-identical runlogs — which is also what makes the signature the
+/// [`ScenarioCache`](crate::ScenarioCache) key: a cached
 /// [`CompiledScenario`](crate::CompiledScenario) is reusable across
-/// every backend and lane count.
+/// every backend.
 pub fn spec_signature(spec: &ScenarioSpec) -> u64 {
     let mut v = spec.to_json();
     if let JsonValue::Object(pairs) = &mut v {
-        pairs.retain(|(k, _)| k != "backend" && k != "threads");
+        pairs.retain(|(k, _)| k != "backend");
     }
     decay_engine::probe::signature_hash(SPEC_SIG_TAG, v.compact().as_bytes())
 }
@@ -1162,9 +1157,6 @@ impl ScenarioSpec {
         if let Some(a) = self.adaptive {
             pairs.push(("adaptive", a.to_json()));
         }
-        if self.threads != 1 {
-            pairs.push(("threads", int(self.threads as u64)));
-        }
         obj(pairs)
     }
 
@@ -1181,6 +1173,14 @@ impl ScenarioSpec {
     /// mistyped, unknown, or out-of-range fields.
     pub fn from_json(v: &JsonValue) -> Result<Self, SpecError> {
         reject_unknown(v, "", SPEC_FIELDS)?;
+        // `threads` is a retired key: range-checked so existing specs
+        // keep parsing (with unchanged signatures), then ignored.
+        if !matches!(v.get("threads"), None | Some(JsonValue::Null)) {
+            let threads = get_usize(v, "", "threads")?;
+            if !(1..=256).contains(&threads) {
+                return Err(SpecError::new("threads", "must be in [1, 256]"));
+            }
+        }
         let spec = ScenarioSpec {
             name: get_str(v, "", "name")?.to_string(),
             seed: get_u64(v, "", "seed")?,
@@ -1283,10 +1283,6 @@ impl ScenarioSpec {
                 None | Some(JsonValue::Null) => None,
                 Some(av) => Some(AdaptiveSpec::from_json(av, "adaptive")?),
             },
-            threads: match v.get("threads") {
-                None | Some(JsonValue::Null) => 1,
-                Some(_) => get_usize(v, "", "threads")?,
-            },
         };
         spec.validate()?;
         Ok(spec)
@@ -1366,7 +1362,6 @@ impl ScenarioSpec {
             jamming: self.jamming,
             faults,
             record_trace: true,
-            threads: self.threads,
         }
     }
 
@@ -1394,9 +1389,6 @@ impl ScenarioSpec {
         }
         if self.check_interval == 0 {
             return bad("check_interval", "must be at least one tick");
-        }
-        if self.threads == 0 || self.threads > 256 {
-            return bad("threads", "must be in [1, 256]");
         }
         // Every integer in a spec must survive the JSON number round
         // trip (f64 mantissa), or a spec written by `to_json_string`
@@ -1796,7 +1788,6 @@ mod tests {
             seed: 7,
             horizon: 500,
             check_interval: 32,
-            threads: 1,
             topology: TopologySpec::Line {
                 n: 16,
                 spacing: 1.0,

@@ -158,7 +158,6 @@ mod tests {
             name: "t".to_string(),
             seed: 1,
             horizon: 10 as Tick,
-            threads: 1,
             check_interval: 4,
             topology,
             backend: BackendSpec::Lazy,

@@ -27,7 +27,6 @@ struct Knobs {
     latency: u8,
     pruned: bool,
     channel: u8,
-    threads: usize,
 }
 
 /// Builds a varied but valid spec from integer knobs.
@@ -42,7 +41,6 @@ fn spec_from_knobs(knobs: Knobs) -> ScenarioSpec {
         latency,
         pruned,
         channel,
-        threads,
     } = knobs;
     let topology = match topo % 4 {
         0 => TopologySpec::Line {
@@ -127,7 +125,6 @@ fn spec_from_knobs(knobs: Knobs) -> ScenarioSpec {
         name: "conformance".to_string(),
         seed,
         horizon: 220,
-        threads,
         check_interval: 16,
         topology,
         backend: BackendSpec::Lazy,
@@ -180,11 +177,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Dense, lazy, and tiled backends produce bit-identical digests for
-    /// the same spec, across topologies, protocols, dynamics, temporal
-    /// channels, and thread counts — and when a metricity monitor runs,
-    /// the ζ(t) series is backend-invariant too. Half the cases resolve
-    /// across 4 shards; the other half run serial, and a lazy re-run at
-    /// the *other* lane count pins threads as a pure execution knob.
+    /// the same spec, across topologies, protocols, dynamics, and temporal
+    /// channels — and when a metricity monitor runs, the ζ(t) series is
+    /// backend-invariant too.
     #[test]
     fn backends_yield_identical_digests(
         topo in 0u8..4,
@@ -196,9 +191,7 @@ proptest! {
         latency in 0u8..3,
         pruned in 0u8..2,
         channel in 0u8..4,
-        threads_knob in 0u8..2,
     ) {
-        let threads = if threads_knob == 0 { 1 } else { 4 };
         let spec = spec_from_knobs(Knobs {
             topo,
             n,
@@ -209,10 +202,7 @@ proptest! {
             latency,
             pruned: pruned == 1,
             channel,
-            threads,
         });
-        let mut other_spec = spec.clone();
-        other_spec.threads = if threads == 1 { 4 } else { 1 };
         let runner = ScenarioRunner::new(spec).unwrap();
         let dense = runner.run_on(BackendSpec::Dense).unwrap();
         let lazy = runner.run_on(BackendSpec::Lazy).unwrap();
@@ -223,12 +213,6 @@ proptest! {
         prop_assert_eq!(&dense.digest, &tiled.digest, "dense vs tiled");
         prop_assert_eq!(&dense.metrics.zeta_series, &lazy.metrics.zeta_series);
         prop_assert_eq!(&dense.metrics.zeta_series, &tiled.metrics.zeta_series);
-        let other_lanes = ScenarioRunner::new(other_spec)
-            .unwrap()
-            .run_on(BackendSpec::Lazy)
-            .unwrap();
-        prop_assert_eq!(&lazy.digest, &other_lanes.digest, "threads {} vs other", threads);
-        prop_assert_eq!(&lazy.metrics.zeta_series, &other_lanes.metrics.zeta_series);
         if channel % 4 != 0 {
             prop_assert!(
                 !dense.metrics.zeta_series.is_empty(),
@@ -259,7 +243,6 @@ fn seeds_differentiate_digests() {
             latency: 0,
             pruned: false,
             channel: 0,
-            threads: 1,
         });
         ScenarioRunner::new(spec).unwrap().run().unwrap().digest
     };

@@ -17,12 +17,11 @@ use proptest::prelude::*;
 
 /// A spec with every observable stream active: temporal channel, ζ(t)
 /// monitor, windowed PRR, and (optionally) the adaptive controller.
-fn observed_spec(protocol: u8, seed: u64, adaptive: bool, threads: usize) -> ScenarioSpec {
+fn observed_spec(protocol: u8, seed: u64, adaptive: bool) -> ScenarioSpec {
     ScenarioSpec {
         name: "probed".to_string(),
         seed,
         horizon: 260,
-        threads,
         check_interval: 16,
         topology: TopologySpec::Line {
             n: 18,
@@ -173,22 +172,17 @@ proptest! {
         subset in 0u8..16,
         split_knob in 0u64..520,
         adaptive_knob in 0u8..2,
-        threads_knob in 0u8..2,
     ) {
         // Half the cases resume at a mid-run split in [1, 259].
         let split = (split_knob % 2 == 0).then(|| 1 + (split_knob / 2) % 259);
         let adaptive = adaptive_knob == 1;
-        // Half the cases resolve across 4 shards: probes must be
-        // transparent at every lane count, including across a resume
-        // split with the controller steering.
-        let threads = if threads_knob == 0 { 1 } else { 4 };
         let backend = match backend_knob {
             0 => BackendSpec::Dense,
             1 => BackendSpec::Lazy,
             _ => BackendSpec::Tiled { tile_size: 5, max_tiles: 3 },
         };
         let runner =
-            ScenarioRunner::new(observed_spec(protocol, seed, adaptive, threads)).unwrap();
+            ScenarioRunner::new(observed_spec(protocol, seed, adaptive)).unwrap();
         let mut bare_log = Vec::new();
         let bare = runner
             .run_with_options(
@@ -311,7 +305,7 @@ proptest! {
 /// split legitimately zeroes the sinks mid-series).
 #[test]
 fn counter_deltas_identical_across_backends() {
-    let runner = ScenarioRunner::new(observed_spec(1, 7, false, 1)).unwrap();
+    let runner = ScenarioRunner::new(observed_spec(1, 7, false)).unwrap();
     let dense = runner.run_on(BackendSpec::Dense).unwrap();
     let lazy = runner.run_on(BackendSpec::Lazy).unwrap();
     let tiled = runner
@@ -362,46 +356,11 @@ fn counter_deltas_identical_across_backends() {
     assert!(scan.pairs >= scan.scans, "windows hold at least one pair");
 }
 
-/// Same backend, different lane counts: *every* counter delta —
-/// including `RowHits`, the one excluded from the cross-backend check —
-/// must agree sample for sample. Row-cache hit attribution is defined
-/// as "this lookup did not run the build" (hits = lookups − builds), so
-/// even when concurrent shards race to a row's `OnceLock`, exactly one
-/// lookup counts as the build and the tally is thread-count-invariant.
-#[test]
-fn counter_deltas_identical_across_thread_counts() {
-    let serial = ScenarioRunner::new(observed_spec(1, 7, false, 1))
-        .unwrap()
-        .run()
-        .unwrap();
-    let sharded = ScenarioRunner::new(observed_spec(1, 7, false, 4))
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(
-        serial.digest, sharded.digest,
-        "threads must not fork the trace"
-    );
-    assert_eq!(
-        counter_view(&serial.metrics.telemetry, &TCounter::ALL),
-        counter_view(&sharded.metrics.telemetry, &TCounter::ALL),
-        "1-lane vs 4-lane counter deltas"
-    );
-    let row_hits: u64 = serial
-        .metrics
-        .telemetry
-        .iter()
-        .map(|s| s.delta.get(TCounter::RowHits))
-        .sum();
-    assert!(row_hits > 0, "row cache never hit");
-    assert_eq!(serial.metrics.scan_stats, sharded.metrics.scan_stats);
-}
-
 /// Out-of-range resume splits now fail loudly instead of silently
 /// running without a checkpoint cycle.
 #[test]
 fn out_of_range_splits_are_rejected() {
-    let runner = ScenarioRunner::new(observed_spec(0, 1, false, 1)).unwrap();
+    let runner = ScenarioRunner::new(observed_spec(0, 1, false)).unwrap();
     let horizon = runner.spec().horizon;
     for bad in [0, horizon, horizon + 1, horizon * 10] {
         match runner.run_with_resume(bad) {
@@ -427,12 +386,12 @@ fn out_of_range_splits_are_rejected() {
 /// probability at all).
 #[test]
 fn adaptive_block_changes_and_reproduces_the_trace() {
-    let fixed = ScenarioRunner::new(observed_spec(0, 9, false, 1))
+    let fixed = ScenarioRunner::new(observed_spec(0, 9, false))
         .unwrap()
         .run()
         .unwrap();
     let run_adaptive = || {
-        ScenarioRunner::new(observed_spec(0, 9, true, 1))
+        ScenarioRunner::new(observed_spec(0, 9, true))
             .unwrap()
             .run()
             .unwrap()

@@ -18,12 +18,11 @@ use proptest::prelude::*;
 /// latency + a scheduled outage + a full temporal channel (mobility,
 /// shadowing, block fading, metricity monitoring), on a lazy line
 /// backend.
-fn stormy_spec(protocol: u8, seed: u64, threads: usize) -> ScenarioSpec {
+fn stormy_spec(protocol: u8, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
         name: "stormy".to_string(),
         seed,
         horizon: 300,
-        threads,
         check_interval: 32,
         topology: TopologySpec::Line {
             n: 20,
@@ -108,18 +107,14 @@ proptest! {
 
     /// Resuming at an arbitrary mid-run tick — on or off the completion
     /// check grid — reproduces the uninterrupted digest bit for bit,
-    /// for every protocol, under churn + jamming + jitter + faults, at
-    /// every thread count (the checkpoint codec carries no lane count,
-    /// so the runner must re-apply the spec's `threads` after restore).
+    /// for every protocol, under churn + jamming + jitter + faults.
     #[test]
     fn resume_preserves_digest(
         protocol in 0u8..3,
         seed in 0u64..5_000,
         split in 1u64..300,
-        threads_knob in 0u8..2,
     ) {
-        let threads = if threads_knob == 0 { 1 } else { 4 };
-        let runner = ScenarioRunner::new(stormy_spec(protocol, seed, threads)).unwrap();
+        let runner = ScenarioRunner::new(stormy_spec(protocol, seed)).unwrap();
         let mut plain_log = Vec::new();
         let uninterrupted = runner
             .run_with_options(
@@ -209,7 +204,7 @@ proptest! {
 /// under real dynamics, not a quiet run.
 #[test]
 fn stormy_spec_exercises_all_dynamics() {
-    let report = ScenarioRunner::new(stormy_spec(0, 7, 1))
+    let report = ScenarioRunner::new(stormy_spec(0, 7))
         .unwrap()
         .run()
         .unwrap();

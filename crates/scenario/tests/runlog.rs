@@ -1,6 +1,6 @@
 //! The runlog determinism contract, end to end: `decay-runlog-v1`
-//! streams must be byte-identical across backends and thread counts
-//! (against a dense single-lane reference), survive resume splits
+//! streams must be byte-identical across backends (against a dense
+//! reference), survive resume splits
 //! modulo the `resume` marker, round-trip through the parser, and —
 //! for one shipped scenario — match a pinned golden fixture
 //! (`SCENARIO_GOLDEN_UPDATE=1` to bless).
@@ -16,8 +16,8 @@ use proptest::prelude::*;
 /// A compact storm with every record-bearing feature on: temporal
 /// channel with ζ(t) monitor, windowed PRR, and the adaptive
 /// controller (directives), so samples carry all optional fields.
-fn full_featured_spec(seed: u64, threads: usize) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::from_json_str(&format!(
+fn full_featured_spec(seed: u64) -> ScenarioSpec {
+    ScenarioSpec::from_json_str(&format!(
         r#"{{
         "name": "runlogged",
         "seed": {seed},
@@ -47,9 +47,7 @@ fn full_featured_spec(seed: u64, threads: usize) -> ScenarioSpec {
         }}
     }}"#
     ))
-    .expect("spec parses");
-    spec.threads = threads;
-    spec
+    .expect("spec parses")
 }
 
 fn run_with_log(
@@ -76,14 +74,13 @@ fn run_with_log(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every (backend, thread count, resume split) combination produces
-    /// the dense single-lane uninterrupted run's byte stream — exactly,
-    /// in default builds, once `resume` markers are dropped.
+    /// Every (backend, resume split) combination produces the dense
+    /// uninterrupted run's byte stream — exactly, in default builds,
+    /// once `resume` markers are dropped.
     #[test]
-    fn runlog_bytes_invariant_across_backend_threads_split(
+    fn runlog_bytes_invariant_across_backend_split(
         seed in 0u64..2_000,
         backend_knob in 0u8..3,
-        threads_knob in 0u8..2,
         split_knob in 0u64..520,
     ) {
         let backend = match backend_knob {
@@ -91,12 +88,11 @@ proptest! {
             1 => BackendSpec::Lazy,
             _ => BackendSpec::Tiled { tile_size: 5, max_tiles: 3 },
         };
-        let threads = if threads_knob == 0 { 1 } else { 4 };
         let split = (split_knob % 2 == 0).then(|| 1 + (split_knob / 2) % 259);
 
         let (_, reference) =
-            run_with_log(full_featured_spec(seed, 1), BackendSpec::Dense, None);
-        let (_, variant) = run_with_log(full_featured_spec(seed, threads), backend, split);
+            run_with_log(full_featured_spec(seed), BackendSpec::Dense, None);
+        let (_, variant) = run_with_log(full_featured_spec(seed), backend, split);
 
         if !Counters::timing_enabled() {
             let stripped: String = variant
@@ -114,7 +110,7 @@ proptest! {
 /// and the parsed values agree with the report the run returned.
 #[test]
 fn runlog_round_trips_every_record_kind() {
-    let (report, text) = run_with_log(full_featured_spec(7, 1), BackendSpec::Lazy, Some(100));
+    let (report, text) = run_with_log(full_featured_spec(7), BackendSpec::Lazy, Some(100));
     let log = runlog::RunLog::parse(&text).expect("stream validates");
 
     let mut saw_start = false;
@@ -265,7 +261,7 @@ fn shipped_scenario_runlog_matches_golden_fixture() {
 fn flight_dump_and_trace_spans_sinks() {
     let mut dump = Vec::new();
     let mut spans = Vec::new();
-    ScenarioRunner::new(full_featured_spec(3, 2))
+    ScenarioRunner::new(full_featured_spec(3))
         .unwrap()
         .run_with_options(
             RunOptions {
@@ -287,9 +283,8 @@ fn flight_dump_and_trace_spans_sinks() {
         let trace = runlog::chrome_trace_json(&spans);
         let n = runlog::validate_trace(&trace).expect("trace validates");
         assert_eq!(n, spans.len());
-        // The sharded resolve phases appear with their lane indices.
-        assert!(spans.iter().any(|s| s.name == "resolve_shard"));
-        assert!(spans.iter().any(|s| s.lane.is_some()));
+        // The engine's phase timers appear on the timeline.
+        assert!(spans.iter().any(|s| s.name == "resolve"));
     } else {
         assert!(spans.is_empty(), "default builds compile spans out");
         // An empty timeline still renders valid (if boring) JSON.

@@ -2,7 +2,7 @@
 //! stepped pause by pause, parked to bytes at an arbitrary split, and
 //! resumed — must be byte-identical (runlog, digest, ζ(t), windowed
 //! PRR, latency histogram) to the one-shot [`ScenarioRunner`] drivers,
-//! on every backend and lane count. This is the contract that makes
+//! on every backend. This is the contract that makes
 //! external schedulers (preemption, migration across threads) free.
 
 use std::sync::Arc;
@@ -13,19 +13,18 @@ use decay_engine::{ChurnConfig, JamSchedule, LatencyModel, PrrWindowSample, Tick
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     runlog, AdaptiveSpec, BackendSpec, ChannelSpec, CompiledScenario, FadingSpec, MobilitySpec,
-    MonitorSpec, ProtocolSpec, RunOptions, RunSession, ScenarioCache, ScenarioReport,
+    MonitorSpec, ProtocolSpec, RunLog, RunOptions, RunSession, ScenarioCache, ScenarioReport,
     ScenarioRunner, ScenarioSpec, SessionStep, ShadowingSpec, SinrSpec, TopologySpec,
 };
 use proptest::prelude::*;
 
 /// A spec with every observable stream active: temporal channel, ζ(t)
 /// monitor, windowed PRR, and (optionally) the adaptive controller.
-fn observed_spec(protocol: u8, seed: u64, adaptive: bool, threads: usize) -> ScenarioSpec {
+fn observed_spec(protocol: u8, seed: u64, adaptive: bool) -> ScenarioSpec {
     ScenarioSpec {
         name: "sessioned".to_string(),
         seed,
         horizon: 260,
-        threads,
         check_interval: 16,
         topology: TopologySpec::Line {
             n: 18,
@@ -108,8 +107,8 @@ fn backend_for(which: u8) -> BackendSpec {
 }
 
 /// The deterministic slice of a report the conformance checks compare
-/// (wall-clock rates, post-split scan/telemetry coverage, and the lane
-/// count are execution-dependent by design).
+/// (wall-clock rates and post-split scan/telemetry coverage are
+/// execution-dependent by design).
 #[allow(clippy::type_complexity)]
 fn deterministic_view(
     r: &ScenarioReport,
@@ -207,11 +206,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// An externally stepped session — parked to bytes at an arbitrary
-    /// split and resumed — reproduces the uninterrupted dense
-    /// single-lane reference byte for byte: runlog (modulo the resume
-    /// marker), digest, ζ(t), windowed PRR, and latency histogram.
-    /// The checkpoint bytes themselves are pinned identical across
-    /// backend and lane-count choices.
+    /// split and resumed — reproduces the uninterrupted dense reference
+    /// byte for byte: runlog (modulo the resume marker), digest, ζ(t),
+    /// windowed PRR, and latency histogram. The checkpoint bytes
+    /// themselves are pinned identical across backend choices.
     #[test]
     fn stepped_session_matches_oneshot_driver(
         protocol in 0u8..3,
@@ -223,14 +221,13 @@ proptest! {
     ) {
         let adaptive = adaptive_knob == 1;
         let (reference, ref_log) =
-            reference_run(observed_spec(protocol, seed, adaptive, 1), BackendSpec::Dense);
+            reference_run(observed_spec(protocol, seed, adaptive), BackendSpec::Dense);
 
-        // Axis A: arbitrary backend, single lane.
+        // Two independently chosen backends.
         let (run_a, log_a, bytes_a) =
-            drive_session(observed_spec(protocol, seed, adaptive, 1), backend_for(backend_a), split);
-        // Axis B: independently chosen backend, four lanes.
+            drive_session(observed_spec(protocol, seed, adaptive), backend_for(backend_a), split);
         let (run_b, log_b, bytes_b) =
-            drive_session(observed_spec(protocol, seed, adaptive, 4), backend_for(backend_b), split);
+            drive_session(observed_spec(protocol, seed, adaptive), backend_for(backend_b), split);
 
         for (run, bytes) in [(&run_a, &bytes_a), (&run_b, &bytes_b)] {
             prop_assert_eq!(deterministic_view(run), deterministic_view(&reference));
@@ -242,55 +239,67 @@ proptest! {
         prop_assert_eq!(run_a.checkpointed, run_b.checkpointed);
         prop_assert_eq!(reference.checkpointed, None);
 
-        // The runlog byte stream is session-, backend-, and
-        // lane-invariant once the resume marker is normalized away.
+        // The runlog byte stream is session- and backend-invariant once
+        // the resume marker is normalized away.
         let ref_norm = runlog::normalize(&ref_log).expect("reference log parses");
         prop_assert_eq!(&runlog::normalize(&log_a).expect("log parses"), &ref_norm);
         prop_assert_eq!(&runlog::normalize(&log_b).expect("log parses"), &ref_norm);
 
         // Checkpoint bytes are a pure function of (spec, tick):
-        // identical across backend and lane-count choices.
+        // identical across backend choices.
         prop_assert_eq!(&bytes_a, &bytes_b);
     }
 }
 
-/// The checkpoint codec deliberately excludes execution knobs and
-/// decodes single-lane; [`RunSession::resume`] is the one place the
-/// session's lane count is re-applied. A parked-then-resumed session
-/// must come back with the spec's (or the override's) lanes, not the
-/// codec default.
+/// A horizon-bound run (announce never completes) ends with
+/// `Finished` at the horizon, never `Paused` or `Breakpoint` there: a
+/// park at `tick == horizon` would write a resume marker that
+/// `RunLog::parse` rejects. The session is parked and resumed at every
+/// pause it reports, with and without a breakpoint on the horizon
+/// itself (the on-grid breakpoint path), and the runlog must parse.
 #[test]
-fn resume_reapplies_lane_count() {
-    for (spec_threads, override_threads, want) in [(4, None, 4), (1, Some(4), 4), (2, Some(3), 3)] {
-        let spec = observed_spec(0, 11, false, spec_threads);
+fn horizon_ends_the_run_and_every_park_parses() {
+    for breakpoint_at_horizon in [false, true] {
+        let spec = observed_spec(0, 11, false);
+        let horizon = spec.horizon;
         let compiled = Arc::new(CompiledScenario::compile(spec).expect("compiles"));
-        let mut session = RunSession::new(
-            Arc::clone(&compiled),
-            RunOptions {
-                threads: override_threads,
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
-        .expect("session opens");
-        assert_eq!(session.engine_threads(), want);
-        session.set_breakpoint(24);
-        loop {
-            match session.step_to_next_pause() {
-                SessionStep::Paused => {}
-                SessionStep::Breakpoint => break,
-                SessionStep::Finished => panic!("hit the horizon before the breakpoint"),
+        let mut log: Vec<u8> = Vec::new();
+        let mut parks = 0;
+        let report = {
+            let mut session = RunSession::new(
+                compiled,
+                RunOptions {
+                    runlog: Some(&mut log),
+                    ..RunOptions::default()
+                },
+                &mut [],
+            )
+            .expect("session opens");
+            session.set_breakpoint(40);
+            loop {
+                let step = session.step_to_next_pause();
+                if step == SessionStep::Finished {
+                    break;
+                }
+                assert!(session.now() < horizon, "{step:?} at the horizon");
+                if step == SessionStep::Breakpoint && breakpoint_at_horizon {
+                    session.set_breakpoint(horizon);
+                }
+                let bytes = session.park();
+                session.resume(&bytes).expect("resume succeeds");
+                parks += 1;
             }
-        }
-        let bytes = session.park();
-        session.resume(&bytes).expect("resume succeeds");
-        assert_eq!(
-            session.engine_threads(),
-            want,
-            "resume dropped the session's lane count"
-        );
-        while session.step_to_next_pause() != SessionStep::Finished {}
-        session.finish().expect("finish succeeds");
+            assert_eq!(session.now(), horizon);
+            session.finish().expect("finish succeeds")
+        };
+        assert_eq!(report.metrics.completed_at, None);
+        let text = String::from_utf8(log).expect("runlog is utf-8");
+        RunLog::parse(&text).unwrap_or_else(|e| panic!("runlog rejected: {e}"));
+        let markers = text
+            .lines()
+            .filter(|l| l.contains("\"record\":\"resume\""))
+            .count();
+        assert_eq!(markers, parks);
     }
 }
 
@@ -300,7 +309,7 @@ fn resume_reapplies_lane_count() {
 #[test]
 fn warm_cache_skips_recompilation() {
     let cache = ScenarioCache::new(4);
-    let spec = observed_spec(1, 9, true, 1);
+    let spec = observed_spec(1, 9, true);
     let cold = cache.compile(spec.clone()).expect("cold compile");
     assert_eq!(cache.compile_hits(), 0);
     let first = ScenarioRunner::from_compiled(Arc::clone(&cold))

@@ -10,8 +10,8 @@ use decay_distributed::ContentionStrategy;
 use decay_engine::{ChurnConfig, JamSchedule, LatencyModel};
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
-    AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, FaultSpec, LinkSpec, MobilitySpec,
-    MonitorSpec, ProtocolSpec, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
+    spec_signature, AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, FaultSpec, LinkSpec,
+    MobilitySpec, MonitorSpec, ProtocolSpec, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -181,8 +181,6 @@ fn spec_from_knobs(k: [u64; 8]) -> ScenarioSpec {
         name: format!("rt-{}_{}", k[0] % 97, k[1] % 89),
         seed: k[0],
         horizon: 1 + k[2] % 100_000,
-        // 1 is omitted from the JSON form; >1 must round-trip.
-        threads: 1 + (k[3] % 4) as usize,
         check_interval,
         topology: topology(k[3], n),
         backend: match k[4] % 3 {
@@ -325,4 +323,30 @@ fn generator_yields_mostly_valid_specs() {
         "only {with_trace} inline + {with_trace_path} path trace specs"
     );
     assert!(with_adaptive > 10, "only {with_adaptive} adaptive specs");
+}
+
+/// The retired `threads` key is still accepted — range-checked to
+/// [1, 256], then ignored — so specs written with it keep parsing to the
+/// same spec and signature. The printer never emits it.
+#[test]
+fn threads_key_is_range_checked_then_ignored() {
+    let spec = (0..)
+        .map(|x: u64| {
+            spec_from_knobs([x * 31, x * 7, x * 13, x * 3, x * 5, x * 11, x * 17, x * 19])
+        })
+        .find(|spec| spec.validate().is_ok())
+        .expect("a valid generated spec");
+    let text = spec.to_json_string();
+    assert!(!text.contains("\"threads\""), "{text}");
+    let with_threads = |t: i64| text.replacen('{', &format!("{{\"threads\": {t},"), 1);
+    for t in [1, 4, 256] {
+        let back = ScenarioSpec::from_json_str(&with_threads(t))
+            .unwrap_or_else(|e| panic!("threads {t} rejected: {e}"));
+        assert_eq!(back, spec);
+        assert_eq!(spec_signature(&back), spec_signature(&spec));
+    }
+    for t in [0, 257] {
+        let err = ScenarioSpec::from_json_str(&with_threads(t)).expect_err("out of range");
+        assert_eq!(err.path, "threads", "threads {t}: {err}");
+    }
 }

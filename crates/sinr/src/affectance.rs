@@ -184,7 +184,7 @@ impl AffectanceMatrix {
     pub fn in_affectance_raw(&self, set: &[LinkId], v: LinkId) -> f64 {
         // decay-lint: allow(unordered-reduce) — deterministic: `set`
         // is a caller-ordered slice, so the f64 sum order is fixed by the
-        // slice order, identically on every backend and lane count.
+        // slice order, identically on every backend.
         set.iter().map(|&w| self.raw_affectance(w, v)).sum()
     }
 
@@ -198,7 +198,7 @@ impl AffectanceMatrix {
     pub fn in_affectance(&self, set: &[LinkId], v: LinkId) -> f64 {
         // decay-lint: allow(unordered-reduce) — deterministic: `set`
         // is a caller-ordered slice, so the f64 sum order is fixed by the
-        // slice order, identically on every backend and lane count.
+        // slice order, identically on every backend.
         set.iter().map(|&w| self.affectance(w, v)).sum()
     }
 
@@ -206,7 +206,7 @@ impl AffectanceMatrix {
     pub fn out_affectance(&self, v: LinkId, set: &[LinkId]) -> f64 {
         // decay-lint: allow(unordered-reduce) — deterministic: `set`
         // is a caller-ordered slice, so the f64 sum order is fixed by the
-        // slice order, identically on every backend and lane count.
+        // slice order, identically on every backend.
         set.iter().map(|&w| self.affectance(v, w)).sum()
     }
 

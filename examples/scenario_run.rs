@@ -20,9 +20,9 @@
 //!   counters) for downstream tooling.
 //! - `--runlog <path>` streams the run as `decay-runlog-v1` NDJSON —
 //!   one typed record per pause-grid sample; inspect with
-//!   `runlog_cat`. The stream is bit-identical across backends and
-//!   thread counts (default builds).
-//! - `--trace-out <path>` writes per-shard phase spans as Chrome Trace
+//!   `runlog_cat`. The stream is bit-identical across backends
+//!   (default builds).
+//! - `--trace-out <path>` writes the engine's phase spans as Chrome Trace
 //!   Event JSON, loadable in Perfetto (`ui.perfetto.dev`) or
 //!   `chrome://tracing`. Spans need `--features telemetry-timing`;
 //!   without it the file holds an empty timeline.

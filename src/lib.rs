@@ -70,10 +70,10 @@ pub mod prelude {
         MultiBroadcastConfig, QueueingConfig, RegretConfig,
     };
     pub use decay_engine::{
-        apply_directives, drive_controlled, drive_probed, drive_until, ChurnConfig, Controller,
-        DecayBackend, DenseBackend, Directive, Engine, EngineConfig, EventBehavior, JamSchedule,
-        LatencyModel, LazyBackend, NodeCtx, PauseCtx, Probe, PrrWindowSample, SlotAdapter,
-        TiledBackend, Tunable, WindowedPrr,
+        apply_directives, drive_probed, drive_until, ChurnConfig, Controller, DecayBackend,
+        DenseBackend, Directive, Engine, EngineConfig, EventBehavior, JamSchedule, LatencyModel,
+        LazyBackend, NodeCtx, PauseCtx, Probe, PrrWindowSample, SlotAdapter, TiledBackend, Tunable,
+        WindowedPrr,
     };
     pub use decay_envsim::{Device, FloorPlan, MeasurementModel, OfficeConfig, PropagationModel};
     pub use decay_netsim::{
