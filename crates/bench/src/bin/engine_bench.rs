@@ -9,9 +9,8 @@
 //! ```
 //!
 //! `--quick` shortens the measured horizon (the CI setting); omit it for
-//! a steadier local measurement. The workload is the same gossip traffic
-//! the criterion bench `benches/engine.rs` drives, so the two numbers
-//! are comparable.
+//! a steadier local measurement. The workload is the gossip traffic E38
+//! runs at smoke-test size.
 //!
 //! Beyond throughput, every row carries the cost-shape counter columns
 //! (`rows_built`, `pairs_per_scan`, `row_hit_rate`, `queue_high_water`)

@@ -116,9 +116,8 @@ pub fn e38_channel_throughput() -> Table {
             "deterministic",
         ],
     );
-    // Sized for the debug-mode smoke test; the criterion bench
-    // (`benches/engine.rs`) and the `engine_bench` bin measure the same
-    // workload at 10k nodes in release mode.
+    // Sized for the debug-mode smoke test; the `engine_bench` bin
+    // measures the same workload at 10k nodes in release mode.
     let n = 2_000;
     let horizon = 80;
     let mut run = |label: &str, block: Option<u64>, hinted: bool| -> (u64, bool) {
@@ -228,12 +227,16 @@ pub fn e39_hint_window() -> Table {
         ("mobility+fading", 1.0, false, true),
         ("storm", 1.0, true, true),
     ] {
-        let hinted = build(speed, shadowed, faded, true);
-        let full = build(speed, shadowed, faded, false);
+        let mut hinted = build(speed, shadowed, faded, true);
+        let mut full = build(speed, shadowed, faded, false);
         let sources: Vec<usize> = (0..8).map(|k| k * n / 8).collect();
         let mut exact = true;
         for block in 0..blocks {
             let tick = block * block_len;
+            // Advance the views as the engine does, so `scans` counts
+            // cached rows.
+            hinted.advance_to(tick);
+            full.advance_to(tick);
             for &src in &sources {
                 let from = NodeId::new(src);
                 exact &= hinted.potential_receivers_at(tick, from, Some(reach))

@@ -15,10 +15,11 @@
 //!   blocks*: constant within a block, free to change between blocks.
 //!   The block structure keeps the engine's `O(active · k)` hot path:
 //!   reach sets are recomputed only at block boundaries.
-//!   [`TemporalAdapter`] caches them in immutable per-block snapshots
-//!   published through a lock-free [`decay_core::EpochCell`] (block-0
-//!   static view pinned separately, per-source dense rows built by one
-//!   batched [`TemporalBackend::decay_row_in_block`] call), and
+//!   [`TemporalAdapter`] caches them in a per-block view the engine
+//!   advances once per resolution round
+//!   ([`decay_engine::DecayBackend::advance_to`]; block-0 static view
+//!   kept separately, per-source dense rows built by one batched
+//!   [`TemporalBackend::decay_row_in_block`] call), and
 //!   [`TemporalChannel::with_geometric_hints`] shrinks each per-block
 //!   scan from `n` nodes to a conservatively widened window of the base
 //!   topology's hint.

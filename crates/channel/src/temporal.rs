@@ -9,33 +9,34 @@
 //!
 //! [`TemporalAdapter`] implements [`decay_engine::DecayBackend`] on top,
 //! overriding the tick-aware methods (`decay_at`,
-//! `potential_receivers_at`, `channel_signature`) so an unmodified
-//! [`decay_engine::Engine`] runs time-varying channels. The adapter's
-//! *static* view (`decay`, `potential_receivers`) is the block-0 field —
-//! what deployment-time computations (broadcast neighborhoods, link
-//! viability) see.
+//! `potential_receivers_at`, `advance_to`, `channel_signature`) so an
+//! unmodified [`decay_engine::Engine`] runs time-varying channels. The
+//! adapter's *static* view (`decay`, `potential_receivers`) is the
+//! block-0 field — what deployment-time computations (broadcast
+//! neighborhoods, link viability) see.
 //!
-//! # Epoch snapshots
+//! # Block views
 //!
-//! Per-block state lives in immutable [`BlockSnapshot`]s published
-//! through a lock-free [`decay_core::EpochCell`], not behind a mutex:
-//! the block-0 snapshot is pinned for the adapter's lifetime and the
-//! current block's snapshot is swapped in at block boundaries, so
-//! interleaved static-view and tick-aware queries (monitor sampling,
-//! deployment-time neighborhood checks mid-run) can never invalidate
-//! each other's cache — the thrash that once forced an `O(n)` rescan
-//! per call. Within a snapshot, each touched source gets one immutable
-//! row: a dense decay cache over the source's candidate window, built
-//! by a single batched [`TemporalBackend::decay_row_in_block`] call
-//! (one epoch solve per row, not per pair) and shared by reach queries
-//! and hot-path `decay_at` lookups alike, so the backend evaluates at
-//! most once per (block, pair).
+//! Per-block state lives in two owned [`BlockSnapshot`]s: the block-0
+//! snapshot, kept for the adapter's lifetime, and the *current view*,
+//! which the engine moves with [`DecayBackend::advance_to`] once per
+//! resolution round. Interleaved static-view and tick-aware queries
+//! (monitor sampling, deployment-time neighborhood checks mid-run)
+//! therefore never invalidate each other's cache — the thrash that
+//! once forced an `O(n)` rescan per call. A tick-aware query for any
+//! other block is answered exactly and uncached. Within a snapshot,
+//! each touched source gets one immutable row: a dense decay cache over
+//! the source's candidate window, built by a single batched
+//! [`TemporalBackend::decay_row_in_block`] call (one epoch solve per
+//! row, not per pair) and shared by reach queries and hot-path
+//! `decay_at` lookups alike, so the backend evaluates at most once per
+//! (block, pair) of the view.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use decay_core::telemetry::{Counter, Counters, Timer};
-use decay_core::{EpochCell, NodeId};
+use decay_core::NodeId;
 use decay_engine::{DecayBackend, Tick};
 
 use crate::draw::mix;
@@ -103,8 +104,9 @@ pub(crate) fn signature_of(words: &[u64]) -> u64 {
 /// Reach-scan counters for one [`TemporalAdapter`] (cumulative).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanStats {
-    /// Reach scans performed (row builds plus uncached wide-reach
-    /// scans) — at most one per (block, source) on the cached path.
+    /// Reach scans performed (row builds plus uncached scans for wide
+    /// reaches and for blocks other than the current view) — at most
+    /// one per (block, source) on the cached path.
     pub scans: u64,
     /// Total candidate pairs evaluated across those scans. Dividing by
     /// `scans` gives the effective candidate-window width; without
@@ -160,11 +162,9 @@ impl SourceRow {
     }
 }
 
-/// The immutable per-block snapshot: one lazily built [`SourceRow`] per
-/// touched source. Snapshots are never mutated after a row is built —
-/// rows fill in exactly once through their `OnceLock` — so readers need
-/// no synchronization beyond the `EpochCell` load that handed them the
-/// snapshot.
+/// The per-block snapshot: one lazily built [`SourceRow`] per touched
+/// source. Rows fill in exactly once through their `OnceLock`, so a
+/// snapshot only grows through `&self` and a built row never changes.
 struct BlockSnapshot {
     block: u64,
     rows: Box<[OnceLock<Box<SourceRow>>]>,
@@ -184,26 +184,28 @@ impl BlockSnapshot {
 /// Reach sets are exact per block — a scan against the instantaneous
 /// field over the backend's candidate window
 /// ([`TemporalBackend::reach_candidates`], all `n` nodes when the
-/// backend has no structural hint) — and cached in the block's
-/// snapshot, so the scan cost amortizes over `block_len` ticks of
-/// transmissions. The block-0 snapshot (the static deployment view) is
-/// pinned independently of the current block's, so interleaving
-/// `potential_receivers` with `potential_receivers_at` never thrashes
-/// either cache.
+/// backend has no structural hint) — and cached in the snapshot of the
+/// block-0 field or of the current view, so the scan cost amortizes
+/// over `block_len` ticks of transmissions. The block-0 snapshot (the
+/// static deployment view) is kept independently of the current view,
+/// so interleaving `potential_receivers` with `potential_receivers_at`
+/// never thrashes either cache.
 pub struct TemporalAdapter {
     inner: Box<dyn TemporalBackend>,
     n: usize,
-    /// The pinned block-0 snapshot backing the static view.
-    block0: Arc<BlockSnapshot>,
-    /// The current block's snapshot, swapped at block boundaries.
-    current: EpochCell<BlockSnapshot>,
+    /// The block-0 snapshot backing the static view.
+    block0: BlockSnapshot,
+    /// The current view, replaced by [`DecayBackend::advance_to`] when
+    /// the block changes. It starts as a row-less block-0 placeholder:
+    /// block-0 queries always go to `block0`.
+    current: BlockSnapshot,
     /// All node ids in order, built once — unbounded-reach
     /// (`reach: None`) lists are sliced out of it per call (two
     /// memcpys around the source) instead of re-filtering `0..n`, and
     /// it is block-independent so it lives beside the snapshots.
     all_nodes: OnceLock<Vec<NodeId>>,
     /// Channel-side telemetry sink (row builds/hits, window widths,
-    /// epoch traffic), surfaced through [`DecayBackend::telemetry`].
+    /// view traffic), surfaced through [`DecayBackend::telemetry`].
     /// Disjoint from the engine's counter set, so merged snapshots
     /// never double-count.
     telemetry: Counters,
@@ -211,15 +213,13 @@ pub struct TemporalAdapter {
 
 /// Compile-time `Send + Sync` audit: the adapter is a `DecayBackend`
 /// (`Send + Sync`) and moves between worker threads when a run session
-/// is parked and resumed, so its whole cache
-/// machinery (`EpochCell`, `OnceLock` rows, telemetry sink) must be
-/// thread-safe. If a field regresses, this stops compiling.
+/// is parked and resumed, so its cache (`OnceLock` rows, telemetry
+/// sink) must be thread-safe. If a field regresses, this stops
+/// compiling.
 #[allow(dead_code)]
 fn _assert_adapter_is_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TemporalAdapter>();
-    assert_send_sync::<BlockSnapshot>();
-    assert_send_sync::<decay_core::EpochCell<BlockSnapshot>>();
 }
 
 impl TemporalAdapter {
@@ -231,12 +231,11 @@ impl TemporalAdapter {
     pub fn new(inner: impl TemporalBackend + 'static) -> Self {
         assert!(inner.block_len() >= 1, "coherence block must be >= 1 tick");
         let n = inner.len();
-        let block0 = Arc::new(BlockSnapshot::empty(0, n));
         TemporalAdapter {
             inner: Box::new(inner),
             n,
-            current: EpochCell::new(Arc::clone(&block0)),
-            block0,
+            block0: BlockSnapshot::empty(0, n),
+            current: BlockSnapshot::empty(0, 0),
             all_nodes: OnceLock::new(),
             telemetry: Counters::new(),
         }
@@ -262,24 +261,27 @@ impl TemporalAdapter {
         }
     }
 
-    /// The snapshot for `block`, publishing a fresh one if the current
-    /// block moved on. Block 0 is pinned and never republished.
-    fn snapshot(&self, block: u64) -> Arc<BlockSnapshot> {
+    /// The cached snapshot for `block`: the block-0 snapshot, or the
+    /// current view when it is on `block`. `None` for any other block,
+    /// which callers answer exactly and uncached.
+    fn snapshot(&self, block: u64) -> Option<&BlockSnapshot> {
         if block == 0 {
-            return Arc::clone(&self.block0);
+            return Some(&self.block0);
         }
-        let current = self.current.load();
         self.telemetry.add(Counter::EpochLoads, 1);
-        if current.block == block {
-            return current;
+        (self.current.block == block).then_some(&self.current)
+    }
+
+    /// The decay of `(from, to)` in `snapshot`'s block: from the
+    /// source's row when one is built and covers `to`, else straight
+    /// from the field. Never builds a row.
+    fn cached_decay(&self, snapshot: &BlockSnapshot, from: NodeId, to: NodeId) -> f64 {
+        let row = snapshot.rows[from.index()].get();
+        if let Some(d) = row.and_then(|row| row.lookup(from, to)) {
+            self.telemetry.add(Counter::RowHits, 1);
+            return d;
         }
-        let n = self.n;
-        self.current.update_if(|cur| {
-            (cur.block != block).then(|| {
-                self.telemetry.add(Counter::EpochSwaps, 1);
-                Arc::new(BlockSnapshot::empty(block, n))
-            })
-        })
+        self.inner.decay_in_block(snapshot.block, from, to)
     }
 
     /// Evaluates one candidate window against the instantaneous field.
@@ -352,8 +354,11 @@ impl TemporalAdapter {
             out.extend_from_slice(&all[from.index() + 1..]);
             return out;
         };
-        let snapshot = self.snapshot(block);
-        match self.row(&snapshot, from, r) {
+        let Some(snapshot) = self.snapshot(block) else {
+            // Not the current view: answer exactly, cache nothing.
+            return self.scan(block, from, r).filter(from, r);
+        };
+        match self.row(snapshot, from, r) {
             Some(row) => {
                 if let Some((bits, list)) = row.list.get() {
                     if *bits == r.to_bits() {
@@ -389,35 +394,15 @@ impl DecayBackend for TemporalAdapter {
 
     /// The block-0 field (the deployment-time static view).
     fn decay(&self, from: NodeId, to: NodeId) -> f64 {
-        if let Some(row) = self.block0.rows[from.index()].get() {
-            if let Some(d) = row.lookup(from, to) {
-                self.telemetry.add(Counter::RowHits, 1);
-                return d;
-            }
-        }
-        self.inner.decay_in_block(0, from, to)
+        self.cached_decay(&self.block0, from, to)
     }
 
     fn decay_at(&self, tick: Tick, from: NodeId, to: NodeId) -> f64 {
         let block = self.block_of(tick);
-        if block == 0 {
-            return self.decay(from, to);
+        match self.snapshot(block) {
+            Some(snapshot) => self.cached_decay(snapshot, from, to),
+            None => self.inner.decay_in_block(block, from, to),
         }
-        // Serve from the current snapshot's row when it covers the
-        // pair; never publish from this path (a stale-block probe — a
-        // monitor replaying history — must not evict the current
-        // block's rows).
-        let current = self.current.load();
-        self.telemetry.add(Counter::EpochLoads, 1);
-        if current.block == block {
-            if let Some(row) = current.rows[from.index()].get() {
-                if let Some(d) = row.lookup(from, to) {
-                    self.telemetry.add(Counter::RowHits, 1);
-                    return d;
-                }
-            }
-        }
-        self.inner.decay_in_block(block, from, to)
     }
 
     fn potential_receivers(&self, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
@@ -426,6 +411,17 @@ impl DecayBackend for TemporalAdapter {
 
     fn potential_receivers_at(&self, tick: Tick, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
         self.receivers_in_block(self.block_of(tick), from, reach)
+    }
+
+    /// Moves the current view to `tick`'s block, starting an empty
+    /// snapshot when the block changed. Block 0 is always served by the
+    /// block-0 snapshot, so advancing there keeps the view as it is.
+    fn advance_to(&mut self, tick: Tick) {
+        let block = self.block_of(tick);
+        if block != 0 && block != self.current.block {
+            self.current = BlockSnapshot::empty(block, self.n);
+            self.telemetry.add(Counter::EpochSwaps, 1);
+        }
     }
 
     fn channel_signature(&self) -> u64 {
@@ -441,7 +437,7 @@ impl DecayBackend for TemporalAdapter {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     /// A toy field: decay |i - j|² scaled by (1 + block).
     struct Pulse {
@@ -551,23 +547,23 @@ mod tests {
         assert_eq!(a.potential_receivers_at(12, NodeId::new(5), None).len(), 9);
     }
 
-    /// The PR-4 regression: interleaved block-0 (static view) and
-    /// block-N (tick-aware) reach queries once shared a single-slot
-    /// cache, so each call cleared the other's entries and forced a
-    /// fresh `O(n)` scan. With pinned per-block snapshots the backend
-    /// is consulted at most once per (block, pair), however the calls
+    /// Interleaved block-0 (static view) and block-N (tick-aware) reach
+    /// queries once shared a single-slot cache, so each call cleared
+    /// the other's entries and forced a fresh `O(n)` scan. With the
+    /// block-0 snapshot kept apart from the current view the backend is
+    /// consulted at most once per (block, pair), however the calls
     /// interleave.
     #[test]
     fn interleaved_static_and_tick_queries_never_thrash() {
         let (backend, ledger) = CountingPulse::new(12);
-        let a = TemporalAdapter::new(backend);
+        let mut a = TemporalAdapter::new(backend);
         let reach = Some(9.0);
-        // Engine-shaped access: ticks advance monotonically (revisiting
-        // a long-gone block legitimately rebuilds its snapshot), with a
-        // static-view query — the deployment-time check that used to
-        // clear the shared cache — wedged between every pair of
-        // tick-aware queries.
+        // Engine-shaped access: the view advances monotonically before
+        // each tick's queries, with a static-view query — the
+        // deployment-time check that used to clear the shared cache —
+        // wedged between every pair of tick-aware queries.
         for tick in [4, 5, 8, 9, 12, 13, 40, 41] {
+            a.advance_to(tick);
             for src in [0usize, 3, 7] {
                 let from = NodeId::new(src);
                 let at = a.potential_receivers_at(tick, from, reach);
@@ -593,6 +589,48 @@ mod tests {
         let blocks: std::collections::HashSet<u64> = calls.keys().map(|&(b, _, _)| b).collect();
         assert!(blocks.contains(&0), "static view evaluated block 0");
         assert!(blocks.len() >= 4, "tick-aware queries spanned blocks");
+        assert_eq!(a.telemetry.get(Counter::EpochSwaps), 4, "one per block");
+    }
+
+    /// A query for a block other than the current view is answered
+    /// exactly from the field: it caches no row, leaves the view's rows
+    /// intact, and never moves the view.
+    #[test]
+    fn off_view_queries_are_exact_and_leave_the_view_alone() {
+        let (backend, ledger) = CountingPulse::new(12);
+        let mut a = TemporalAdapter::new(backend);
+        let field = Pulse { n: 12 };
+        let (from, other, reach) = (NodeId::new(5), NodeId::new(2), 9.0);
+        a.advance_to(8); // block 2
+        let in_view = a.potential_receivers_at(8, from, Some(reach));
+        let in_view_decay = a.decay_at(9, from, NodeId::new(6));
+        let swaps = a.telemetry.get(Counter::EpochSwaps);
+        // A later block (5) and an earlier one (1).
+        for tick in [20, 4] {
+            let block = a.block_of(tick);
+            for src in [from, other] {
+                let want: Vec<NodeId> = (0..12)
+                    .map(NodeId::new)
+                    .filter(|&to| to != src && field.decay_in_block(block, src, to) <= reach)
+                    .collect();
+                assert!(!want.is_empty());
+                assert_eq!(a.potential_receivers_at(tick, src, Some(reach)), want);
+                assert_eq!(
+                    a.decay_at(tick, src, NodeId::new(6)),
+                    field.decay_in_block(block, src, NodeId::new(6))
+                );
+            }
+        }
+        let built = |s: &BlockSnapshot| s.rows.iter().filter(|r| r.get().is_some()).count();
+        assert_eq!(built(&a.current), 1, "only the in-view row is cached");
+        assert_eq!(built(&a.block0), 0);
+        assert_eq!(a.current.block, 2, "the view did not move");
+        assert_eq!(a.telemetry.get(Counter::EpochSwaps), swaps);
+        // The view's row still answers from cache, evaluating nothing.
+        let evaluated = ledger.lock().unwrap().clone();
+        assert_eq!(a.potential_receivers_at(9, from, Some(reach)), in_view);
+        assert_eq!(a.decay_at(10, from, NodeId::new(6)), in_view_decay);
+        assert_eq!(*ledger.lock().unwrap(), evaluated);
     }
 
     /// Unbounded-reach (`reach: None`) lists were rebuilt (an `O(n)`
@@ -636,7 +674,8 @@ mod tests {
                 signature_of(&[0xF1])
             }
         }
-        let a = TemporalAdapter::new(Windowed);
+        let mut a = TemporalAdapter::new(Windowed);
+        a.advance_to(2);
         let from = NodeId::new(5);
         // Block 2 scales decays by 3: reach 3 ⇒ distance ≤ 1.
         let narrow = a.potential_receivers_at(2, from, Some(3.0));

@@ -245,10 +245,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The snapshot path (hint-widened candidate windows, cached rows,
-    /// pinned block-0 snapshot) answers every reach query exactly as a
+    /// the block-0 snapshot) answers every reach query exactly as a
     /// brute-force per-block scan does — across random interleavings of
     /// blocks, sources, and reach values (including `None`), under
-    /// every layer subset, on all three static bases.
+    /// every layer subset, on all three static bases. The view advances
+    /// before every other query, so both cached view rows and uncached
+    /// off-view scans are checked.
     #[test]
     fn snapshot_reach_sets_equal_brute_force_scans(
         seed in 0u64..300,
@@ -260,8 +262,11 @@ proptest! {
     ) {
         let reaches = [4.0, 9.0, 36.0, 1e6];
         for kind in 0..3 {
-            let adapter = hinted_channel(kind, seed, mask, block_len);
-            for &(block, src, reach_idx) in &queries {
+            let mut adapter = hinted_channel(kind, seed, mask, block_len);
+            for (i, &(block, src, reach_idx)) in queries.iter().enumerate() {
+                if i % 2 == 0 {
+                    adapter.advance_to(block * block_len);
+                }
                 let from = NodeId::new(src);
                 let reach = (reach_idx < 4).then(|| reaches[reach_idx]);
                 let got = adapter.potential_receivers_at(block * block_len, from, reach);

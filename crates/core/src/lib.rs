@@ -54,7 +54,6 @@
 
 mod ball;
 mod dimension;
-mod epoch;
 mod error;
 mod fading;
 mod growth;
@@ -72,7 +71,6 @@ pub use dimension::{
     assouad_dimension, assouad_dimension_default, assouad_dimension_fit, is_fading_space,
     quasi_doubling_dimension, AssouadDimension, DEFAULT_SCALES,
 };
-pub use epoch::EpochCell;
 pub use error::DecayError;
 pub use fading::{fading_parameter, fading_value, theorem2_bound, FadingValue, EXACT_GAMMA_LIMIT};
 pub use growth::{growth_profile, GrowthProfile};

@@ -5,7 +5,7 @@
 //! non-geometric) channel models change *where the cost lives*, not
 //! just how much there is of it. This module makes that cost legible:
 //! every layer (engine dispatch, SINR resolution, temporal row cache,
-//! epoch snapshots) bumps a shared set of [`Counter`]s through a
+//! block views) bumps a shared set of [`Counter`]s through a
 //! [`Counters`] sink, and observers diff [`CounterSnapshot`]s on the
 //! pause grid to produce per-interval [`TelemetrySample`]s.
 //!
@@ -58,10 +58,11 @@ pub enum Counter {
     RowPairs,
     /// Queries served from an already-built `SourceRow` (cache hits).
     RowHits,
-    /// `EpochCell` snapshot publishes (a new block snapshot was built
-    /// and swapped in).
+    /// Temporal block-view advances: the engine moved the view to a
+    /// new coherence block, which starts an empty block snapshot.
     EpochSwaps,
-    /// `EpochCell` snapshot loads (readers pinning the current block).
+    /// Tick-aware temporal reads for a block other than block 0 (each
+    /// consults the current block view).
     EpochLoads,
     /// Compiled-scenario cache hits: submissions served an existing
     /// `CompiledScenario` instead of rebuilding topology/backend state.
@@ -387,9 +388,9 @@ impl CounterSnapshot {
     /// checkpoint/restore cycle rebuilds engine and backend and zeroes
     /// their sinks. When a counter reads *below* its baseline the
     /// baseline is stale, so the delta falls back to the raw value —
-    /// counting from the restore instead of underflowing. The interval
-    /// spanning a restore therefore undercounts by whatever preceded
-    /// the split; documented in the report contract.
+    /// counting from the restore instead of underflowing. The pause-grid
+    /// accumulators zero their baseline at a restore, so the interval
+    /// spanning it loses nothing.
     pub fn delta_since(&self, base: &CounterSnapshot) -> CounterSnapshot {
         fn diff<const N: usize>(cur: &[u64; N], base: &[u64; N]) -> [u64; N] {
             std::array::from_fn(|i| cur[i].checked_sub(base[i]).unwrap_or(cur[i]))

@@ -89,6 +89,15 @@ pub trait DecayBackend: Send + Sync {
         self.potential_receivers(from, reach)
     }
 
+    /// Moves the backend's tick-scoped view to `tick`. The engine calls
+    /// it once per resolution round, before the reach scans, so a
+    /// temporal backend can cache the current coherence block as plain
+    /// owned state. Queries for any other tick stay exact; the view only
+    /// decides what is cached. Static backends ignore it.
+    fn advance_to(&mut self, tick: Tick) {
+        let _ = tick;
+    }
+
     /// The raw candidate window a structured neighbor hint yields for
     /// `(from, reach)`, *unfiltered* by this backend's decay — `None`
     /// when the backend has no structural hint installed.
@@ -115,7 +124,7 @@ pub trait DecayBackend: Send + Sync {
     }
 
     /// The backend's own hot-path telemetry sink, when it keeps one
-    /// (temporal adapters count row builds/hits and epoch traffic
+    /// (temporal adapters count row builds/hits and block-view traffic
     /// here). `None` for backends that track nothing — the static
     /// backends in this module stay untouched. Telemetry is strictly
     /// observational: reading the sink must never affect decay values
@@ -156,6 +165,10 @@ impl<T: DecayBackend + ?Sized> DecayBackend for Box<T> {
 
     fn potential_receivers_at(&self, tick: Tick, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
         (**self).potential_receivers_at(tick, from, reach)
+    }
+
+    fn advance_to(&mut self, tick: Tick) {
+        (**self).advance_to(tick);
     }
 
     fn hint_candidates(&self, from: NodeId, reach: f64) -> Option<Vec<NodeId>> {
@@ -560,8 +573,11 @@ mod tests {
     }
 
     /// A backend overriding every default-overridable method, to pin the
-    /// boxed-forwarding contract.
-    struct Specialized;
+    /// boxed-forwarding contract. `decay` reads back the last
+    /// `advance_to` tick, so a lost forward shows through `&self`.
+    struct Specialized {
+        view: Tick,
+    }
 
     impl DecayBackend for Specialized {
         fn len(&self) -> usize {
@@ -571,7 +587,10 @@ mod tests {
             true // deliberately inconsistent with len(): detects defaulting
         }
         fn decay(&self, _from: NodeId, _to: NodeId) -> f64 {
-            1.0
+            1.0 + self.view as f64
+        }
+        fn advance_to(&mut self, tick: Tick) {
+            self.view = tick;
         }
         fn decay_at(&self, tick: Tick, _from: NodeId, _to: NodeId) -> f64 {
             (tick + 2) as f64
@@ -597,7 +616,7 @@ mod tests {
 
     #[test]
     fn boxing_preserves_every_override() {
-        let boxed: Box<dyn DecayBackend> = Box::new(Specialized);
+        let mut boxed: Box<dyn DecayBackend> = Box::new(Specialized { view: 0 });
         assert_eq!(boxed.len(), 3);
         assert!(boxed.is_empty(), "is_empty override lost through Box");
         assert_eq!(boxed.decay(NodeId::new(0), NodeId::new(1)), 1.0);
@@ -621,10 +640,18 @@ mod tests {
             "hint_candidates override lost through Box"
         );
         assert_eq!(boxed.channel_signature(), 0xABCD);
+        boxed.advance_to(4);
+        assert_eq!(
+            boxed.decay(NodeId::new(0), NodeId::new(1)),
+            5.0,
+            "advance_to override lost through Box"
+        );
         // Double boxing forwards too.
-        let doubly: Box<Box<dyn DecayBackend>> = Box::new(boxed);
+        let mut doubly: Box<Box<dyn DecayBackend>> = Box::new(boxed);
         assert_eq!(doubly.channel_signature(), 0xABCD);
         assert_eq!(doubly.decay_at(0, NodeId::new(0), NodeId::new(1)), 2.0);
+        doubly.advance_to(7);
+        assert_eq!(doubly.decay(NodeId::new(0), NodeId::new(1)), 8.0);
     }
 
     #[test]

@@ -432,6 +432,14 @@ pub enum EngineError {
         /// The signature of the supplied controller.
         found: u64,
     },
+    /// The checkpoint's decoded state is inconsistent (a config value
+    /// out of range, a per-node vector of the wrong length, a node id
+    /// out of range); [`Engine::restore`] refuses it instead of
+    /// panicking or looping on it later.
+    InvalidCheckpoint {
+        /// What was wrong.
+        reason: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -452,6 +460,7 @@ impl fmt::Display for EngineError {
                 "checkpoint was taken under controller signature {expected:#x}, \
                  but the supplied controller declares {found:#x}"
             ),
+            EngineError::InvalidCheckpoint { reason } => write!(f, "invalid checkpoint: {reason}"),
         }
     }
 }
@@ -501,6 +510,43 @@ pub struct Checkpoint<B> {
     behaviors: Vec<B>,
     params: SinrParams,
     config: EngineConfig,
+}
+
+impl<B> Checkpoint<B> {
+    /// Checks what a restore would otherwise trust blindly: the config
+    /// ranges [`Engine::new`] enforces, one incarnation, behavior and
+    /// RNG stream per node, and every node id in the queue and the
+    /// pending transmissions.
+    fn validate(&self) -> Result<(), EngineError> {
+        let bad = |reason: String| Err(EngineError::InvalidCheckpoint { reason });
+        if let Err(e) = self.config.validate() {
+            return bad(e.to_string());
+        }
+        let n = self.modes.len();
+        for (what, len) in [
+            ("incarnations", self.incarnations.len()),
+            ("behaviors", self.behaviors.len()),
+            ("rngs", self.rngs.len()),
+        ] {
+            if len != n {
+                return bad(format!("{len} {what} for {n} nodes"));
+            }
+        }
+        let queued = self
+            .queue
+            .iter()
+            .flat_map(|qe| match qe.event {
+                Event::Wake { node, .. } => [Some(node), None],
+                Event::Deliver { to, from, .. } => [Some(to), Some(from)],
+                Event::Resolve | Event::ChurnStep => [None, None],
+            })
+            .flatten();
+        let pending = self.pending_tx.iter().map(|&(node, _, _)| node);
+        if let Some(node) = queued.chain(pending).find(|v| v.index() >= n) {
+            return bad(format!("node {} out of range for {n} nodes", node.index()));
+        }
+        Ok(())
+    }
 }
 
 /// Format history: v1 had no `sent` tick in deliveries, v2 added it,
@@ -940,7 +986,9 @@ impl<B: EventBehavior> Engine<B> {
     /// # Errors
     ///
     /// Returns an error if the backend's node count or channel signature
-    /// does not match the checkpoint.
+    /// does not match the checkpoint, or
+    /// [`EngineError::InvalidCheckpoint`] if the checkpoint's own state
+    /// is inconsistent.
     pub fn restore(
         backend: impl DecayBackend + 'static,
         checkpoint: Checkpoint<B>,
@@ -957,6 +1005,7 @@ impl<B: EventBehavior> Engine<B> {
                 found: backend.channel_signature(),
             });
         }
+        checkpoint.validate()?;
         let n = checkpoint.modes.len();
         let mut engine = Engine {
             backend: Box::new(backend),
@@ -1436,6 +1485,8 @@ impl<B: EventBehavior> Engine<B> {
     /// SINR resolution for one tick's transmissions, in one serial
     /// pass whose order is the determinism contract:
     ///
+    /// 0. **View advance**: the backend moves its tick-scoped view
+    ///    ([`DecayBackend::advance_to`]) to the current tick.
     /// 1. **Reach scans**, in transmission order, collected as
     ///    `(listener, tx index)` pairs and sorted by (listener, tx
     ///    order), so each listener's candidates form one group.
@@ -1451,6 +1502,7 @@ impl<B: EventBehavior> Engine<B> {
         let mut pairs = std::mem::take(&mut self.pairs);
         let mut rx = std::mem::take(&mut self.rx);
         pairs.clear();
+        self.backend.advance_to(self.now);
         for (k, &(t, _, _)) in txs.iter().enumerate() {
             let receivers =
                 self.backend
@@ -1544,5 +1596,125 @@ impl<B: EventBehavior> Engine<B> {
         self.telemetry.add(Counter::DecayCalls, decay_calls);
         self.pairs = pairs;
         self.rx = rx;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::LazyBackend;
+
+    /// Wakes every tick and transmits half the time.
+    #[derive(Clone)]
+    struct Chatty;
+
+    impl EventBehavior for Chatty {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.listen();
+            ctx.wake_in(1);
+        }
+
+        fn on_wake(&mut self, ctx: &mut NodeCtx<'_>) {
+            if ctx.rng.gen_range(0.0..1.0) < 0.5 {
+                ctx.transmit(1.0, 0);
+                ctx.listen();
+            }
+            ctx.wake_in(1);
+        }
+    }
+
+    const N: usize = 8;
+
+    fn line() -> LazyBackend {
+        LazyBackend::from_fn(N, |i, j| (i as f64 - j as f64).powi(2))
+    }
+
+    /// A real mid-run checkpoint: wakes, delayed deliveries and a churn
+    /// step are in its queue.
+    fn checkpoint() -> Checkpoint<Chatty> {
+        let config = EngineConfig {
+            reach_decay: Some(9.0),
+            latency: LatencyModel::Fixed { ticks: 2 },
+            churn: Some(ChurnConfig {
+                interval: 3,
+                leave_prob: 0.1,
+                join_prob: 0.5,
+            }),
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(line(), vec![Chatty; N], SinrParams::default(), config, 7)
+            .expect("valid config");
+        engine.run_until(10);
+        let cp = engine.checkpoint();
+        assert!(cp
+            .queue
+            .iter()
+            .any(|qe| matches!(qe.event, Event::Deliver { .. })));
+        cp
+    }
+
+    /// The reason `restore` refused `cp` with.
+    fn refusal(cp: Checkpoint<Chatty>) -> String {
+        match Engine::restore(line(), cp) {
+            Err(EngineError::InvalidCheckpoint { reason }) => reason,
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("restore accepted an inconsistent checkpoint"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_churn_interval() {
+        let mut cp = checkpoint();
+        cp.config.churn.as_mut().expect("churn on").interval = 0;
+        assert!(refusal(cp).contains("churn interval"));
+    }
+
+    #[test]
+    fn restore_rejects_top_k_zero() {
+        let mut cp = checkpoint();
+        cp.config.top_k = Some(0);
+        assert!(refusal(cp).contains("top_k"));
+    }
+
+    #[test]
+    fn restore_rejects_short_incarnations() {
+        let mut cp = checkpoint();
+        cp.incarnations.pop();
+        assert!(refusal(cp).contains("incarnations"));
+    }
+
+    #[test]
+    fn restore_rejects_short_behaviors() {
+        let mut cp = checkpoint();
+        cp.behaviors.pop();
+        assert!(refusal(cp).contains("behaviors"));
+    }
+
+    #[test]
+    fn restore_rejects_short_rngs() {
+        let mut cp = checkpoint();
+        cp.rngs.pop();
+        assert!(refusal(cp).contains("rngs"));
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_range_queued_node() {
+        let mut cp = checkpoint();
+        let deliver = cp
+            .queue
+            .iter_mut()
+            .find(|qe| matches!(qe.event, Event::Deliver { .. }))
+            .expect("a delivery in flight");
+        if let Event::Deliver { from, .. } = &mut deliver.event {
+            *from = NodeId::new(N);
+        }
+        assert!(refusal(cp).contains("out of range"));
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_range_pending_transmitter() {
+        let mut cp = checkpoint();
+        cp.pending_tx.push((NodeId::new(N + 3), 1.0, 0));
+        assert!(refusal(cp).contains("out of range"));
     }
 }

@@ -137,6 +137,11 @@ pub trait Probe: Send {
     fn on_finish(&mut self, ctx: &PauseCtx<'_>) {
         let _ = ctx;
     }
+
+    /// Called after a checkpoint/restore cycle replaced the engine and
+    /// backend, before the next pause. Their counter sinks restart at
+    /// zero, so a probe that differences counters re-baselines here.
+    fn on_restore(&mut self) {}
 }
 
 /// A grid-aligned steering decision issued by a [`Controller`].

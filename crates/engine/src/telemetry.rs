@@ -7,13 +7,15 @@
 //! The probe emits one [`TelemetrySample`] per elapsed `interval`
 //! ticks, on the same pause grid as the ζ(t) series and the windowed
 //! PRR: a sample at tick `t` covers `(t - interval, t]`. Off-grid
-//! pauses (a checkpoint split, say) are ignored, so the emitted series
-//! is invariant to *how often* the driver pauses — with one documented
-//! exception: counters are observational and not checkpointed, so the
-//! interval spanning a restore undercounts by whatever preceded the
-//! split (see [`decay_core::telemetry::CounterSnapshot::delta_since`]).
-//! Trace digests, ζ(t), and PRR are unaffected either way — the probe
-//! is read-only, which the probe-transparency proptest enforces.
+//! pauses (a checkpoint split, say) fold counts into a
+//! [`CounterAccumulator`] without emitting, and a driver that restores
+//! from a checkpoint calls [`Probe::on_restore`], so the
+//! engine-side counters (`events`, `resolve_ticks`, `sinr_pairs`,
+//! `decay_calls`, `reach_scans`) are invariant to how often the driver
+//! pauses and where it splits. Channel-side counters are exempt: a
+//! restore rebuilds the backend, which rescans its rows. Trace
+//! digests, ζ(t), and PRR are unaffected either way — the probe is
+//! read-only, which the probe-transparency proptest enforces.
 //!
 //! # Flight recorder
 //!
@@ -97,6 +99,54 @@ impl fmt::Display for EventRecord {
     }
 }
 
+/// The merged engine + backend counters, accumulated across pauses and
+/// checkpoint/restore cycles.
+///
+/// Call [`Self::start`] at the start pause and [`Self::fold`] at every
+/// later pause, on or off the grid. A restore rebuilds engine and
+/// backend with fresh sinks, so call [`Self::note_restore`] right after
+/// one: the next fold then counts the new sinks from zero, and the
+/// running total matches an unsplit run's.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CounterAccumulator {
+    /// Merged snapshot at the previous fold (zero after a restore).
+    baseline: CounterSnapshot,
+    /// Everything counted so far.
+    total: CounterSnapshot,
+}
+
+impl CounterAccumulator {
+    /// Engine and backend sinks merged into one snapshot (their
+    /// counter sets are disjoint).
+    fn merged(ctx: &PauseCtx<'_>) -> CounterSnapshot {
+        let engine = ctx.counters.snapshot();
+        match ctx.backend.telemetry() {
+            Some(backend) => engine.merge(&backend.snapshot()),
+            None => engine,
+        }
+    }
+
+    /// Takes the baseline at the start pause.
+    pub fn start(&mut self, ctx: &PauseCtx<'_>) {
+        self.baseline = Self::merged(ctx);
+    }
+
+    /// Adds what the sinks counted since the previous fold and returns
+    /// the running total.
+    pub fn fold(&mut self, ctx: &PauseCtx<'_>) -> CounterSnapshot {
+        let now = Self::merged(ctx);
+        self.total = self.total.merge(&now.delta_since(&self.baseline));
+        self.baseline = now;
+        self.total
+    }
+
+    /// Marks a restore: the rebuilt sinks start at zero, and so does
+    /// the baseline.
+    pub fn note_restore(&mut self) {
+        self.baseline = CounterSnapshot::default();
+    }
+}
+
 /// A read-only probe sampling the merged engine + backend counter
 /// sinks on the pause grid (see the [module docs](self) for the
 /// sampling contract). Keeps the full series for reports and a
@@ -104,7 +154,9 @@ impl fmt::Display for EventRecord {
 #[derive(Debug)]
 pub struct TelemetryProbe {
     interval: Tick,
-    baseline: CounterSnapshot,
+    counters: CounterAccumulator,
+    /// The running total as of the previous emitted sample.
+    at_sample: CounterSnapshot,
     last_emitted: Option<Tick>,
     samples: Vec<TelemetrySample>,
     flight: Ring<TelemetrySample>,
@@ -121,7 +173,8 @@ impl TelemetryProbe {
         assert!(interval > 0, "telemetry interval must be at least 1");
         TelemetryProbe {
             interval,
-            baseline: CounterSnapshot::default(),
+            counters: CounterAccumulator::default(),
+            at_sample: CounterSnapshot::default(),
             last_emitted: None,
             samples: Vec::new(),
             flight: Ring::new(flight_keep),
@@ -144,30 +197,20 @@ impl TelemetryProbe {
         self.flight.iter().copied().collect()
     }
 
-    /// Engine and backend sinks merged into one snapshot (their
-    /// counter sets are disjoint).
-    fn merged(ctx: &PauseCtx<'_>) -> CounterSnapshot {
-        let engine = ctx.counters.snapshot();
-        match ctx.backend.telemetry() {
-            Some(backend) => engine.merge(&backend.snapshot()),
-            None => engine,
-        }
-    }
-
     fn absorb(&mut self, ctx: &PauseCtx<'_>) {
+        let total = self.counters.fold(ctx);
         if ctx.tick == 0
             || !ctx.tick.is_multiple_of(self.interval)
             || self.last_emitted == Some(ctx.tick)
         {
             return;
         }
-        let now = Self::merged(ctx);
         let sample = TelemetrySample {
             tick: ctx.tick,
-            delta: now.delta_since(&self.baseline),
+            delta: total.delta_since(&self.at_sample),
             queue_high_water: ctx.stats.queue_high_water,
         };
-        self.baseline = now;
+        self.at_sample = total;
         self.last_emitted = Some(ctx.tick);
         self.samples.push(sample);
         self.flight.push(sample);
@@ -176,7 +219,7 @@ impl TelemetryProbe {
 
 impl Probe for TelemetryProbe {
     fn on_start(&mut self, ctx: &PauseCtx<'_>) {
-        self.baseline = Self::merged(ctx);
+        self.counters.start(ctx);
     }
 
     fn on_pause(&mut self, ctx: &PauseCtx<'_>) {
@@ -185,6 +228,10 @@ impl Probe for TelemetryProbe {
 
     fn on_finish(&mut self, ctx: &PauseCtx<'_>) {
         self.absorb(ctx);
+    }
+
+    fn on_restore(&mut self) {
+        self.counters.note_restore();
     }
 }
 

@@ -30,15 +30,9 @@ pub fn lint_source(rel_path: &str, source: &str, cfg: &Config) -> rules::CheckRe
     check_file(&FileModel::lex(rel_path, source), cfg)
 }
 
-/// Lints the workspace rooted at `root` with the checked-in config
-/// (scopes + the committed atomics-ordering table).
+/// Lints the workspace rooted at `root` with the workspace scopes.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    let mut cfg = Config::workspace();
-    let table_path = root.join("crates/lint/data/atomic-orderings.txt");
-    let table = std::fs::read_to_string(&table_path)
-        .map_err(|e| format!("cannot read {}: {e}", table_path.display()))?;
-    cfg.parse_table(&table)?;
-
+    let cfg = Config::workspace();
     let files = walk::rust_sources(root)?;
     let mut report = Report {
         files_scanned: files.len(),

@@ -6,7 +6,7 @@
 //! | D1 `hash-iteration`   | no `HashMap`/`HashSet` in trace-affecting crates without an attested keyed-lookup-only annotation; iteration over them is always flagged |
 //! | D2 `wall-clock`       | no `Instant::now` / `SystemTime` outside `telemetry-timing`-gated code or annotated report-only sites |
 //! | D3 `ambient-entropy`  | no `thread_rng` / `rand::random` / `from_entropy` / `OsRng` anywhere — randomness flows from seeds |
-//! | D4 `atomic-ordering`  | `Ordering::Relaxed` only in the telemetry sink; `epoch.rs` orderings must match the checked-in table |
+//! | D4 `atomic-ordering`  | `Ordering::Relaxed` only in the telemetry sink |
 //! | D5 `unsafe-safety`    | every `unsafe` carries a `// SAFETY:` comment |
 //! | D6 `unordered-reduce` | iterator reductions in resolve/merge paths must be annotated order-deterministic |
 //!
@@ -64,16 +64,7 @@ pub struct CheckResult {
     pub allows: Vec<AllowReport>,
 }
 
-/// One expected `(op, ordering)` multiset entry for an audited file.
-#[derive(Debug, Clone)]
-pub struct TableEntry {
-    pub file: String,
-    pub op: String,
-    pub ordering: String,
-    pub count: usize,
-}
-
-/// Scopes and the D4 ordering table.
+/// Rule scopes.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Crates whose `src/` is trace-affecting for D1.
@@ -82,15 +73,12 @@ pub struct Config {
     pub d2_excluded_crates: Vec<String>,
     /// Files where `Ordering::Relaxed` is legitimate (telemetry sink).
     pub d4_relaxed_files: Vec<String>,
-    /// The checked-in (file, op, ordering, count) audit table.
-    pub d4_table: Vec<TableEntry>,
     /// Resolve/merge-path files for D6.
     pub d6_files: Vec<String>,
 }
 
 impl Config {
-    /// The workspace's scopes, with an empty D4 table (load it with
-    /// [`Config::parse_table`]).
+    /// The workspace's scopes.
     pub fn workspace() -> Config {
         Config {
             d1_crates: ["core", "engine", "channel", "sinr", "scenario"]
@@ -98,7 +86,6 @@ impl Config {
                 .to_vec(),
             d2_excluded_crates: ["bench", "lint"].map(String::from).to_vec(),
             d4_relaxed_files: vec!["crates/core/src/telemetry.rs".to_string()],
-            d4_table: Vec::new(),
             d6_files: [
                 "crates/engine/src/engine.rs",
                 "crates/channel/src/temporal.rs",
@@ -108,34 +95,6 @@ impl Config {
             .map(String::from)
             .to_vec(),
         }
-    }
-
-    /// Parses the ordering table: `<file> <op> <ordering> <count>` per
-    /// line, `#` comments carrying the why.
-    pub fn parse_table(&mut self, text: &str) -> Result<(), String> {
-        for (n, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            if fields.len() != 4 {
-                return Err(format!(
-                    "atomic-orderings table line {}: expected `<file> <op> <ordering> <count>`, got {raw:?}",
-                    n + 1
-                ));
-            }
-            let count: usize = fields[3]
-                .parse()
-                .map_err(|_| format!("atomic-orderings table line {}: bad count", n + 1))?;
-            self.d4_table.push(TableEntry {
-                file: fields[0].to_string(),
-                op: fields[1].to_string(),
-                ordering: fields[2].to_string(),
-                count,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -480,131 +439,26 @@ fn rule_ambient_entropy(model: &FileModel, out: &mut Vec<Violation>) {
 
 // ---------------------------------------------------------------- D4
 
-const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-const ATOMIC_OPS: [&str; 14] = [
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_nand",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-/// D4: the atomics-ordering audit.
-///
-/// * `Ordering::Relaxed` is reserved for the telemetry counter sink
-///   (`Config::d4_relaxed_files`) — telemetry orders nothing, but a
-///   relaxed atomic anywhere else is a correctness smell.
-/// * Files listed in the checked-in table (`epoch.rs`) must
-///   use exactly the `(op, ordering)` multiset the table records; any
-///   drift — a new atomic, a weakened ordering — fails until the table
-///   (and its written justification) is updated.
+/// D4: `Ordering::Relaxed` is reserved for the telemetry counter sink
+/// (`Config::d4_relaxed_files`) — telemetry orders nothing, but a
+/// relaxed atomic anywhere else is a correctness smell.
 fn rule_atomic_ordering(model: &FileModel, cfg: &Config, out: &mut Vec<Violation>) {
-    let audited: Vec<&TableEntry> = cfg
-        .d4_table
-        .iter()
-        .filter(|e| e.file == model.rel_path)
-        .collect();
-    let mut seen: Vec<(String, String, usize)> = Vec::new(); // (op, ordering, line)
-
-    for (idx, line) in model.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for pos in token_positions(&line.code, "Ordering") {
-            let after = &line.code[pos + "Ordering".len()..];
-            let Some(rest) = after.strip_prefix("::") else {
-                continue;
-            };
-            let Some(ordering) = ORDERINGS.iter().find(|o| {
-                rest.starts_with(**o)
-                    && !rest[o.len()..]
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            }) else {
-                continue;
-            };
-            let op = atomic_op_before(&line.code, pos);
-            seen.push((op, ordering.to_string(), idx + 1));
-            if *ordering == "Relaxed" && !cfg.d4_relaxed_files.iter().any(|f| f == &model.rel_path)
-            {
-                out.push(violation(
-                    RULE_ATOMIC_ORDERING,
-                    model,
-                    idx + 1,
-                    "`Ordering::Relaxed` outside the telemetry sink: relaxed atomics are \
-                     reserved for order-free counters"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-
-    if audited.is_empty() {
+    if cfg.d4_relaxed_files.iter().any(|f| f == &model.rel_path) {
         return;
     }
-    // Multiset comparison against the table.
-    for entry in &audited {
-        let got = seen
-            .iter()
-            .filter(|(op, ord, _)| *op == entry.op && *ord == entry.ordering)
-            .count();
-        if got != entry.count {
-            let line = seen
-                .iter()
-                .find(|(op, ord, _)| *op == entry.op && *ord == entry.ordering)
-                .map(|&(_, _, l)| l)
-                .unwrap_or(1);
-            out.push(violation(
-                RULE_ATOMIC_ORDERING,
-                model,
-                line,
-                format!(
-                    "ordering audit: expected {} `{}` with `Ordering::{}`, found {} — update \
-                     crates/lint/data/atomic-orderings.txt with a written why if intentional",
-                    entry.count, entry.op, entry.ordering, got
-                ),
-            ));
+    for (idx, line) in model.lines.iter().enumerate() {
+        if line.in_test || token_positions(&line.code, "Ordering::Relaxed").is_empty() {
+            continue;
         }
+        out.push(violation(
+            RULE_ATOMIC_ORDERING,
+            model,
+            idx + 1,
+            "`Ordering::Relaxed` outside the telemetry sink: relaxed atomics are \
+             reserved for order-free counters"
+                .to_string(),
+        ));
     }
-    for (op, ord, line) in &seen {
-        if !audited.iter().any(|e| e.op == *op && e.ordering == *ord) {
-            out.push(violation(
-                RULE_ATOMIC_ORDERING,
-                model,
-                *line,
-                format!(
-                    "ordering audit: `{op}` with `Ordering::{ord}` is not in the checked-in \
-                     table — add it to crates/lint/data/atomic-orderings.txt with a written why"
-                ),
-            ));
-        }
-    }
-}
-
-/// The nearest atomic method call preceding an `Ordering` token.
-fn atomic_op_before(code: &str, pos: usize) -> String {
-    let head = &code[..pos];
-    let mut best: Option<(usize, &str)> = None;
-    for op in ATOMIC_OPS {
-        let pat = format!(".{op}(");
-        if let Some(at) = head.rfind(&pat) {
-            if best.is_none_or(|(b, _)| at > b) {
-                best = Some((at, op));
-            }
-        }
-    }
-    best.map(|(_, op)| op.to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 // ---------------------------------------------------------------- D5

@@ -224,62 +224,10 @@ fn d4_cmp_ordering_is_not_an_atomic_ordering() {
     assert!(r.violations.is_empty(), "{:?}", r.violations);
 }
 
-fn cfg_with_table(table: &str) -> Config {
-    let mut c = cfg();
-    c.parse_table(table).expect("fixture table parses");
-    c
-}
-
-#[test]
-fn d4_table_match_passes() {
-    let c = cfg_with_table("crates/core/src/fixture.rs swap SeqCst 1\n");
-    let src = "fn f(p: &AtomicPtr<u8>, q: *mut u8) {\n    p.swap(q, Ordering::SeqCst);\n}\n";
-    let r = lint_source("crates/core/src/fixture.rs", src, &c);
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-}
-
-#[test]
-fn d4_missing_audited_atomic_is_flagged() {
-    let c = cfg_with_table("crates/core/src/fixture.rs swap SeqCst 1\n");
-    let src = "fn f() {}\n";
-    let r = lint_source("crates/core/src/fixture.rs", src, &c);
-    assert_eq!(rules_of(&r.violations), vec![RULE_ATOMIC_ORDERING]);
-    assert!(r.violations[0].message.contains("expected 1 `swap`"));
-}
-
-#[test]
-fn d4_atomic_not_in_table_is_flagged() {
-    let c = cfg_with_table("crates/core/src/fixture.rs swap SeqCst 1\n");
-    let src = concat!(
-        "fn f(p: &AtomicPtr<u8>, q: *mut u8, c: &AtomicU64) {\n",
-        "    p.swap(q, Ordering::SeqCst);\n",
-        "    c.store(1, Ordering::Release);\n",
-        "}\n",
-    );
-    let r = lint_source("crates/core/src/fixture.rs", src, &c);
-    assert_eq!(rules_of(&r.violations), vec![RULE_ATOMIC_ORDERING]);
-    assert!(r.violations[0]
-        .message
-        .contains("`store` with `Ordering::Release`"));
-}
-
-#[test]
-fn d4_weakened_ordering_is_flagged_both_ways() {
-    // Table says SeqCst; the code drifted to Acquire.
-    let c = cfg_with_table("crates/core/src/fixture.rs load SeqCst 1\n");
-    let src = "fn f(c: &AtomicU64) -> u64 {\n    c.load(Ordering::Acquire)\n}\n";
-    let r = lint_source("crates/core/src/fixture.rs", src, &c);
-    let rules = rules_of(&r.violations);
-    assert_eq!(rules, vec![RULE_ATOMIC_ORDERING, RULE_ATOMIC_ORDERING]);
-}
-
 #[test]
 fn d4_test_code_is_not_audited() {
-    let c = cfg_with_table("crates/core/src/fixture.rs swap SeqCst 1\n");
     let src = concat!(
-        "fn f(p: &AtomicPtr<u8>, q: *mut u8) {\n",
-        "    p.swap(q, Ordering::SeqCst);\n",
-        "}\n",
+        "fn f() {}\n",
         "#[cfg(test)]\n",
         "mod tests {\n",
         "    fn t(c: &AtomicU64) {\n",
@@ -287,7 +235,7 @@ fn d4_test_code_is_not_audited() {
         "    }\n",
         "}\n",
     );
-    let r = lint_source("crates/core/src/fixture.rs", src, &c);
+    let r = lint_source("crates/core/src/fixture.rs", src, &cfg());
     assert!(r.violations.is_empty(), "{:?}", r.violations);
 }
 

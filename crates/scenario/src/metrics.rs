@@ -185,10 +185,12 @@ pub struct MetricsReport {
     pub prr_windows: Vec<PrrWindowSample>,
     /// Per-interval telemetry counter deltas on the pause grid (the
     /// same grid discipline as `zeta_series`). Purely observational:
-    /// never part of the trace digest, and — unlike every other series
-    /// here — *not* asserted invariant across checkpoint/resume splits
-    /// (a restore rebuilds the counter sinks, so the interval spanning
-    /// the split undercounts).
+    /// never part of the trace digest. The engine-side counters
+    /// (`events`, `resolve_ticks`, `sinr_pairs`, `decay_calls`,
+    /// `reach_scans`) are invariant across checkpoint/resume splits,
+    /// sample for sample: the probe accumulates across the restore.
+    /// Channel-side counters are exempt, since the rebuilt backend
+    /// rescans its rows.
     pub telemetry: Vec<TelemetrySample>,
     /// Channel-side reach-scan totals (`None` for static backends).
     pub scan_stats: Option<ScanStatsReport>,

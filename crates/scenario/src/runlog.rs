@@ -52,6 +52,7 @@ use std::io::Write;
 
 use decay_core::telemetry::{Counter, CounterSnapshot, Counters, SpanEvent, Timer};
 use decay_engine::probe::{Directive, PauseCtx};
+use decay_engine::telemetry::CounterAccumulator;
 use decay_engine::{EngineStats, Tick};
 
 use crate::json::{self, int, num, obj, s, JsonValue};
@@ -118,15 +119,11 @@ pub struct RunLogProbe<'w> {
     controller_sig: u64,
     monitor: Option<(Tick, usize)>,
     window: Option<Tick>,
-    /// Merged engine+backend counter snapshot at the previous pause —
-    /// the subtrahend for the next accumulation step. Reset to zero by
-    /// [`Self::note_restore`] because a restore rebuilds the sinks.
-    baseline: CounterSnapshot,
     /// Counters accumulated over the whole run, additive across
     /// checkpoint/restore cycles (what makes sample deltas
     /// split-invariant).
-    cum: CounterSnapshot,
-    /// `cum` as of the previously emitted sample.
+    counters: CounterAccumulator,
+    /// The accumulated total as of the previously emitted sample.
     at_sample: CounterSnapshot,
     /// Cumulative (transmissions, deliveries) at the previous PRR
     /// window boundary.
@@ -173,8 +170,7 @@ impl<'w> RunLogProbe<'w> {
                 .and_then(|c| c.monitor.as_ref())
                 .map(|m| (m.interval, m.max_nodes)),
             window: spec.prr_window,
-            baseline: CounterSnapshot::default(),
-            cum: CounterSnapshot::default(),
+            counters: CounterAccumulator::default(),
             at_sample: CounterSnapshot::default(),
             at_boundary: (0, 0),
             pending_deliveries: 0,
@@ -200,12 +196,10 @@ impl<'w> RunLogProbe<'w> {
             RunPhase::Start => {
                 let record = self.run_start_record(ctx, directives);
                 self.write_line(record);
-                self.baseline = merged_snapshot(ctx);
+                self.counters.start(ctx);
             }
             RunPhase::Pause | RunPhase::Finish => {
-                let now = merged_snapshot(ctx);
-                self.cum = self.cum.merge(&now.delta_since(&self.baseline));
-                self.baseline = now;
+                let total = self.counters.fold(ctx);
                 self.pending_deliveries += ctx.batch.len() as u64;
                 if let Some(first) = ctx.batch.first() {
                     self.first_pending.get_or_insert(first.tick);
@@ -214,9 +208,10 @@ impl<'w> RunLogProbe<'w> {
                     self.last_pending = Some(last.tick);
                 }
                 if self.due(ctx.tick) {
-                    let record = self.sample_record(ctx, directives);
+                    let delta = total.delta_since(&self.at_sample);
+                    let record = self.sample_record(ctx, &delta, directives);
                     self.write_line(record);
-                    self.at_sample = self.cum;
+                    self.at_sample = total;
                     self.pending_deliveries = 0;
                     self.first_pending = None;
                     self.last_pending = None;
@@ -235,7 +230,7 @@ impl<'w> RunLogProbe<'w> {
         }
         let record = obj(vec![("record", s("resume")), ("tick", int(split))]);
         self.write_line(record);
-        self.baseline = CounterSnapshot::default();
+        self.counters.note_restore();
     }
 
     /// Writes the `run_end` record from the finished report and
@@ -315,9 +310,13 @@ impl<'w> RunLogProbe<'w> {
         obj(fields)
     }
 
-    fn sample_record(&mut self, ctx: &PauseCtx<'_>, directives: &[Directive]) -> JsonValue {
+    fn sample_record(
+        &mut self,
+        ctx: &PauseCtx<'_>,
+        delta: &CounterSnapshot,
+        directives: &[Directive],
+    ) -> JsonValue {
         let tick = ctx.tick;
-        let delta = self.cum.delta_since(&self.at_sample);
         let mut fields = vec![
             ("record", s("sample")),
             ("tick", int(tick)),
@@ -405,15 +404,6 @@ fn calls_key(t: Timer) -> &'static str {
         Timer::Dispatch => "dispatch_calls",
         Timer::Resolve => "resolve_calls",
         Timer::RowBuild => "row_build_calls",
-    }
-}
-
-/// Merged engine + backend counter snapshot at one pause.
-fn merged_snapshot(ctx: &PauseCtx<'_>) -> CounterSnapshot {
-    let snap = ctx.counters.snapshot();
-    match ctx.backend.telemetry() {
-        Some(t) => snap.merge(&t.snapshot()),
-        None => snap,
     }
 }
 

@@ -997,7 +997,8 @@ impl<'a, 'p> RunSession<'a, 'p> {
     /// Restores a parked session onto a freshly rebuilt backend and
     /// re-applies everything the checkpoint codec deliberately
     /// excludes: the flight-recorder ring, the carried queue high-water
-    /// mark, and span arming.
+    /// mark, span arming, and the counter baselines of the telemetry
+    /// series and the runlog.
     ///
     /// # Errors
     ///
@@ -1036,6 +1037,10 @@ impl<'a, 'p> RunSession<'a, 'p> {
         if self.trace_spans.is_some() {
             self.harness.arm_spans();
         }
+        self.telemetry.on_restore();
+        for p in self.extra.iter_mut() {
+            p.on_restore();
+        }
         if let Some(rl) = self.runlog.as_mut() {
             rl.note_restore(self.parked_at);
         }
@@ -1068,8 +1073,8 @@ impl<'a, 'p> RunSession<'a, 'p> {
             }
         }
         // Channel-side scan totals come straight off the backend's
-        // sink. After a park/resume the backend was rebuilt, so (like
-        // the telemetry series) these cover the post-split portion only.
+        // sink. After a park/resume the backend was rebuilt, so these
+        // cover the post-split portion only.
         let scan_stats = self.harness.scan_stats();
         let stats = self.harness.stats();
         let metrics = self.metrics.into_collector().finish(

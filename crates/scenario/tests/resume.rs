@@ -4,13 +4,14 @@
 //! golden digest unchanged — with churn, jamming, and delivery jitter
 //! all active at once.
 
+use decay_core::telemetry::Counter;
 use decay_distributed::ContentionStrategy;
 use decay_engine::{ChurnConfig, JamSchedule, LatencyModel, Tick};
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     runlog, AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, FaultSpec, MobilitySpec,
-    MonitorSpec, ProtocolSpec, RunOptions, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec,
-    TopologySpec,
+    MonitorSpec, ProtocolSpec, RunOptions, ScenarioReport, ScenarioRunner, ScenarioSpec,
+    ShadowingSpec, SinrSpec, TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -102,6 +103,28 @@ fn stormy_spec(protocol: u8, seed: u64) -> ScenarioSpec {
     }
 }
 
+/// The engine-side counters of a report's telemetry series, per
+/// sample. Channel-side counters are left out: a restore rebuilds the
+/// backend, which rescans its rows.
+fn engine_counters(report: &ScenarioReport) -> Vec<(Tick, [u64; 5])> {
+    report
+        .metrics
+        .telemetry
+        .iter()
+        .map(|s| {
+            let counts = [
+                Counter::Events,
+                Counter::ResolveTicks,
+                Counter::SinrPairs,
+                Counter::DecayCalls,
+                Counter::ReachScans,
+            ]
+            .map(|c| s.delta.get(c));
+            (s.tick, counts)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(18))]
 
@@ -182,6 +205,15 @@ proptest! {
         prop_assert_eq!(
             &uninterrupted.metrics.prr_windows,
             &resumed.metrics.prr_windows
+        );
+        // The telemetry series accumulates across the restore as well,
+        // so its engine-side counters match sample for sample, the
+        // sample spanning the split included.
+        prop_assert_eq!(
+            engine_counters(&uninterrupted),
+            engine_counters(&resumed),
+            "split {}",
+            split
         );
         // The queue high-water mark is excluded from EngineStats
         // equality (it is telemetry, not trace), so the digest checks
