@@ -22,8 +22,8 @@
 //! `engine_bench`). Unlike wall-clock throughput these cannot be noisy,
 //! so any shape drift beyond `--shape-threshold` percent (default 10) is
 //! flagged the same way: cost counters rising, or the row-cache hit
-//! rate falling, means the hot path's shape changed — hint windows
-//! widening, a cache losing locality — even if events/sec held steady.
+//! rate falling, means the hot path's shape changed — rows widening, a
+//! cache losing locality — even if events/sec held steady.
 //! Baselines written before the columns existed compare throughput only.
 //!
 //! `--history <path>` additionally appends the current document's rows

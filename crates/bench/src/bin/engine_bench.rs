@@ -14,8 +14,8 @@
 //!
 //! Beyond throughput, every row carries the cost-shape counter columns
 //! (`rows_built`, `pairs_per_scan`, `row_hit_rate`, `queue_high_water`)
-//! so `bench_trend` can flag a hot path whose *shape* regressed — hint
-//! windows silently widening, a cache losing its hit rate — even when
+//! so `bench_trend` can flag a hot path whose *shape* regressed — rows
+//! silently widening, a cache losing its hit rate — even when
 //! events/sec stays flat. Two further flags serve CI:
 //!
 //! - `--telemetry-out <path>` writes the full per-row counter totals

@@ -20,6 +20,19 @@
 //! lives in one epoch cache, recomputed at block boundaries; queries for
 //! an earlier block rebuild deterministically from block 0, which is how
 //! checkpoint restore replays without serialized channel state.
+//!
+//! # Reach candidates
+//!
+//! Over a geometric base (see [`TemporalChannel::with_geometric_hints`])
+//! the composite is, up to rounding, `db^α · s_i · s_j · F_b(i, j)`:
+//! `db` the current-block distance, `s_k` node `k`'s share of the
+//! separable shadowing factor, `F_b` the block fade. A reach scan first
+//! takes the base's hint window around the deployment, then drops every
+//! candidate this product provably puts above the reach — a
+//! multiply-only test with the fade at its clamp, then the pair's exact
+//! fade draw for the survivors — so rows evaluate the full composite
+//! only for pairs that can be in reach. The caller re-filters against
+//! the exact field, so the bound changes cost, never values.
 
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
@@ -28,7 +41,7 @@ use decay_core::NodeId;
 use decay_engine::{DecayBackend, Tick};
 use decay_spaces::{distance, Point};
 
-use crate::fading::FadingConfig;
+use crate::fading::{FadingConfig, DRAW_BUCKETS};
 use crate::mobility::{MobilityConfig, MobilityEngine, MobilityModel, MobilityState};
 use crate::shadowing::{ShadowField, ShadowingConfig};
 use crate::temporal::{signature_of, TemporalBackend};
@@ -52,6 +65,11 @@ struct Epoch {
     mob: Option<MobilityState>,
     /// Per-node shadowing field values (empty when shadowing is off).
     shadow: Vec<f64>,
+    /// Per-node reach scale `t_k = s_k^(-2/α)`, with `s_k` the node's
+    /// share of the shadowing factor (empty when shadowing is off): a
+    /// pair can be in reach only if its squared distance is at most
+    /// `(reach / F)^(2/α) · t_i · t_j`.
+    reach_scale: Vec<f64>,
     /// Largest displacement of any node from its deployment position
     /// this block (0 when mobility is off) — the measured counterpart
     /// of [`MobilityModel::max_displacement`], used to widen reach
@@ -79,6 +97,9 @@ pub struct TemporalChannel {
     /// Whether the base backend is the geometric field of the
     /// deployment (see [`TemporalChannel::with_geometric_hints`]).
     geometric: bool,
+    /// `gain^(2/α)` at the upper edge of each fade-draw bucket, the
+    /// fade's share of the per-pair reach bound (empty without fading).
+    gain_powers: Box<[f64]>,
     epoch: Mutex<Epoch>,
 }
 
@@ -120,11 +141,13 @@ impl TemporalChannel {
             mobility: None,
             shadowing: None,
             geometric: false,
+            gain_powers: Box::new([]),
             epoch: Mutex::new(Epoch {
                 block: 0,
                 ready: false,
                 mob: None,
                 shadow: Vec::new(),
+                reach_scale: Vec::new(),
                 max_disp: 0.0,
                 shadow_min: f64::INFINITY,
             }),
@@ -137,9 +160,14 @@ impl TemporalChannel {
     /// nodes per (block, source), the per-block reach scan queries the
     /// base topology's hint window, widened conservatively for every
     /// attached layer (mobility displacement, the block's shadowing
-    /// floor, the fading clamp). Hints over-approximate and candidates
-    /// are re-filtered against the exact instantaneous field, so they
-    /// change cost, never values.
+    /// floor, the fading clamp), and then prunes that window pair by
+    /// pair with a lower bound on the composite decay built from the
+    /// current-block positions, per-node shadowing and the block fade
+    /// (see the [module docs](self)). Only the survivors are evaluated
+    /// exactly, so a row's `row_pairs` count is its exact evaluations,
+    /// not the window width. Both steps over-approximate and the
+    /// candidates are re-filtered against the exact instantaneous field,
+    /// so they change cost, never values.
     ///
     /// # Panics
     ///
@@ -188,6 +216,7 @@ impl TemporalChannel {
     #[must_use]
     pub fn with_fading(mut self, config: FadingConfig) -> Self {
         self.fading = Some(config);
+        self.gain_powers = crate::fading::gain_powers(2.0 / self.alpha);
         self
     }
 
@@ -233,6 +262,11 @@ impl TemporalChannel {
                 let positions = epoch.mob.as_ref().map_or(&self.initial[..], |s| &s.pos[..]);
                 field.node_values(block, positions)
             };
+            let exp = -2.0 / self.alpha;
+            epoch.reach_scale.clear();
+            epoch
+                .reach_scale
+                .extend(values.iter().map(|&f| field.node_factor(f).powf(exp)));
             epoch.shadow = values;
         }
         epoch.max_disp = epoch.mob.as_ref().map_or(0.0, |s| {
@@ -271,6 +305,59 @@ impl TemporalChannel {
             d *= fade.decay_factor(block, from, to);
         }
         d.clamp(MIN_DECAY, MAX_DECAY)
+    }
+
+    /// Drops every candidate whose block-`block` decay from `from` is
+    /// provably above `reach` (`reach < MAX_DECAY`, geometric base).
+    ///
+    /// With a geometric base the composite is `db^α · s_i · s_j · F`
+    /// up to rounding, so a pair is in reach only if
+    /// `db² ≤ reach^(2/α) · g^(2/α) · t_i · t_j`, with `g = 1 / F` the
+    /// fade's power gain. The first test takes `g` at its clamp and
+    /// costs only multiplies. The second runs on its survivors with the
+    /// pair's exact fade draw, reading `g^(2/α)` at the upper edge of
+    /// the draw's bucket (see [`crate::fading::gain_powers`]): one hash
+    /// and a lookup where the exact factor would cost a log and a
+    /// power.
+    ///
+    /// `HINT_MARGIN` on the reach absorbs the rounding between this
+    /// product and the composite's factor-by-factor evaluation. The
+    /// bound stays sound because the composite's adjustments only raise
+    /// a decay: the mobility clamp `db.max(d0 · 1e-6)` replaces `db` by
+    /// something larger, and `MIN_DECAY` lifts tiny decays. Only
+    /// `MAX_DECAY` can lower one, and the caller skips the filter when
+    /// it could matter.
+    fn prune(
+        &self,
+        epoch: Option<&Epoch>,
+        block: u64,
+        from: NodeId,
+        reach: f64,
+        candidates: &mut Vec<NodeId>,
+    ) {
+        let pos = epoch
+            .and_then(|e| e.mob.as_ref())
+            .map_or(&self.initial[..], |s| &s.pos[..]);
+        let scale = epoch.map_or(&[][..], |e| &e.reach_scale[..]);
+        let t = |k: NodeId| scale.get(k.index()).copied().unwrap_or(1.0);
+        let fine = (reach * HINT_MARGIN).powf(2.0 / self.alpha) * t(from);
+        let coarse = fine * self.gain_powers.last().copied().unwrap_or(1.0);
+        let p = pos[from.index()];
+        candidates.retain(|&to| {
+            let Some(&q) = pos.get(to.index()) else {
+                return false;
+            };
+            let (dx, dy) = (p.0 - q.0, p.1 - q.1);
+            let d2 = dx * dx + dy * dy;
+            let t_to = t(to);
+            if d2 > coarse * t_to {
+                return false;
+            }
+            self.fading.as_ref().is_none_or(|fade| {
+                let k = (fade.draw(block, from, to) * DRAW_BUCKETS as f64) as usize;
+                d2 <= fine * self.gain_powers[k] * t_to
+            })
+        });
     }
 }
 
@@ -329,7 +416,7 @@ impl TemporalBackend for TemporalChannel {
         if !self.geometric {
             return None;
         }
-        // Budget in the decay domain: with a geometric base the base
+        // Window budget in the decay domain: with a geometric base the base
         // decay times the mobility modulation is (up to rounding,
         // absorbed by HINT_MARGIN) the instantaneous distance raised to
         // α, so a node is in reach only when `db^α · S · F ≤ reach`.
@@ -341,8 +428,9 @@ impl TemporalBackend for TemporalChannel {
             budget *= crate::fading::MAX_GAIN;
         }
         let mut widen = 0.0;
-        if self.mobility.is_some() || self.shadowing.is_some() {
-            let epoch = self.epoch_at(block);
+        let epoch =
+            (self.mobility.is_some() || self.shadowing.is_some()).then(|| self.epoch_at(block));
+        if let Some(epoch) = &epoch {
             if let Some(field) = &self.shadowing {
                 budget /= field.link_factor_floor(epoch.shadow[from.index()], epoch.shadow_min);
             }
@@ -360,11 +448,16 @@ impl TemporalBackend for TemporalChannel {
         if !widened.is_finite() {
             return None;
         }
-        Some(
-            self.base
-                .hint_candidates(from, widened)
-                .unwrap_or_else(|| self.base.potential_receivers(from, Some(widened))),
-        )
+        let mut candidates = self
+            .base
+            .hint_candidates(from, widened)
+            .unwrap_or_else(|| self.base.potential_receivers(from, Some(widened)));
+        // At `MAX_DECAY` and above the clamp can pull a decay *down*
+        // into reach, which the product bound below does not model.
+        if reach < MAX_DECAY {
+            self.prune(epoch.as_deref(), block, from, reach, &mut candidates);
+        }
+        Some(candidates)
     }
 
     fn signature(&self) -> u64 {
@@ -517,6 +610,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The deployment hint window cannot narrow a storm grid — the
+    /// fading clamp and the block's shadow floor open it past the whole
+    /// grid — so only the per-pair bound keeps rows small: well under
+    /// `n / 2` exact evaluations per scan even after 64 blocks of drift.
+    /// The channel is the temporal-storm one: a 32 × 32 grid at α = 2.5
+    /// under waypoint mobility, σ = 4 dB shadowing and block fading.
+    #[test]
+    fn storm_grid_rows_evaluate_under_half_the_nodes() {
+        let side = 32;
+        let n = side * side;
+        let pts: Vec<Point> = (0..n)
+            .map(|i| ((i % side) as f64, (i / side) as f64))
+            .collect();
+        let field = pts.clone();
+        let base = LazyBackend::from_fn(n, move |i, j| distance(field[i], field[j]).powf(2.5));
+        let mut adapter = crate::TemporalAdapter::new(
+            TemporalChannel::new(base, pts, 2.5, 1)
+                .with_geometric_hints()
+                .with_mobility(MobilityConfig {
+                    model: MobilityModel::RandomWaypoint {
+                        speed: 0.4,
+                        pause: 1,
+                    },
+                    seed: 1,
+                })
+                .with_shadowing(ShadowingConfig {
+                    sigma_db: 4.0,
+                    corr_dist: 3.0,
+                    time_corr: 0.7,
+                    seed: 2,
+                })
+                .with_fading(FadingConfig { seed: 3 }),
+        );
+        for block in [32, 64] {
+            adapter.advance_to(block);
+            for src in (0..n).step_by(61) {
+                adapter.potential_receivers_at(block, NodeId::new(src), Some(100.0));
+            }
+        }
+        let stats = adapter.scan_stats();
+        assert!(stats.scans > 0);
+        let per_scan = stats.pairs as f64 / stats.scans as f64;
+        assert!(
+            per_scan < n as f64 / 2.0,
+            "{per_scan:.0} pairs per scan on {n} nodes"
+        );
     }
 
     #[test]

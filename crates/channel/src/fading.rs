@@ -36,16 +36,41 @@ impl FadingConfig {
     /// The multiplicative *decay* factor (`1 / power gain`) for the link
     /// in the given coherence block.
     pub(crate) fn decay_factor(&self, block: u64, from: NodeId, to: NodeId) -> f64 {
+        1.0 / gain(self.draw(block, from, to))
+    }
+
+    /// The uniform draw in `[0, 1)` behind the link's fade in `block`;
+    /// the power gain is the increasing function [`gain`] of it.
+    pub(crate) fn draw(&self, block: u64, from: NodeId, to: NodeId) -> f64 {
         let (a, b) = if from.index() <= to.index() {
             (from.index(), to.index())
         } else {
             (to.index(), from.index())
         };
-        let u = unit(mix(&[self.seed, STREAM_FADE, block, a as u64, b as u64]));
-        // Unit-mean exponential via inverse CDF; 1 - u is in (0, 1].
-        let gain = (-(1.0 - u).ln()).clamp(MIN_GAIN, MAX_GAIN);
-        1.0 / gain
+        unit(mix(&[self.seed, STREAM_FADE, block, a as u64, b as u64]))
     }
+}
+
+/// The clamped power gain for the uniform draw `u`: a unit-mean
+/// exponential via inverse CDF (`1 - u` is in `(0, 1]`), increasing in
+/// `u`.
+fn gain(u: f64) -> f64 {
+    (-(1.0 - u).ln()).clamp(MIN_GAIN, MAX_GAIN)
+}
+
+/// Buckets of the fade draw in [`gain_powers`]: a power of two, so
+/// `u · DRAW_BUCKETS` is exact and bucket `k` holds exactly the draws
+/// in `[k, k + 1) / DRAW_BUCKETS`.
+pub(crate) const DRAW_BUCKETS: usize = 1024;
+
+/// `gain^exp` at the upper edge of every draw bucket. Since the gain
+/// increases with the draw, entry `⌊u · DRAW_BUCKETS⌋` bounds
+/// `gain(u)^exp` from above for `exp > 0` — a pair-by-pair fade bound
+/// that costs one hash and a lookup instead of a log and a power.
+pub(crate) fn gain_powers(exp: f64) -> Box<[f64]> {
+    (1..=DRAW_BUCKETS)
+        .map(|k| gain(k as f64 / DRAW_BUCKETS as f64).powf(exp))
+        .collect()
 }
 
 #[cfg(test)]
@@ -85,5 +110,17 @@ mod tests {
         for g in gains {
             assert!((MIN_GAIN..=MAX_GAIN).contains(&g));
         }
+    }
+
+    #[test]
+    fn gain_powers_bound_every_draw_in_their_bucket() {
+        let exp = 0.8;
+        let table = gain_powers(exp);
+        for k in 0..20_000u64 {
+            let u = unit(mix(&[k]));
+            let bucket = (u * DRAW_BUCKETS as f64) as usize;
+            assert!(gain(u).powf(exp) <= table[bucket], "draw {u}");
+        }
+        assert_eq!(table[DRAW_BUCKETS - 1], MAX_GAIN.powf(exp), "top bucket");
     }
 }

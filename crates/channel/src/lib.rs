@@ -22,7 +22,8 @@
 //!   [`TemporalBackend::decay_row_in_block`] call), and
 //!   [`TemporalChannel::with_geometric_hints`] shrinks each per-block
 //!   scan from `n` nodes to a conservatively widened window of the base
-//!   topology's hint.
+//!   topology's hint, pruned pair by pair with a lower bound on the
+//!   decay before any exact evaluation.
 //! * [`TemporalChannel`] — mobility ([`MobilityModel::RandomWaypoint`],
 //!   [`MobilityModel::LevyWalk`], [`MobilityModel::Group`] over
 //!   `decay-spaces` point sets), Gudmundson-style spatially correlated

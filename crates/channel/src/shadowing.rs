@@ -190,6 +190,16 @@ impl ShadowField {
         10f64.powf(x_db / 10.0)
     }
 
+    /// One endpoint's share of [`Self::link_factor`]:
+    /// `10^(sigma_db · f / (√2 · 10))`. The link factor is separable,
+    /// `link_factor(fi, fj) = node_factor(fi) · node_factor(fj)` up to
+    /// rounding, which is what lets per-pair reach bounds precompute one
+    /// scale per node instead of one per link.
+    pub(crate) fn node_factor(&self, f: f64) -> f64 {
+        let x_db = self.config.sigma_db * f * std::f64::consts::FRAC_1_SQRT_2;
+        10f64.powf(x_db / 10.0)
+    }
+
     /// A sound lower bound on [`Self::link_factor`] between a node with
     /// field value `fi` and *any* partner this block, given the block's
     /// minimum field value `f_min`: the factor is monotone in the
@@ -300,5 +310,8 @@ mod tests {
         assert!(fac.is_finite() && fac > 0.0);
         // Zero field = exactly no shadowing.
         assert_eq!(f.link_factor(0.0, 0.0), 1.0);
+        // Separable into per-node shares.
+        let split = f.node_factor(v[0]) * f.node_factor(v[1]);
+        assert!((split / fac - 1.0).abs() < 1e-12, "{split} vs {fac}");
     }
 }

@@ -108,9 +108,10 @@ pub struct ScanStats {
     /// reaches and for blocks other than the current view) — at most
     /// one per (block, source) on the cached path.
     pub scans: u64,
-    /// Total candidate pairs evaluated across those scans. Dividing by
-    /// `scans` gives the effective candidate-window width; without
-    /// structured hints it is `n`.
+    /// Exact decay evaluations across those scans: the candidates the
+    /// backend's [`TemporalBackend::reach_candidates`] left after its
+    /// bound, not the hint-window width. Dividing by `scans` gives the
+    /// mean row length; without structured hints it is `n`.
     pub pairs: u64,
 }
 
@@ -202,7 +203,8 @@ pub struct TemporalAdapter {
     /// All node ids in order, built once — unbounded-reach
     /// (`reach: None`) lists are sliced out of it per call (two
     /// memcpys around the source) instead of re-filtering `0..n`, and
-    /// it is block-independent so it lives beside the snapshots.
+    /// unhinted scans (trace replay, say) evaluate their full rows over
+    /// it. It is block-independent, so it lives beside the snapshots.
     all_nodes: OnceLock<Vec<NodeId>>,
     /// Channel-side telemetry sink (row builds/hits, window widths,
     /// view traffic), surfaced through [`DecayBackend::telemetry`].
@@ -253,12 +255,18 @@ impl TemporalAdapter {
 
     /// Cumulative reach-scan counters (diagnostic; see E39). A view
     /// over the adapter's telemetry sink: `scans` is rows built,
-    /// `pairs` the summed candidate-window widths.
+    /// `pairs` the summed row lengths (exact evaluations).
     pub fn scan_stats(&self) -> ScanStats {
         ScanStats {
             scans: self.telemetry.get(Counter::RowsBuilt),
             pairs: self.telemetry.get(Counter::RowPairs),
         }
+    }
+
+    /// Every node id in order, built on first use.
+    fn all_nodes(&self) -> &[NodeId] {
+        self.all_nodes
+            .get_or_init(|| (0..self.n).map(NodeId::new).collect())
     }
 
     /// The cached snapshot for `block`: the block-0 snapshot, or the
@@ -296,13 +304,8 @@ impl TemporalAdapter {
             }
         };
         let timer = self.telemetry.timer_start();
-        let decays = match &candidates {
-            None => {
-                let all: Vec<NodeId> = (0..self.n).map(NodeId::new).collect();
-                self.inner.decay_row_in_block(block, from, &all)
-            }
-            Some(c) => self.inner.decay_row_in_block(block, from, c),
-        };
+        let targets = candidates.as_deref().unwrap_or_else(|| self.all_nodes());
+        let decays = self.inner.decay_row_in_block(block, from, targets);
         self.telemetry.timer_stop(Timer::RowBuild, timer);
         self.telemetry.add(Counter::RowsBuilt, 1);
         self.telemetry.add(Counter::RowPairs, decays.len() as u64);
@@ -346,9 +349,7 @@ impl TemporalAdapter {
             // `from` (the trait returns an owned `Vec`, so one `O(n)`
             // allocation is unavoidable — but not an `O(n)` filter, and
             // not `O(n)` retained memory per source).
-            let all = self
-                .all_nodes
-                .get_or_init(|| (0..self.n).map(NodeId::new).collect());
+            let all = self.all_nodes();
             let mut out = Vec::with_capacity(self.n.saturating_sub(1));
             out.extend_from_slice(&all[..from.index()]);
             out.extend_from_slice(&all[from.index() + 1..]);

@@ -14,7 +14,7 @@ use decay_engine::{
     LazyBackend, NodeCtx, TiledBackend,
 };
 use decay_sinr::SinrParams;
-use decay_spaces::{distance, geometric_space, line_points};
+use decay_spaces::{distance, geometric_space, line_points, Point};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -189,12 +189,29 @@ fn monitor_sees_drift_under_a_temporal_channel() {
     );
 }
 
-/// One of the three static bases realizing the geometric line field
-/// (bit-identical across the three — the standing cross-backend
-/// invariant).
+/// A 2-D deployment of `N` nodes: a grid four wide, its last row
+/// partial.
+fn grid_points() -> Vec<Point> {
+    (0..N).map(|i| ((i % 4) as f64, (i / 4) as f64)).collect()
+}
+
+/// The deployment and path-loss exponent behind base `kind`: the line
+/// at α = 2 for kinds 0–2, the grid at α = 2.5 for kind 3.
+fn deployment(kind: usize) -> (Vec<Point>, f64) {
+    if kind == 3 {
+        (grid_points(), 2.5)
+    } else {
+        (line_points(N, 1.0), 2.0)
+    }
+}
+
+/// One of the static bases realizing a geometric field: the line on
+/// dense, lazy (with a neighbor hint) and tiled backends —
+/// bit-identical across the three, the standing cross-backend
+/// invariant — or the 2-D grid on a lazy backend.
 fn geometric_base(kind: usize) -> Box<dyn DecayBackend> {
-    let pts = line_points(N, 1.0);
-    let f = move |i: usize, j: usize| distance(pts[i], pts[j]).powf(2.0);
+    let (pts, alpha) = deployment(kind);
+    let f = move |i: usize, j: usize| distance(pts[i], pts[j]).powf(alpha);
     match kind {
         0 => Box::new(DenseBackend::new(
             geometric_space(&line_points(N, 1.0), 2.0).expect("distinct points"),
@@ -208,7 +225,8 @@ fn geometric_base(kind: usize) -> Box<dyn DecayBackend> {
                 }),
             )
         }
-        _ => Box::new(TiledBackend::from_fn(N, 4, 3, f)),
+        2 => Box::new(TiledBackend::from_fn(N, 4, 3, f)),
+        _ => Box::new(LazyBackend::from_fn(N, f)),
     }
 }
 
@@ -216,8 +234,9 @@ fn geometric_base(kind: usize) -> Box<dyn DecayBackend> {
 /// (bit 0 mobility, bit 1 shadowing, bit 2 fading) and structured
 /// reach hints enabled.
 fn hinted_channel(kind: usize, seed: u64, mask: u8, block_len: u64) -> TemporalAdapter {
-    let mut ch = TemporalChannel::new(geometric_base(kind), line_points(N, 1.0), 2.0, block_len)
-        .with_geometric_hints();
+    let (pts, alpha) = deployment(kind);
+    let mut ch =
+        TemporalChannel::new(geometric_base(kind), pts, alpha, block_len).with_geometric_hints();
     if mask & 1 != 0 {
         ch = ch.with_mobility(MobilityConfig {
             model: MobilityModel::RandomWaypoint {
@@ -244,31 +263,40 @@ fn hinted_channel(kind: usize, seed: u64, mask: u8, block_len: u64) -> TemporalA
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The snapshot path (hint-widened candidate windows, cached rows,
-    /// the block-0 snapshot) answers every reach query exactly as a
-    /// brute-force per-block scan does — across random interleavings of
-    /// blocks, sources, and reach values (including `None`), under
-    /// every layer subset, on all three static bases. The view advances
-    /// before every other query, so both cached view rows and uncached
-    /// off-view scans are checked.
+    /// The snapshot path (hint-widened candidate windows pruned by the
+    /// per-pair bound, cached rows, the block-0 snapshot) answers every
+    /// reach query exactly as a brute-force per-block scan does — across
+    /// random interleavings of blocks up to 64 (so mobility drifts far
+    /// from the deployment), sources, and reach values (including `None`
+    /// and the exact decay of a random pair, which sits on the boundary
+    /// and must be kept), under every layer subset, on the line's three
+    /// static bases and a 2-D grid at α = 2.5. The view advances before
+    /// every other query, so both cached view rows and uncached off-view
+    /// scans are checked.
     #[test]
     fn snapshot_reach_sets_equal_brute_force_scans(
         seed in 0u64..300,
         mask in 0u8..8,
         block_len in 1u64..6,
         // Reach index 4 encodes `None` (the vendored proptest stand-in
-        // has no `option::of`).
-        queries in prop::collection::vec((0u64..10, 0usize..N, 0usize..5), 24),
+        // has no `option::of`), 5 the exact decay to the partner at
+        // offset `off`.
+        queries in prop::collection::vec((0u64..65, 0usize..N, 0usize..6, 1usize..N), 24),
     ) {
         let reaches = [4.0, 9.0, 36.0, 1e6];
-        for kind in 0..3 {
+        for kind in 0..4 {
             let mut adapter = hinted_channel(kind, seed, mask, block_len);
-            for (i, &(block, src, reach_idx)) in queries.iter().enumerate() {
+            for (i, &(block, src, reach_idx, off)) in queries.iter().enumerate() {
                 if i % 2 == 0 {
                     adapter.advance_to(block * block_len);
                 }
                 let from = NodeId::new(src);
-                let reach = (reach_idx < 4).then(|| reaches[reach_idx]);
+                let partner = NodeId::new((src + off) % N);
+                let reach = match reach_idx {
+                    4 => None,
+                    5 => Some(adapter.inner().decay_in_block(block, from, partner)),
+                    k => Some(reaches[k]),
+                };
                 let got = adapter.potential_receivers_at(block * block_len, from, reach);
                 let want: Vec<NodeId> = (0..N)
                     .filter(|&j| j != src)
@@ -278,6 +306,9 @@ proptest! {
                         Some(r) => adapter.inner().decay_in_block(block, from, to) <= r,
                     })
                     .collect();
+                if reach_idx == 5 {
+                    prop_assert!(got.contains(&partner), "boundary pair dropped");
+                }
                 prop_assert_eq!(
                     got, want,
                     "base {} mask {} block {} src {} reach {:?}",

@@ -53,8 +53,9 @@ pub enum Counter {
     /// Temporal `SourceRow`s built (one batched decay-row evaluation
     /// each).
     RowsBuilt,
-    /// Candidate pairs scanned while building rows — the summed
-    /// hint-window widths, so a silent widening shows up here first.
+    /// Exact decay evaluations while building rows — the candidates
+    /// left after the channel's reach bound, not the hint-window width
+    /// — so a silent widening shows up here first.
     RowPairs,
     /// Queries served from an already-built `SourceRow` (cache hits).
     RowHits,

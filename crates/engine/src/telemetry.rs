@@ -12,10 +12,13 @@
 //! from a checkpoint calls [`Probe::on_restore`], so the
 //! engine-side counters (`events`, `resolve_ticks`, `sinr_pairs`,
 //! `decay_calls`, `reach_scans`) are invariant to how often the driver
-//! pauses and where it splits. Channel-side counters are exempt: a
-//! restore rebuilds the backend, which rescans its rows. Trace
-//! digests, ζ(t), and PRR are unaffected either way — the probe is
-//! read-only, which the probe-transparency proptest enforces.
+//! pauses and where it splits. Channel-side counters fold the same
+//! way, so they equal an unsplit run's when the split lands on a
+//! coherence-block boundary (every split, at block length 1); a split
+//! inside a block also counts the rebuilt backend's rescan of that
+//! block's rows. Trace digests, ζ(t), and PRR are unaffected either
+//! way — the probe is read-only, which the probe-transparency proptest
+//! enforces.
 //!
 //! # Flight recorder
 //!
@@ -145,6 +148,11 @@ impl CounterAccumulator {
     pub fn note_restore(&mut self) {
         self.baseline = CounterSnapshot::default();
     }
+
+    /// Everything counted up to the latest fold.
+    pub fn total(&self) -> CounterSnapshot {
+        self.total
+    }
 }
 
 /// A read-only probe sampling the merged engine + backend counter
@@ -189,6 +197,12 @@ impl TelemetryProbe {
     /// Consumes the probe, yielding the series.
     pub fn into_samples(self) -> Vec<TelemetrySample> {
         self.samples
+    }
+
+    /// The merged counter totals up to the latest pause, folded across
+    /// restores.
+    pub fn totals(&self) -> CounterSnapshot {
+        self.counters.total()
     }
 
     /// The flight-recorder tail: the most recent samples, oldest

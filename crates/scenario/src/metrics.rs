@@ -128,21 +128,22 @@ impl MetricsCollector {
     }
 }
 
-/// Channel-side reach-scan totals, read off the temporal backend's
-/// telemetry sink at the end of a run (`None` for static backends,
-/// which never scan).
+/// Channel-side reach-scan totals of the temporal backend's telemetry
+/// sink over the whole run, folded across checkpoint restores (`None`
+/// for static backends, which never scan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanStatsReport {
-    /// `SourceRow`s built from scratch (cold block-0 scans).
+    /// Reach scans run (row builds plus uncached exact scans).
     pub scans: u64,
-    /// Candidate pairs enumerated across all scans.
+    /// Exact decay evaluations across those scans: the candidates left
+    /// after the channel's reach bound, not the hint-window width.
     pub pairs: u64,
     /// Row lookups answered from the per-block row cache.
     pub row_hits: u64,
 }
 
 impl ScanStatsReport {
-    /// Mean candidate pairs per scan (0 when nothing scanned).
+    /// Mean exact evaluations per scan (0 when nothing scanned).
     pub fn pairs_per_scan(&self) -> f64 {
         if self.scans == 0 {
             0.0

@@ -412,7 +412,9 @@ trait EngineHarness: Send {
     fn stats(&self) -> EngineStats;
     fn len(&self) -> usize;
     fn channel_signature(&self) -> u64;
-    fn scan_stats(&self) -> Option<ScanStatsReport>;
+    /// Whether the backend keeps a channel-side telemetry sink (the
+    /// temporal adapters do; static backends scan nothing).
+    fn has_channel_sink(&self) -> bool;
     fn checkpoint_bytes(&mut self) -> Vec<u8>;
     /// Drops the engine; every other method panics until
     /// [`Self::restore`] succeeds.
@@ -485,15 +487,8 @@ where
         self.engine().backend().channel_signature()
     }
 
-    fn scan_stats(&self) -> Option<ScanStatsReport> {
-        self.engine()
-            .backend()
-            .telemetry()
-            .map(|t| ScanStatsReport {
-                scans: t.get(Counter::RowsBuilt),
-                pairs: t.get(Counter::RowPairs),
-                row_hits: t.get(Counter::RowHits),
-            })
+    fn has_channel_sink(&self) -> bool {
+        self.engine().backend().telemetry().is_some()
     }
 
     fn checkpoint_bytes(&mut self) -> Vec<u8> {
@@ -1072,10 +1067,17 @@ impl<'a, 'p> RunSession<'a, 'p> {
                 return Err(ScenarioError::RunLog(format!("flight dump: {e}")));
             }
         }
-        // Channel-side scan totals come straight off the backend's
-        // sink. After a park/resume the backend was rebuilt, so these
-        // cover the post-split portion only.
-        let scan_stats = self.harness.scan_stats();
+        // The telemetry probe's totals fold across restores, so a
+        // resumed run reports its scans from the start, not only those
+        // of the rebuilt backend.
+        let scan_stats = self.harness.has_channel_sink().then(|| {
+            let total = self.telemetry.totals();
+            ScanStatsReport {
+                scans: total.get(Counter::RowsBuilt),
+                pairs: total.get(Counter::RowPairs),
+                row_hits: total.get(Counter::RowHits),
+            }
+        });
         let stats = self.harness.stats();
         let metrics = self.metrics.into_collector().finish(
             stats,

@@ -107,8 +107,8 @@ fn backend_for(which: u8) -> BackendSpec {
 }
 
 /// The deterministic slice of a report the conformance checks compare
-/// (wall-clock rates and post-split scan/telemetry coverage are
-/// execution-dependent by design).
+/// (wall-clock rates, and the rescans a split inside a coherence block
+/// adds to `scan_stats`, are execution-dependent by design).
 #[allow(clippy::type_complexity)]
 fn deterministic_view(
     r: &ScenarioReport,
@@ -248,6 +248,27 @@ proptest! {
         // Checkpoint bytes are a pure function of (spec, tick):
         // identical across backend choices.
         prop_assert_eq!(&bytes_a, &bytes_b);
+    }
+}
+
+/// `scan_stats` of a resumed run covers the whole run, not only the
+/// part after the split: at block length 1 every split lands on a
+/// block boundary, so the rebuilt backend rescans nothing the first
+/// one already built and the totals equal the uninterrupted run's.
+#[test]
+fn resumed_scan_stats_cover_the_whole_run() {
+    let spec = || {
+        let mut spec = observed_spec(0, 7, false);
+        spec.channel.as_mut().expect("temporal spec").block = 1;
+        spec
+    };
+    let (reference, _) = reference_run(spec(), BackendSpec::Lazy);
+    let whole = reference.metrics.scan_stats.expect("temporal backend");
+    assert!(whole.scans > 0);
+    for split in [16, 100, 203] {
+        let (run, _, bytes) = drive_session(spec(), BackendSpec::Lazy, split);
+        assert!(bytes.is_some(), "split {split} never parked");
+        assert_eq!(run.metrics.scan_stats, Some(whole), "split {split}");
     }
 }
 
