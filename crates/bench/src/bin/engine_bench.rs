@@ -40,7 +40,7 @@ use decay_channel::{
 use decay_core::json::{int, num, obj, parse, s, JsonValue};
 use decay_core::telemetry::{Counter, CounterSnapshot, Counters, SpanEvent, Timer};
 use decay_engine::{DecayBackend, Engine, EngineConfig, EventBehavior, LazyBackend, NodeCtx};
-use decay_scenario::{runlog, ScenarioCache, ScenarioRunner, ScenarioSpec};
+use decay_scenario::{runlog, RunOptions, ScenarioCache, ScenarioRunner, ScenarioSpec};
 use decay_sinr::SinrParams;
 use decay_spaces::line_points;
 use rand::Rng;
@@ -351,7 +351,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let start = Instant::now();
             let compiled = cache.compile(spec).expect("bench spec compiles");
             let report = ScenarioRunner::from_compiled(compiled)
-                .run()
+                .run(RunOptions::default())
                 .expect("bench run succeeds");
             let secs = start.elapsed().as_secs_f64().max(1e-9);
             let rate = report.metrics.stats.events as f64 / secs;

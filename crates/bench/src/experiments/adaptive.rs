@@ -15,7 +15,7 @@ use decay_engine::Tick;
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, MobilitySpec, MonitorSpec, ProtocolSpec,
-    ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
+    RunOptions, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
 };
 
 use crate::table::{fmt_f, fmt_ok, Table};
@@ -128,14 +128,20 @@ pub fn e40_adaptive_scheduling() -> Table {
         for (i, adaptive) in [false, true].into_iter().enumerate() {
             let spec = storm_spec(block, adaptive);
             let runner = ScenarioRunner::new(spec).expect("e40 spec validates");
-            let report = runner.run().expect("e40 run");
+            let report = runner.run(RunOptions::default()).expect("e40 run");
             // The acceptance property: a mid-run checkpoint/resume cycle
             // (controller identity verified on restore) is bit-identical.
-            let resumed = runner.run_with_resume(HORIZON / 2).expect("e40 resume run");
+            let resumed = runner
+                .run(RunOptions {
+                    resume_at: Some(HORIZON / 2),
+                    ..RunOptions::default()
+                })
+                .expect("e40 resume run");
             let resume_ok =
                 resumed.digest == report.digest && resumed.checkpointed == Some(HORIZON / 2);
             all_resume_ok &= resume_ok;
-            deterministic &= runner.run().expect("rerun").digest == report.digest;
+            deterministic &=
+                runner.run(RunOptions::default()).expect("rerun").digest == report.digest;
             hashes[i] = report.digest.hash;
 
             let windows = &report.metrics.prr_windows;

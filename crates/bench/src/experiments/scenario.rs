@@ -3,7 +3,7 @@
 //! reporting the collected metrics — the experiment-harness view of the
 //! golden-trace suite.
 
-use decay_scenario::{golden, BackendSpec, ScenarioRunner};
+use decay_scenario::{golden, BackendSpec, RunOptions, ScenarioRunner};
 
 use crate::table::{fmt_f, fmt_ok, Table};
 
@@ -49,7 +49,9 @@ pub fn e37_scenario_sweep() -> Table {
     for spec in specs {
         let name = spec.name.clone();
         let runner = ScenarioRunner::new(spec).expect("shipped specs validate");
-        let report = runner.run().expect("declared-backend run");
+        let report = runner
+            .run(RunOptions::default())
+            .expect("declared-backend run");
         let agree = [
             BackendSpec::Dense,
             BackendSpec::Lazy,
@@ -62,7 +64,10 @@ pub fn e37_scenario_sweep() -> Table {
         .filter(|&b| b != runner.spec().backend)
         .all(|b| {
             runner
-                .run_on(b)
+                .run(RunOptions {
+                    backend: Some(b),
+                    ..RunOptions::default()
+                })
                 .map(|r| r.digest == report.digest)
                 .unwrap_or(false)
         });

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A rendered experiment result: headline claim plus a data table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment id, e.g. `"E9"`.
     pub id: String,

@@ -16,10 +16,9 @@
 
 use decay_core::{DecaySpace, QuasiMetric};
 use decay_sinr::{is_link_separated_from, AffectanceMatrix, LinkId, LinkSet};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a capacity algorithm run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapacityResult {
     /// The feasible set returned (`S` in the paper).
     pub selected: Vec<LinkId>,
@@ -45,7 +44,7 @@ impl CapacityResult {
 /// "feasible" set). Without separation the output stays feasible but the
 /// approximation argument of Theorem 5 (which charges rejected links to
 /// separated admitted ones) no longer applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm1Variant {
     /// The full algorithm as printed in the paper.
     Full,

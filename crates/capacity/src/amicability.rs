@@ -13,10 +13,9 @@
 
 use decay_core::{DecaySpace, QuasiMetric};
 use decay_sinr::{sparsify_feasible, AffectanceMatrix, LinkId, LinkSet, SinrError};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of the Theorem 4 construction on one feasible set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AmicabilityReport {
     /// Size of the input feasible set `S`.
     pub base_size: usize,

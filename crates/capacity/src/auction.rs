@@ -17,10 +17,9 @@
 //! optimum.
 
 use decay_sinr::{AffectanceMatrix, LinkId};
-use serde::{Deserialize, Serialize};
 
 /// Auction parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuctionConfig {
     /// Number of orthogonal channels for sale.
     pub channels: usize,
@@ -34,7 +33,7 @@ impl Default for AuctionConfig {
 }
 
 /// Outcome of a spectrum auction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuctionOutcome {
     /// Winner sets per channel; each is feasible.
     pub allocation: Vec<Vec<LinkId>>,

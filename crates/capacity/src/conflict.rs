@@ -13,12 +13,11 @@
 
 use decay_core::DecaySpace;
 use decay_sinr::{AffectanceMatrix, ConflictGraph, LinkId, LinkSet};
-use serde::{Deserialize, Serialize};
 
 use crate::scheduling::Schedule;
 
 /// Outcome of scheduling through a conflict graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConflictScheduleReport {
     /// The raw conflict-graph schedule (color classes in decay order).
     pub raw: Schedule,

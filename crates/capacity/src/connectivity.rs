@@ -6,13 +6,12 @@
 
 use decay_core::{DecaySpace, NodeId, QuasiMetric};
 use decay_sinr::{AffectanceMatrix, Link, LinkId, LinkSet, PowerAssignment, SinrError, SinrParams};
-use serde::{Deserialize, Serialize};
 
 use crate::scheduling::{schedule_by_capacity, Schedule};
 
 /// A spanning aggregation structure: every non-root node has one outgoing
 /// link toward the root (following parent pointers reaches the root).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggregationTree {
     /// The sink all data flows to.
     pub root: NodeId,
@@ -73,7 +72,7 @@ pub fn aggregation_tree(quasi: &QuasiMetric, root: NodeId) -> AggregationTree {
 }
 
 /// Outcome of scheduling an aggregation tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggregationSchedule {
     /// The tree that was scheduled.
     pub tree: AggregationTree,

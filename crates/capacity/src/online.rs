@@ -25,10 +25,9 @@ use decay_sinr::{is_link_separated_from, AffectanceMatrix, LinkId, LinkSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Online admission rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OnlineRule {
     /// Accept iff the accepted set stays feasible.
     GreedyFeasible,
@@ -37,7 +36,7 @@ pub enum OnlineRule {
 }
 
 /// Outcome of an online run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnlineResult {
     /// The accepted links, in acceptance order.
     pub accepted: Vec<LinkId>,
@@ -118,7 +117,7 @@ pub fn online_capacity(
 }
 
 /// Canonical arrival orders for online experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrivalOrder {
     /// By link id (the adversary picked the indexing).
     ById,

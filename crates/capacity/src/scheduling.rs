@@ -2,11 +2,10 @@
 //! slots (the classic reduction the paper cites for [16, 17]).
 
 use decay_sinr::{AffectanceMatrix, LinkId};
-use serde::{Deserialize, Serialize};
 
 /// A schedule: feasible slots plus links that cannot be scheduled at all
 /// (they fail even alone, e.g. below the noise floor).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// The slots, in order; each is feasible.
     pub slots: Vec<Vec<LinkId>>,

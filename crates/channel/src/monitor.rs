@@ -5,10 +5,11 @@
 //! a *frozen* decay space; under a temporal channel it becomes a
 //! trajectory — mobility stretches triangles, shadowing and fading bend
 //! them — and algorithm guarantees parameterized by `ζ` hold per
-//! coherence block, not per run. The [`MetricityMonitor`] samples the
-//! engine's backend at fixed tick intervals (on the scenario runner's
-//! pause grid, so sampling can never perturb a trace) and folds the
-//! `ζ(t)`/`φ(t)` series into the metrics report.
+//! coherence block, not per run. [`sample`] scans the engine's backend
+//! at one tick; the scenario session calls it on its pause grid (so
+//! sampling can never perturb a trace) and folds the `ζ(t)`/`φ(t)`
+//! series into the metrics report, and the [`MetricityMonitor`] probe
+//! does the same on a fixed interval for any probed drive loop.
 //!
 //! The cubic triple scan caps at [`MetricityMonitor::new`]'s `max_nodes`
 //! by sampling an evenly spaced node subset, whose metricity is a lower
@@ -19,7 +20,7 @@ use decay_core::{metricity, phi_metricity, DecaySpace, NodeId};
 use decay_engine::{DecayBackend, Tick};
 
 /// One sampled point of the metricity trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZetaSample {
     /// The tick the instantaneous matrix was sampled at.
     pub tick: Tick,

@@ -27,7 +27,7 @@ use crate::temporal::{signature_of, TemporalBackend};
 const FORMAT: &str = "decay-gain-trace-v1";
 
 /// One dense gain-matrix frame.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GainFrame {
     /// First coherence block this frame covers.
     pub block: u64,
@@ -36,7 +36,7 @@ pub struct GainFrame {
 }
 
 /// A replayable sequence of measured gain matrices.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GainTrace {
     n: usize,
     block_len: Tick,

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::Rng;
 
 /// Gossip behavior: listen, transmit at geometric intervals.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct Gossiper {
     heard: u64,
 }

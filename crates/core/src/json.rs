@@ -2,10 +2,9 @@
 //! document formats (scenario specs in `decay-scenario`, gain traces in
 //! `decay-channel`).
 //!
-//! The workspace's `serde` is an offline stand-in that cannot actually
-//! serialize (see `vendor/serde`), but human-readable document files are
-//! the point of those crates — a scenario or a measured gain trace *is*
-//! a JSON document checked into a repository. This module supplies the
+//! Human-readable document files are the point of those crates — a
+//! scenario or a measured gain trace *is* a JSON document checked into a
+//! repository. This module supplies the
 //! round trip by hand: a small recursive-descent parser into
 //! [`JsonValue`] and a deterministic pretty-printer whose output is
 //! byte-stable (object keys keep their insertion order), so

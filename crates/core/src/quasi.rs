@@ -7,8 +7,6 @@
 //! transfer) works by applying metric-space results to `D′` with path-loss
 //! constant `ζ(D)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metricity::metricity;
 use crate::space::{DecaySpace, NodeId};
 
@@ -30,7 +28,7 @@ use crate::space::{DecaySpace, NodeId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuasiMetric {
     n: usize,
     zeta: f64,

@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DecayError;
 
 /// Identifier of a node (point) in a [`DecaySpace`].
 ///
 /// Node identifiers are dense indices `0..space.len()`; they are only
 /// meaningful relative to the space that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(usize);
 
 impl NodeId {
@@ -45,7 +43,7 @@ impl From<usize> for NodeId {
 
 /// How to symmetrize an asymmetric decay space; see
 /// [`DecaySpace::symmetrized`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Symmetrization {
     /// Replace both directions by the smaller decay (stronger link wins).
     Min,
@@ -81,7 +79,7 @@ pub enum Symmetrization {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecaySpace {
     n: usize,
     /// Row-major: `decays[i * n + j] = f(i, j)`.

@@ -26,10 +26,9 @@
 use decay_sinr::{AffectanceMatrix, LinkId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How the jammer behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JammingModel {
     /// No jamming.
     None,
@@ -50,7 +49,7 @@ pub enum JammingModel {
 }
 
 /// How spectrum availability behaves (the sleeping-experts dimension).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AvailabilityModel {
     /// Every link is available every round.
     Always,
@@ -69,7 +68,7 @@ pub enum AvailabilityModel {
 }
 
 /// Parameters of the adversarial regret game.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversarialConfig {
     /// Number of rounds.
     pub rounds: usize,
@@ -102,7 +101,7 @@ impl Default for AdversarialConfig {
 }
 
 /// Outcome of an adversarial regret run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversarialOutcome {
     /// Per-round success counts.
     pub success_history: Vec<usize>,

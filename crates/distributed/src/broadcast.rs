@@ -11,10 +11,9 @@ use decay_core::DecaySpace;
 use decay_netsim::{Action, NodeBehavior, ReceptionModel, Simulator, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a local broadcast run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BroadcastConfig {
     /// Neighborhood radius in decay: node `z` must hear node `u` whenever
     /// `f(u, z) ≤ F`.
@@ -46,7 +45,7 @@ impl Default for BroadcastConfig {
 }
 
 /// Outcome of a local broadcast run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BroadcastReport {
     /// Slots until every required (sender, neighbor) pair was delivered;
     /// `None` when the budget ran out first.

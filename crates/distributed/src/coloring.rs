@@ -25,10 +25,9 @@ use decay_core::{DecaySpace, NodeId};
 use decay_netsim::{Action, NodeBehavior, Simulator, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a distributed coloring run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColoringConfig {
     /// Two nodes are neighbors iff both directed decays are at most this.
     pub f_max: f64,
@@ -55,7 +54,7 @@ impl Default for ColoringConfig {
 }
 
 /// Outcome of a coloring run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColoringReport {
     /// Whether a proper coloring was reached within the slot cap.
     pub completed: bool,

@@ -18,10 +18,9 @@
 use decay_sinr::{AffectanceMatrix, LinkId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How an undelivered sender chooses its transmission probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ContentionStrategy {
     /// Transmit with a fixed probability every slot.
     Fixed {
@@ -65,7 +64,7 @@ impl ContentionStrategy {
 }
 
 /// Parameters of a contention-resolution run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionConfig {
     /// Sender strategy.
     pub strategy: ContentionStrategy,
@@ -86,7 +85,7 @@ impl Default for ContentionConfig {
 }
 
 /// Outcome of a contention-resolution run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentionReport {
     /// Slot in which each link delivered (`None` = never, within the cap;
     /// links that cannot clear the noise floor alone can never deliver).

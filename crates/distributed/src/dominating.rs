@@ -14,10 +14,9 @@ use decay_core::{DecaySpace, NodeId};
 use decay_netsim::{Action, NodeBehavior, Simulator, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for the dominating-set protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DominatingConfig {
     /// Neighborhood radius in decay: hearing a dominator `u` with
     /// `f(u, z) ≤ F` dominates `z`.
@@ -45,7 +44,7 @@ impl Default for DominatingConfig {
 }
 
 /// Outcome of a dominating-set run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DominatingReport {
     /// The elected dominators.
     pub dominators: Vec<NodeId>,

@@ -20,7 +20,6 @@ use decay_engine::{
 };
 use decay_netsim::ReceptionModel;
 use decay_sinr::SinrParams;
-use serde::{Deserialize, Serialize};
 
 use crate::adversarial::JammingModel;
 
@@ -39,7 +38,7 @@ pub fn jam_schedule_from_model(model: JammingModel) -> JamSchedule {
 }
 
 /// Parameters of an event-driven local broadcast run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventBroadcastConfig {
     /// Neighborhood radius in decay: node `z` must hear node `u` whenever
     /// `f(u, z) ≤ F`.
@@ -91,7 +90,7 @@ impl Default for EventBroadcastConfig {
 }
 
 /// Outcome of an event-driven local broadcast run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventBroadcastReport {
     /// Tick (at check granularity) by which every required pair was
     /// delivered; `None` when the budget ran out first.
@@ -112,7 +111,7 @@ pub struct EventBroadcastReport {
 }
 
 /// The event-driven broadcaster behavior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventBroadcaster {
     p: f64,
     power: f64,

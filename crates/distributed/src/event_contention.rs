@@ -18,12 +18,11 @@ use decay_engine::{
     EventBehavior, NodeCtx, Tick,
 };
 use decay_sinr::SinrParams;
-use serde::{Deserialize, Serialize};
 
 use crate::contention::ContentionStrategy;
 
 /// Parameters of an event-driven contention run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventContentionConfig {
     /// Sender strategy (shared with the slot-synchronous port).
     pub strategy: ContentionStrategy,
@@ -44,7 +43,7 @@ impl Default for EventContentionConfig {
 }
 
 /// Outcome of an event-driven contention run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventContentionReport {
     /// Tick at which each link delivered (`None` = never).
     pub delivered_at: Vec<Option<Tick>>,
@@ -71,7 +70,7 @@ impl EventContentionReport {
 }
 
 /// Per-node behavior: a link sender or its passive receiver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ContentionNode {
     /// An undelivered sender driving one link.
     Sender {
@@ -210,8 +209,7 @@ impl decay_engine::probe::Tunable for ContentionNode {
 }
 
 /// Byte-level state capture, so contention runs can checkpoint/resume
-/// through `decay_engine::Checkpoint` (the offline serde stand-in cannot
-/// serialize; see `decay_engine::codec`).
+/// through `decay_engine::Checkpoint` (see `decay_engine::codec`).
 impl Codec for ContentionNode {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {

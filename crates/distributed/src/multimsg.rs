@@ -19,13 +19,12 @@ use decay_core::{DecaySpace, NodeId};
 use decay_netsim::{Action, FaultPlan, NodeBehavior, Simulator, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of distinct messages (knowledge is a `u64` bitmask).
 pub const MAX_MESSAGES: usize = 64;
 
 /// Parameters of a multi-message broadcast run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiBroadcastConfig {
     /// Per-slot transmission probability for informed nodes.
     pub p_send: f64,
@@ -49,7 +48,7 @@ impl Default for MultiBroadcastConfig {
 }
 
 /// Outcome of a multi-message broadcast run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiBroadcastReport {
     /// Whether every node learned every message within the cap.
     pub completed: bool,

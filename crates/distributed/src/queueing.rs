@@ -12,10 +12,9 @@
 use decay_sinr::{AffectanceMatrix, LinkId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Scheduler choices for the queueing simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// Centralized: scan backlogged links by decreasing queue length,
     /// admit while the scheduled set stays feasible (longest-queue-first
@@ -32,7 +31,7 @@ pub enum Scheduler {
 }
 
 /// Parameters of a queueing run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueingConfig {
     /// Per-link per-slot packet arrival probability `λ`.
     pub arrival_rate: f64,
@@ -45,7 +44,7 @@ pub struct QueueingConfig {
 }
 
 /// Outcome of a queueing run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueingReport {
     /// Final queue length per link.
     pub final_queues: Vec<usize>,

@@ -17,10 +17,9 @@
 use decay_sinr::{AffectanceMatrix, LinkId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the regret game.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegretConfig {
     /// Number of rounds to play.
     pub rounds: usize,
@@ -48,7 +47,7 @@ impl Default for RegretConfig {
 }
 
 /// Outcome of a regret-game run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegretOutcome {
     /// The largest feasible success set observed in any round.
     pub best_feasible: Vec<LinkId>,

@@ -14,15 +14,13 @@
 
 use decay_core::NodeId;
 use decay_netsim::{Action, NodeBehavior, SlotContext};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{EventBehavior, NodeCtx};
 
 /// Wraps a [`NodeBehavior`] so it runs on the event engine.
 ///
 /// Serializable (hence checkpointable) whenever the wrapped behavior is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotAdapter<B> {
     inner: B,
 }

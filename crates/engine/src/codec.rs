@@ -1,9 +1,8 @@
 //! A dependency-free binary codec for checkpoints.
 //!
-//! The workspace's `serde` is an offline stand-in that cannot actually
-//! serialize (see `vendor/serde`), but checkpointing is a core deliverable
-//! of this crate: a [`crate::Checkpoint`] must survive a trip through
-//! bytes and resume bit-identically. This module provides that trip by
+//! Checkpointing is a core deliverable of this crate: a
+//! [`crate::Checkpoint`] must survive a trip through bytes and resume
+//! bit-identically. This module provides that trip by
 //! hand: a small length-prefixed little-endian format with explicit enum
 //! tags. Every engine state type implements [`Codec`]; behaviors that
 //! want byte-level checkpoints implement it too (a handful of lines —

@@ -28,7 +28,6 @@ use decay_core::NodeId;
 use decay_netsim::{FaultPlan, ReceptionModel};
 use decay_sinr::SinrParams;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::DecayBackend;
 use crate::codec::{Codec, CodecError};
@@ -43,7 +42,7 @@ const STREAM_JAM: u64 = 3;
 const STREAM_NODE_BASE: u64 = 4;
 
 /// A node's radio mode between events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeMode {
     /// Radio on: the node is a reception candidate.
     Listening,
@@ -56,7 +55,7 @@ pub enum NodeMode {
 
 /// What a behavior asked the engine to do, buffered during a callback and
 /// applied when the callback returns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Command {
     Transmit { power: f64, message: u64 },
     Listen,
@@ -180,7 +179,7 @@ pub trait EventBehavior {
 /// (crash-recovery semantics, matching [`decay_netsim::FaultPlan`]) but
 /// gets a fresh incarnation: wake-ups and deliveries scheduled for its
 /// previous life are dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Ticks between churn steps (≥ 1).
     pub interval: Tick,
@@ -201,7 +200,7 @@ impl Default for ChurnConfig {
 }
 
 /// Latency applied to each scheduled delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LatencyModel {
     /// Deliveries arrive in the tick they were resolved (slot semantics).
     #[default]
@@ -225,7 +224,7 @@ pub enum LatencyModel {
 /// affected tick. The schedule kinds mirror
 /// `decay_distributed::adversarial::JammingModel` so adversarial
 /// experiments port directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum JamSchedule {
     /// No jamming.
     #[default]
@@ -244,7 +243,7 @@ pub enum JamSchedule {
 }
 
 /// Engine configuration: physics, dynamics, and instrumentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Decay beyond which a signal is treated as unreceivable. `None`
     /// considers every node a candidate (`O(n)` per transmission —
@@ -324,7 +323,7 @@ impl EngineConfig {
 }
 
 /// One recorded delivery (when [`EngineConfig::record_trace`] is on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryRecord {
     /// Tick the message arrived (resolution tick plus latency).
     pub tick: Tick,
@@ -357,7 +356,7 @@ impl DeliveryRecord {
 /// restored engine rebuilds its queue and restarts the high-water mark
 /// from the restore point). Every trace-defining counter participates
 /// in both.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Events dispatched.
     pub events: u64,
@@ -476,11 +475,7 @@ impl std::error::Error for EngineError {}
 /// trace to the uninterrupted run: the event queue, every RNG stream's
 /// mid-state, node modes and incarnations, behavior state, and the
 /// rolling trace hash are all captured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "B: Serialize",
-    deserialize = "B: serde::de::DeserializeOwned"
-))]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint<B> {
     /// Snapshot format version.
     pub version: u32,
@@ -810,8 +805,8 @@ impl<B> Checkpoint<B> {
 }
 
 impl<B: Codec> Checkpoint<B> {
-    /// Serializes the checkpoint to bytes (the offline serde stand-in
-    /// cannot; this hand-rolled codec can — see [`crate::codec`]).
+    /// Serializes the checkpoint to bytes with the hand-rolled codec
+    /// (see [`crate::codec`]).
     pub fn to_bytes(&self) -> Vec<u8> {
         crate::codec::to_bytes(self)
     }

@@ -10,7 +10,6 @@
 use std::cmp::Ordering;
 
 use decay_core::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{Codec, CodecError};
 
@@ -20,7 +19,7 @@ use crate::codec::{Codec, CodecError};
 pub type Tick = u64;
 
 /// What happens when an event fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// One churn step: the dynamics model flips at most one node.
     ChurnStep,
@@ -65,7 +64,7 @@ impl Event {
 }
 
 /// An event with its firing time and deterministic tie-break key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueuedEvent {
     /// When the event fires.
     pub tick: Tick,

@@ -43,7 +43,7 @@
 //! use decay_sinr::SinrParams;
 //!
 //! /// Every node announces itself once, at a random tick, then listens.
-//! #[derive(Clone, serde::Serialize, serde::Deserialize)]
+//! #[derive(Clone)]
 //! struct Announce {
 //!     heard: Vec<u64>,
 //! }
@@ -131,4 +131,4 @@ pub use probe::{
     PrrWindowSample, Tunable, WindowedPrr,
 };
 pub use rng::{geometric_gap, EngineRng};
-pub use telemetry::{dump_flight, EventKind, EventRecord, TelemetryProbe};
+pub use telemetry::{dump_flight, EventKind, EventRecord};

@@ -254,7 +254,7 @@ enum Phase {
 /// Drains the engine's trace buffer once, assembles the [`PauseCtx`]
 /// for its current state, and runs `f` with it — the single place the
 /// context is built, shared by the drivers here and by custom loops
-/// (the scenario runner's checkpoint-aware drive composes over this).
+/// (the scenario session's checkpoint-aware drive composes over this).
 /// The context borrows the engine only inside the call, so the caller
 /// is free to mutate the engine (apply directives, checkpoint)
 /// afterwards with `f`'s return value in hand.
@@ -299,8 +299,8 @@ fn pause_probes<B: EventBehavior>(
 /// grid stop, `on_finish`). Returns the final stats.
 ///
 /// This is the loop the examples and bench experiments compose with;
-/// the scenario runner's `drive` adds completion checks and
-/// checkpoint/resume on top of the same [`PauseCtx`] stream.
+/// the scenario session adds completion checks and checkpoint/resume on
+/// top of the same [`PauseCtx`] stream.
 ///
 /// # Panics
 ///
@@ -359,7 +359,7 @@ fn drive<B: EventBehavior>(
 
 /// One sample of the windowed packet-reception-ratio series: traffic
 /// totals over one fixed-length tick window.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrrWindowSample {
     /// First tick after the window (`tick - window .. tick`).
     pub tick: Tick,

@@ -5,10 +5,9 @@
 //! every per-node generator, and `StdRng` does not expose or serialize its
 //! internals. [`EngineRng`] is xoshiro256++ — 32 bytes of state, full
 //! `u64` output, and good enough statistical quality for simulation — with
-//! `serde` support so a checkpoint resumes bit-identically.
+//! a [`Codec`] impl so a checkpoint resumes bit-identically.
 
 use rand::{Error, RngCore};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{Codec, CodecError};
 
@@ -17,7 +16,7 @@ use crate::codec::{Codec, CodecError};
 /// Implements [`rand::RngCore`], so all [`rand::Rng`] conveniences
 /// (`gen_range`, `gen_bool`, ...) work on it, including through
 /// `&mut dyn RngCore` as handed to node behaviors.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EngineRng {
     s: [u64; 4],
 }

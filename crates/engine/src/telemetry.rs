@@ -1,41 +1,22 @@
-//! The [`TelemetryProbe`] and flight recorder: pause-grid sampling of
-//! the hot-path counters in [`decay_core::telemetry`], plus the "what
-//! just happened" ring dumped when a run goes wrong.
+//! Counter accumulation and the flight-recorder format: the engine-side
+//! halves of the pause-grid telemetry in [`decay_core::telemetry`].
 //!
-//! # Sampling contract
-//!
-//! The probe emits one [`TelemetrySample`] per elapsed `interval`
-//! ticks, on the same pause grid as the ζ(t) series and the windowed
-//! PRR: a sample at tick `t` covers `(t - interval, t]`. Off-grid
-//! pauses (a checkpoint split, say) fold counts into a
-//! [`CounterAccumulator`] without emitting, and a driver that restores
-//! from a checkpoint calls [`Probe::on_restore`], so the
-//! engine-side counters (`events`, `resolve_ticks`, `sinr_pairs`,
-//! `decay_calls`, `reach_scans`) are invariant to how often the driver
-//! pauses and where it splits. Channel-side counters fold the same
-//! way, so they equal an unsplit run's when the split lands on a
-//! coherence-block boundary (every split, at block length 1); a split
-//! inside a block also counts the rebuilt backend's rescan of that
-//! block's rows. Trace digests, ζ(t), and PRR are unaffected either
-//! way — the probe is read-only, which the probe-transparency proptest
-//! enforces.
-//!
-//! # Flight recorder
-//!
-//! The probe keeps a fixed-size ring of the most recent samples; the
-//! engine (when [`crate::Engine::enable_event_log`] is on) keeps a ring
-//! of the most recent dispatched events. [`dump_flight`] renders both
-//! as the line-oriented `flight-recorder v1` format for bug reports on
-//! divergence or nondeterminism — cheap enough to leave armed on every
-//! scenario run.
+//! [`CounterAccumulator`] folds the merged engine + backend counter
+//! sinks across pauses and checkpoint/restore cycles; the scenario
+//! session's recorder builds its telemetry series from one. The engine
+//! (when [`crate::Engine::enable_event_log`] is on) keeps a ring of the
+//! most recent dispatched events, and [`dump_flight`] renders recent
+//! telemetry samples plus those events as the line-oriented
+//! `flight-recorder v1` format for bug reports on divergence or
+//! nondeterminism — cheap enough to leave armed on every scenario run.
 
 use std::fmt;
 use std::fmt::Write as _;
 
-use decay_core::telemetry::{Counter, CounterSnapshot, Ring, TelemetrySample, Timer};
+use decay_core::telemetry::{Counter, CounterSnapshot, TelemetrySample, Timer};
 
 use crate::event::{Event, Tick};
-use crate::probe::{PauseCtx, Probe};
+use crate::probe::PauseCtx;
 
 /// The event classes a flight-recorder entry can record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,100 +133,6 @@ impl CounterAccumulator {
     /// Everything counted up to the latest fold.
     pub fn total(&self) -> CounterSnapshot {
         self.total
-    }
-}
-
-/// A read-only probe sampling the merged engine + backend counter
-/// sinks on the pause grid (see the [module docs](self) for the
-/// sampling contract). Keeps the full series for reports and a
-/// fixed-size tail for the flight recorder.
-#[derive(Debug)]
-pub struct TelemetryProbe {
-    interval: Tick,
-    counters: CounterAccumulator,
-    /// The running total as of the previous emitted sample.
-    at_sample: CounterSnapshot,
-    last_emitted: Option<Tick>,
-    samples: Vec<TelemetrySample>,
-    flight: Ring<TelemetrySample>,
-}
-
-impl TelemetryProbe {
-    /// A probe emitting one sample per `interval` ticks, retaining the
-    /// last `flight_keep` samples in the flight ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` or `flight_keep` is zero.
-    pub fn new(interval: Tick, flight_keep: usize) -> Self {
-        assert!(interval > 0, "telemetry interval must be at least 1");
-        TelemetryProbe {
-            interval,
-            counters: CounterAccumulator::default(),
-            at_sample: CounterSnapshot::default(),
-            last_emitted: None,
-            samples: Vec::new(),
-            flight: Ring::new(flight_keep),
-        }
-    }
-
-    /// The emitted series so far.
-    pub fn samples(&self) -> &[TelemetrySample] {
-        &self.samples
-    }
-
-    /// Consumes the probe, yielding the series.
-    pub fn into_samples(self) -> Vec<TelemetrySample> {
-        self.samples
-    }
-
-    /// The merged counter totals up to the latest pause, folded across
-    /// restores.
-    pub fn totals(&self) -> CounterSnapshot {
-        self.counters.total()
-    }
-
-    /// The flight-recorder tail: the most recent samples, oldest
-    /// first.
-    pub fn recent(&self) -> Vec<TelemetrySample> {
-        self.flight.iter().copied().collect()
-    }
-
-    fn absorb(&mut self, ctx: &PauseCtx<'_>) {
-        let total = self.counters.fold(ctx);
-        if ctx.tick == 0
-            || !ctx.tick.is_multiple_of(self.interval)
-            || self.last_emitted == Some(ctx.tick)
-        {
-            return;
-        }
-        let sample = TelemetrySample {
-            tick: ctx.tick,
-            delta: total.delta_since(&self.at_sample),
-            queue_high_water: ctx.stats.queue_high_water,
-        };
-        self.at_sample = total;
-        self.last_emitted = Some(ctx.tick);
-        self.samples.push(sample);
-        self.flight.push(sample);
-    }
-}
-
-impl Probe for TelemetryProbe {
-    fn on_start(&mut self, ctx: &PauseCtx<'_>) {
-        self.counters.start(ctx);
-    }
-
-    fn on_pause(&mut self, ctx: &PauseCtx<'_>) {
-        self.absorb(ctx);
-    }
-
-    fn on_finish(&mut self, ctx: &PauseCtx<'_>) {
-        self.absorb(ctx);
-    }
-
-    fn on_restore(&mut self) {
-        self.counters.note_restore();
     }
 }
 

@@ -4,10 +4,8 @@
 //! geometric decay; a pattern maps the departure (or arrival) angle to a
 //! gain in dB that enters the link budget.
 
-use serde::{Deserialize, Serialize};
-
 /// A transmit/receive antenna pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AntennaPattern {
     /// Equal gain in all directions.
     #[default]

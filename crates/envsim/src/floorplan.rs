@@ -1,11 +1,9 @@
 //! Floor plans: walls with attenuation and office-building generators.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::{Point2, Segment};
 
 /// A wall: a segment with a per-crossing attenuation in dB.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wall {
     /// The wall's footprint.
     pub segment: Segment,
@@ -29,7 +27,7 @@ impl Wall {
 }
 
 /// A static floor plan: a collection of attenuating walls.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FloorPlan {
     walls: Vec<Wall>,
 }

@@ -1,10 +1,8 @@
 //! Minimal 2D geometry: points, segments, and segment intersection, used
 //! to count wall crossings along line-of-sight paths.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point2 {
     /// X coordinate in meters.
     pub x: f64,
@@ -43,7 +41,7 @@ impl From<(f64, f64)> for Point2 {
 }
 
 /// A line segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// One endpoint.
     pub a: Point2,

@@ -10,10 +10,9 @@
 use decay_core::{DecayError, DecaySpace, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// RSSI measurement parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementModel {
     /// Transmit power used during calibration, dBm.
     pub tx_power_dbm: f64,
@@ -42,7 +41,7 @@ impl Default for MeasurementModel {
 }
 
 /// A measured decay space: the reconstruction plus censoring metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measured {
     /// The reconstructed decay space (censored pairs clamped to the
     /// observability limit).

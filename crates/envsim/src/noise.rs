@@ -6,8 +6,6 @@
 //! interpolation of hashed lattice values, several octaves), which is
 //! deterministic, smooth, and has tunable correlation length.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic correlated scalar field over the plane with values
 /// roughly in `[-1, 1]` scaled by `amplitude`.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v, field.sample(3.0, 4.0));
 /// assert!(v.abs() <= 2.0 + 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseField {
     seed: u64,
     /// Correlation length in meters: features of the field vary over

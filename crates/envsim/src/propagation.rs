@@ -14,7 +14,6 @@
 //! The decay is `f(i, j) = 10^{PL(i→j)/10}`, i.e. gain `= 1/f`.
 
 use decay_core::{DecayError, DecaySpace};
-use serde::{Deserialize, Serialize};
 
 use crate::antenna::AntennaPattern;
 use crate::floorplan::FloorPlan;
@@ -22,7 +21,7 @@ use crate::geometry::Point2;
 use crate::noise::NoiseField;
 
 /// A deployed transceiver: position plus antenna pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Device {
     /// Where the device sits.
     pub position: Point2,
@@ -41,7 +40,7 @@ impl Device {
 }
 
 /// Propagation model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PropagationModel {
     /// Path-loss exponent `n` (2 in free space, 1.6–1.8 line-of-sight
     /// indoors, up to 4+ obstructed).

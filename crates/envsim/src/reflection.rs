@@ -14,7 +14,6 @@
 //! perfectly static and measurable.
 
 use decay_core::{DecayError, DecaySpace};
-use serde::{Deserialize, Serialize};
 
 use crate::floorplan::FloorPlan;
 use crate::geometry::{Point2, Segment};
@@ -36,7 +35,7 @@ pub fn mirror_across(p: Point2, seg: &Segment) -> Option<Point2> {
 }
 
 /// A propagation model with one-bounce specular multipath.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultipathModel {
     /// The direct-path model (log-distance + walls + shadowing + antennas
     /// + hardware offsets).

@@ -5,7 +5,6 @@
 use decay_core::DecaySpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::antenna::AntennaPattern;
 use crate::floorplan::FloorPlan;
@@ -14,7 +13,7 @@ use crate::measurement::{Measured, MeasurementModel};
 use crate::propagation::{Device, PropagationModel};
 
 /// Configuration of an office testbed scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfficeConfig {
     /// Rooms along x.
     pub rooms_x: usize,

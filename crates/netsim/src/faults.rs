@@ -9,11 +9,10 @@
 //! rather than catastrophically when participants disappear.
 
 use decay_core::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One contiguous outage of one node over the half-open slot interval
 /// `[from_slot, until_slot)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Outage {
     /// The affected node.
     pub node: NodeId,
@@ -46,7 +45,7 @@ impl Outage {
 /// assert!(plan.is_down(NodeId::new(1), 6));
 /// assert!(!plan.is_down(NodeId::new(1), 8));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     outages: Vec<Outage>,
 }

@@ -63,7 +63,6 @@ use decay_core::{DecaySpace, NodeId};
 use decay_sinr::SinrParams;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What a node does in one slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,7 +81,7 @@ pub enum Action {
 }
 
 /// A successful reception.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     /// The receiving node.
     pub to: NodeId,
@@ -145,7 +144,7 @@ pub trait NodeBehavior {
 }
 
 /// Outcome of one simulated slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotReport {
     /// The slot number.
     pub slot: usize,
@@ -158,7 +157,7 @@ pub struct SlotReport {
 }
 
 /// Cumulative statistics over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Slots simulated.
     pub slots: usize,

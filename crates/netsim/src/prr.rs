@@ -14,13 +14,12 @@
 
 use decay_core::{DecaySpace, NodeId};
 use decay_sinr::SinrParams;
-use serde::{Deserialize, Serialize};
 
 use crate::{Action, NodeBehavior, ReceptionModel, Simulator, SlotContext};
 
 /// Packet reception rates for every ordered (transmitter, receiver) pair,
 /// produced by a probe campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrrMatrix {
     n: usize,
     rounds: usize,
@@ -144,7 +143,7 @@ pub fn run_probe_campaign(
 /// An "attempt" at pair `(tx, rx)` is a slot in which `tx` transmitted
 /// (every other node is a potential receiver under the broadcast
 /// medium); a success is `rx` actually capturing that transmission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrrTracker {
     n: usize,
     /// Slots in which each node transmitted.
@@ -160,7 +159,7 @@ pub struct PrrTracker {
 }
 
 /// One retained slot of the sliding window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct WindowSlot {
     slot: usize,
     transmitters: Vec<NodeId>,
@@ -473,7 +472,7 @@ pub fn infer_decay_from_prr(
 
 /// Agreement statistics between a ground-truth and an inferred decay
 /// space, on the log scale (decays are ratio quantities).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceReport {
     /// Mean of `|log10(f̂/f)|` over compared pairs.
     pub mean_abs_log10_error: f64,

@@ -10,10 +10,8 @@
 //! assumptions the paper lists in its introduction) can be measured rather
 //! than assumed; experiment E30 does exactly that.
 
-use serde::{Deserialize, Serialize};
-
 /// How a listener decides whether it captures a transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReceptionModel {
     /// Deterministic SINR thresholding (Section 2.1): success iff
     /// `SINR ≥ β` computed from the decay matrix alone.

@@ -11,8 +11,8 @@
 //! conformance suite checks.
 
 use decay_channel::{
-    FadingConfig, MetricityMonitor, MobilityConfig, MobilityModel, ShadowingConfig,
-    TemporalAdapter, TemporalChannel, TraceChannel,
+    FadingConfig, MobilityConfig, MobilityModel, ShadowingConfig, TemporalAdapter, TemporalChannel,
+    TraceChannel,
 };
 use decay_engine::DecayBackend;
 use decay_spaces::Point;
@@ -109,12 +109,6 @@ impl ChannelSpec {
         }
         Box::new(TemporalAdapter::new(channel))
     }
-
-    /// The metricity monitor this spec asks for, if any.
-    pub fn build_monitor(&self) -> Option<MetricityMonitor> {
-        self.monitor
-            .map(|m| MetricityMonitor::new(m.interval, m.max_nodes))
-    }
 }
 
 #[cfg(test)]
@@ -181,13 +175,5 @@ mod tests {
         }
         assert_eq!(dense.channel_signature(), lazy.channel_signature());
         assert_ne!(dense.channel_signature(), 0);
-    }
-
-    #[test]
-    fn monitor_compiles_only_when_requested() {
-        assert!(full_channel().build_monitor().is_some());
-        let mut bare = full_channel();
-        bare.monitor = None;
-        assert!(bare.build_monitor().is_none());
     }
 }

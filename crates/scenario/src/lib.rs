@@ -68,14 +68,16 @@
 //! of the instantaneous matrix into the metrics report, on the runner's
 //! pause grid so sampling can never perturb the digest.
 //!
-//! # Probes and controllers
+//! # Observation and controllers
 //!
-//! The runner's drive loop is a thin composition over the
-//! `decay_engine::probe` API: metrics, the ζ(t) monitor, the windowed
-//! PRR series (`prr_window`), and golden-digest capture are all
-//! read-only [`Probe`]s fed one shared pause stream, and
-//! [`ScenarioRunner::run_instrumented`] lets callers attach their own.
-//! The `adaptive` block compiles to a [`AdaptiveContention`]
+//! A [`RunSession`] folds every pause once, in one recorder: the
+//! latency histogram, the ζ(t) series, the windowed PRR series
+//! (`prr_window`), the telemetry counter deltas, the golden-digest
+//! ingredients, the flight-recorder tail, and — when a writer is
+//! attached — the `decay-runlog-v1` stream ([`runlog`]) are all read
+//! from that one fold. Callers attach their own read-only [`Probe`]s
+//! with [`RunSession::new`] and drive the session with
+//! [`RunSession::run_to_end`]. The `adaptive` block compiles to a [`AdaptiveContention`]
 //! [`Controller`] whose grid-aligned decisions re-tune every node's
 //! transmit probability from a live ζ(t) estimate; controller identity
 //! is folded into checkpoint signatures, so resume invariance and
@@ -85,7 +87,7 @@
 //! # Example
 //!
 //! ```
-//! use decay_scenario::{ScenarioRunner, ScenarioSpec};
+//! use decay_scenario::{RunOptions, ScenarioRunner, ScenarioSpec};
 //!
 //! let spec = ScenarioSpec::from_json_str(r#"{
 //!   "name": "quick",
@@ -95,7 +97,10 @@
 //!   "sinr": { "beta": 1.0, "noise": 0.0 },
 //!   "protocol": { "kind": "broadcast", "neighborhood_decay": 8.0, "power": 1.0 }
 //! }"#).unwrap();
-//! let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
+//! let report = ScenarioRunner::new(spec)
+//!     .unwrap()
+//!     .run(RunOptions::default())
+//!     .unwrap();
 //! assert!(report.metrics.prr > 0.0);
 //! // The digest is a pure function of the spec: bit-equal on every
 //! // backend and across checkpoint/resume.
@@ -109,7 +114,7 @@ mod channel;
 pub mod golden;
 pub mod json;
 mod metrics;
-pub mod probes;
+mod recorder;
 pub mod runlog;
 mod runner;
 mod session;
@@ -121,10 +126,7 @@ pub use decay_engine::probe::{Controller, Directive, PauseCtx, Probe, Tunable, W
 pub use decay_engine::PrrWindowSample;
 pub use json::{JsonError, JsonValue};
 pub use metrics::{MetricsCollector, MetricsReport, BUCKET_LABELS, LATENCY_BUCKETS};
-pub use probes::{DigestProbe, MetricsProbe};
-pub use runlog::{
-    chrome_trace_json, spec_signature, RunLog, RunLogProbe, RunPhase, RunRecord, RUNLOG_FORMAT,
-};
+pub use runlog::{chrome_trace_json, spec_signature, RunLog, RunRecord, RUNLOG_FORMAT};
 pub use runner::{RunOptions, ScenarioError, ScenarioReport, ScenarioRunner, TraceDigest};
 pub use session::{CompiledScenario, RunSession, ScenarioCache, SessionStep};
 pub use spec::{

@@ -8,14 +8,13 @@
 //! (wall-clock) is deterministic in the spec.
 
 use std::fmt;
-use std::time::Duration;
 
 use decay_channel::ZetaSample;
 use decay_core::telemetry::{Counter, Counters, TelemetrySample, Timer};
 use decay_engine::{DeliveryRecord, EngineStats, PrrWindowSample, Tick};
-use serde::{Deserialize, Serialize};
 
 use crate::json::{int, num, obj, s, JsonValue};
+use crate::runlog::stats_json;
 
 /// Number of latency histogram buckets: delay 0, 1, then doubling ranges
 /// `[2,3] [4,7] [8,15] [16,31] [32,63]`, and `64+`.
@@ -38,11 +37,11 @@ fn bucket_of(latency: Tick) -> usize {
 /// Streaming metrics accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
-    hist: [u64; LATENCY_BUCKETS],
+    pub(crate) hist: [u64; LATENCY_BUCKETS],
     observed: u64,
     total_latency: u64,
-    first_delivery: Option<Tick>,
-    last_delivery: Option<Tick>,
+    pub(crate) first_delivery: Option<Tick>,
+    pub(crate) last_delivery: Option<Tick>,
 }
 
 impl MetricsCollector {
@@ -75,55 +74,12 @@ impl MetricsCollector {
         self.observed
     }
 
-    /// Finalizes the report. `prr` is the protocol-level packet reception
-    /// ratio computed by the runner (coverage for broadcast, delivered
-    /// links for contention, in-flight survival for announce);
-    /// `completed_at` the tick the protocol's goal was reached, if it
-    /// was; `wall` the measured wall-clock time of the run;
-    /// `zeta_series` the sampled metricity trajectory (empty when no
-    /// monitor ran); `prr_windows` the windowed reception-ratio series
-    /// (empty when the spec requests none).
-    /// `telemetry` is the pause-grid counter-delta series from the
-    /// always-attached [`decay_engine::TelemetryProbe`] (empty for
-    /// hand-built reports); `scan_stats` the channel-side reach-scan
-    /// totals (`None` for static backends).
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish(
-        self,
-        stats: EngineStats,
-        horizon: Tick,
-        prr: f64,
-        completed_at: Option<Tick>,
-        wall: Duration,
-        zeta_series: Vec<ZetaSample>,
-        prr_windows: Vec<PrrWindowSample>,
-        telemetry: Vec<TelemetrySample>,
-        scan_stats: Option<ScanStatsReport>,
-        channel_signature: u64,
-    ) -> MetricsReport {
-        MetricsReport {
-            horizon,
-            channel_signature,
-            completed_at,
-            prr,
-            zeta_series,
-            prr_windows,
-            telemetry,
-            scan_stats,
-            latency_hist: self.hist,
-            mean_latency: if self.observed == 0 {
-                0.0
-            } else {
-                self.total_latency as f64 / self.observed as f64
-            },
-            first_delivery: self.first_delivery,
-            last_delivery: self.last_delivery,
-            events_per_sec: if wall.as_secs_f64() > 0.0 {
-                stats.events as f64 / wall.as_secs_f64()
-            } else {
-                f64::INFINITY
-            },
-            stats,
+    /// Mean delivery latency in ticks (0 before any delivery).
+    pub fn mean_latency(&self) -> f64 {
+        if self.observed == 0 {
+            0.0
+        } else {
+            self.total_latency as f64 / self.observed as f64
         }
     }
 }
@@ -131,7 +87,7 @@ impl MetricsCollector {
 /// Channel-side reach-scan totals of the temporal backend's telemetry
 /// sink over the whole run, folded across checkpoint restores (`None`
 /// for static backends, which never scan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanStatsReport {
     /// Reach scans run (row builds plus uncached exact scans).
     pub scans: u64,
@@ -164,7 +120,7 @@ impl ScanStatsReport {
 }
 
 /// The finished metrics of one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     /// The spec's horizon.
     pub horizon: Tick,
@@ -189,9 +145,9 @@ pub struct MetricsReport {
     /// never part of the trace digest. The engine-side counters
     /// (`events`, `resolve_ticks`, `sinr_pairs`, `decay_calls`,
     /// `reach_scans`) are invariant across checkpoint/resume splits,
-    /// sample for sample: the probe accumulates across the restore.
-    /// Channel-side counters are exempt, since the rebuilt backend
-    /// rescans its rows.
+    /// sample for sample: the session's recorder accumulates across
+    /// the restore. Channel-side counters are exempt, since the
+    /// rebuilt backend rescans its rows.
     pub telemetry: Vec<TelemetrySample>,
     /// Channel-side reach-scan totals (`None` for static backends).
     pub scan_stats: Option<ScanStatsReport>,
@@ -213,10 +169,7 @@ pub struct MetricsReport {
 impl MetricsReport {
     /// Renders the report as JSON.
     pub fn to_json(&self) -> JsonValue {
-        let opt_tick = |t: Option<Tick>| match t {
-            Some(t) => int(t),
-            None => JsonValue::Null,
-        };
+        let opt_tick = |t: Option<Tick>| t.map_or(JsonValue::Null, int);
         let mut pairs = vec![
             ("horizon", int(self.horizon)),
             (
@@ -289,20 +242,7 @@ impl MetricsReport {
             ("first_delivery", opt_tick(self.first_delivery)),
             ("last_delivery", opt_tick(self.last_delivery)),
             ("events_per_sec", num(self.events_per_sec)),
-            (
-                "stats",
-                obj(vec![
-                    ("events", int(self.stats.events)),
-                    ("wakes", int(self.stats.wakes)),
-                    ("transmissions", int(self.stats.transmissions)),
-                    ("deliveries", int(self.stats.deliveries)),
-                    ("dropped_deliveries", int(self.stats.dropped_deliveries)),
-                    ("jammed_ticks", int(self.stats.jammed_ticks)),
-                    ("churn_leaves", int(self.stats.churn_leaves)),
-                    ("churn_joins", int(self.stats.churn_joins)),
-                    ("queue_high_water", int(self.stats.queue_high_water)),
-                ]),
-            ),
+            ("stats", stats_json(&self.stats)),
         ]);
         obj(pairs)
     }
@@ -331,7 +271,7 @@ fn telemetry_sample_json(s: &TelemetrySample) -> JsonValue {
 }
 
 /// Static JSON key for a timer's nanosecond column.
-fn timer_ns_key(t: Timer) -> &'static str {
+pub(crate) fn timer_ns_key(t: Timer) -> &'static str {
     match t {
         Timer::Dispatch => "dispatch_ns",
         Timer::Resolve => "resolve_ns",
@@ -340,7 +280,7 @@ fn timer_ns_key(t: Timer) -> &'static str {
 }
 
 /// Static JSON key for a timer's call-count column.
-fn timer_calls_key(t: Timer) -> &'static str {
+pub(crate) fn timer_calls_key(t: Timer) -> &'static str {
     match t {
         Timer::Dispatch => "dispatch_calls",
         Timer::Resolve => "resolve_calls",
@@ -432,6 +372,26 @@ mod tests {
     use super::*;
     use decay_core::NodeId;
 
+    /// A report over `c`'s latencies with every series empty.
+    fn report(c: &MetricsCollector, stats: EngineStats, horizon: Tick) -> MetricsReport {
+        MetricsReport {
+            horizon,
+            channel_signature: 0,
+            completed_at: None,
+            prr: 0.0,
+            zeta_series: Vec::new(),
+            prr_windows: Vec::new(),
+            telemetry: Vec::new(),
+            scan_stats: None,
+            latency_hist: c.hist,
+            mean_latency: c.mean_latency(),
+            first_delivery: c.first_delivery,
+            last_delivery: c.last_delivery,
+            events_per_sec: 0.0,
+            stats,
+        }
+    }
+
     fn record(sent: Tick, tick: Tick) -> DeliveryRecord {
         DeliveryRecord {
             tick,
@@ -448,18 +408,7 @@ mod tests {
         for (sent, tick) in [(5, 5), (5, 6), (5, 8), (0, 70)] {
             c.observe(&record(sent, tick));
         }
-        let report = c.finish(
-            EngineStats::default(),
-            100,
-            1.0,
-            None,
-            Duration::from_millis(10),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            None,
-            0,
-        );
+        let report = report(&c, EngineStats::default(), 100);
         assert_eq!(report.latency_hist[0], 1, "latency 0");
         assert_eq!(report.latency_hist[1], 1, "latency 1");
         assert_eq!(report.latency_hist[2], 1, "latency 3");
@@ -480,13 +429,10 @@ mod tests {
             deliveries: 2,
             ..EngineStats::default()
         };
-        let report = c.finish(
-            stats,
-            50,
-            0.5,
-            Some(40),
-            Duration::from_millis(5),
-            vec![
+        let report = MetricsReport {
+            prr: 0.5,
+            completed_at: Some(40),
+            zeta_series: vec![
                 ZetaSample {
                     tick: 0,
                     zeta: 2.0,
@@ -500,7 +446,7 @@ mod tests {
                     nodes: 12,
                 },
             ],
-            vec![
+            prr_windows: vec![
                 PrrWindowSample {
                     tick: 25,
                     transmissions: 6,
@@ -514,7 +460,7 @@ mod tests {
                     prr: 0.0,
                 },
             ],
-            vec![TelemetrySample {
+            telemetry: vec![TelemetrySample {
                 tick: 25,
                 delta: {
                     let sink = Counters::new();
@@ -524,13 +470,15 @@ mod tests {
                 },
                 queue_high_water: 3,
             }],
-            Some(ScanStatsReport {
+            scan_stats: Some(ScanStatsReport {
                 scans: 4,
                 pairs: 40,
                 row_hits: 12,
             }),
-            0x00AB_CDEF_0123_4567,
-        );
+            channel_signature: 0x00AB_CDEF_0123_4567,
+            events_per_sec: 20_000.0,
+            ..report(&c, stats, 50)
+        };
         let text = report.to_string();
         assert!(text.contains("completed at tick 40"));
         assert!(text.contains("prr: 0.5000"));
@@ -568,18 +516,7 @@ mod tests {
 
     #[test]
     fn empty_zeta_series_is_omitted_from_json() {
-        let report = MetricsCollector::new().finish(
-            EngineStats::default(),
-            10,
-            0.0,
-            None,
-            Duration::from_secs(0),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            None,
-            0,
-        );
+        let report = report(&MetricsCollector::new(), EngineStats::default(), 10);
         let json = report.to_json().pretty();
         assert!(!json.contains("zeta_series"), "{json}");
         assert!(!json.contains("prr_windows"), "{json}");
@@ -591,18 +528,7 @@ mod tests {
 
     #[test]
     fn empty_collector_is_well_behaved() {
-        let report = MetricsCollector::new().finish(
-            EngineStats::default(),
-            10,
-            0.0,
-            None,
-            Duration::from_secs(0),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            None,
-            0,
-        );
+        let report = report(&MetricsCollector::new(), EngineStats::default(), 10);
         assert_eq!(report.mean_latency, 0.0);
         assert!(report.first_delivery.is_none());
         assert!(!report.to_string().is_empty());

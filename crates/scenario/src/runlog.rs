@@ -6,10 +6,13 @@
 //! `check_interval` boundary (engine counters, telemetry deltas, ζ(t),
 //! windowed PRR, delivery summaries, controller directives), a
 //! [`resume`] marker when a checkpoint/restore cycle ran, and a
-//! [`run_end`] record with the final report. It is written by
-//! [`RunLogProbe`], which the runner invokes at every pause when a
-//! writer is attached via
-//! [`RunOptions::runlog`](crate::RunOptions::runlog).
+//! [`run_end`] record with the final report. The session's recorder
+//! writes it when a writer is attached via
+//! [`RunOptions::runlog`](crate::RunOptions::runlog): every field is
+//! read from the same per-pause fold that builds the metrics report,
+//! so the stream and the report cannot disagree, and attaching a
+//! writer leaves the report unchanged. This module holds the format:
+//! the record types, the parser, [`normalize`] and [`diff`].
 //!
 //! [`run_start`]: RunRecord::RunStart
 //! [`sample`]: RunRecord::Sample
@@ -30,8 +33,8 @@
 //! * **Resume-invariant modulo the marker** — a run split by a
 //!   checkpoint/restore cycle produces the identical byte stream plus
 //!   one `resume` line. Counter deltas are accumulated across the
-//!   restore (the sinks restart at zero; the probe re-baselines), so
-//!   even the interval spanning the split matches.
+//!   restore (the sinks restart at zero; the recorder re-baselines),
+//!   so even the interval spanning the split matches.
 //! * **Timing-gated fields are exempt** — with the `telemetry-timing`
 //!   feature each sample gains a `"timers"` object of wall-clock
 //!   nanoseconds; [`normalize`] strips it (and `resume` markers) so
@@ -47,17 +50,11 @@
 //! feature and are wall-clock by nature: nothing about them is part of
 //! the determinism contract.
 
-use std::fmt;
-use std::io::Write;
-
-use decay_core::telemetry::{Counter, CounterSnapshot, Counters, SpanEvent, Timer};
-use decay_engine::probe::{Directive, PauseCtx};
-use decay_engine::telemetry::CounterAccumulator;
+use decay_core::telemetry::SpanEvent;
+use decay_engine::probe::Directive;
 use decay_engine::{EngineStats, Tick};
 
 use crate::json::{self, int, num, obj, s, JsonValue};
-use crate::runner::ScenarioReport;
-use crate::spec::{ProtocolSpec, ScenarioSpec};
 
 /// The format tag every runlog's `run_start` record carries.
 pub const RUNLOG_FORMAT: &str = "decay-runlog-v1";
@@ -68,359 +65,15 @@ pub const RUNLOG_FORMAT: &str = "decay-runlog-v1";
 /// shipped.
 pub use crate::spec::spec_signature;
 
-/// The engine-side counters a `sample` record reports. These are the
-/// counters that are backend- *and* thread-invariant (they count trace
-/// events, not cache behavior), which is what lets the runlog promise
-/// byte equality across backends; the backend-side row/epoch counters
-/// stay in the metrics report's telemetry series.
-const ENGINE_COUNTERS: [Counter; 5] = [
-    Counter::Events,
-    Counter::ResolveTicks,
-    Counter::SinrPairs,
-    Counter::DecayCalls,
-    Counter::ReachScans,
-];
-
-/// Which probe callback a pause corresponds to (the runner's private
-/// phase enum, mirrored here so [`RunLogProbe::observe`] can be called
-/// from outside the runner in tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunPhase {
-    /// Before the first event fires (`tick == 0`).
-    Start,
-    /// A pause-grid (or off-grid checkpoint) stop.
-    Pause,
-    /// The final drain after completion or the horizon.
-    Finish,
-}
-
-/// Streams `decay-runlog-v1` records to any [`io::Write`](Write).
-///
-/// Not a [`Probe`](decay_engine::probe::Probe) implementor on purpose:
-/// it needs the controller's directives alongside the [`PauseCtx`],
-/// which the read-only probe trait deliberately never sees. The runner
-/// invokes [`Self::observe`] *after* the probes and the controller at
-/// every pause, [`Self::note_restore`] after a successful
-/// checkpoint/restore cycle, and [`Self::finish`] once the report is
-/// assembled.
-///
-/// IO errors are captured internally (the stream is best-effort while
-/// the run is in flight) and surfaced at the end via
-/// [`Self::take_error`].
-pub struct RunLogProbe<'w> {
-    out: &'w mut (dyn Write + Send),
-    name: String,
-    seed: u64,
-    horizon: Tick,
-    ci: Tick,
-    nodes: usize,
-    protocol: &'static str,
-    spec_sig: u64,
-    controller_sig: u64,
-    monitor: Option<(Tick, usize)>,
-    window: Option<Tick>,
-    /// Counters accumulated over the whole run, additive across
-    /// checkpoint/restore cycles (what makes sample deltas
-    /// split-invariant).
-    counters: CounterAccumulator,
-    /// The accumulated total as of the previously emitted sample.
-    at_sample: CounterSnapshot,
-    /// Cumulative (transmissions, deliveries) at the previous PRR
-    /// window boundary.
-    at_boundary: (u64, u64),
-    pending_deliveries: u64,
-    first_pending: Option<Tick>,
-    last_pending: Option<Tick>,
-    last_emitted: Option<Tick>,
-    error: Option<String>,
-}
-
-impl fmt::Debug for RunLogProbe<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunLogProbe")
-            .field("name", &self.name)
-            .field("last_emitted", &self.last_emitted)
-            .field("error", &self.error)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'w> RunLogProbe<'w> {
-    /// Builds a probe for `spec`, writing records to `out`.
-    ///
-    /// `controller_sig` is the [`Controller::signature`] the runner
-    /// registered with the engine (0 = no controller); the channel
-    /// signature is read off the live backend at the `Start` pause.
-    ///
-    /// [`Controller::signature`]: decay_engine::probe::Controller::signature
-    pub fn new(out: &'w mut (dyn Write + Send), spec: &ScenarioSpec, controller_sig: u64) -> Self {
-        RunLogProbe {
-            out,
-            name: spec.name.clone(),
-            seed: spec.seed,
-            horizon: spec.horizon,
-            ci: spec.check_interval,
-            nodes: spec.node_count(),
-            protocol: protocol_kind(&spec.protocol),
-            spec_sig: spec_signature(spec),
-            controller_sig,
-            monitor: spec
-                .channel
-                .as_ref()
-                .and_then(|c| c.monitor.as_ref())
-                .map(|m| (m.interval, m.max_nodes)),
-            window: spec.prr_window,
-            counters: CounterAccumulator::default(),
-            at_sample: CounterSnapshot::default(),
-            at_boundary: (0, 0),
-            pending_deliveries: 0,
-            first_pending: None,
-            last_pending: None,
-            last_emitted: None,
-            error: None,
-        }
-    }
-
-    /// Feeds the probe one pause: `Start` writes the `run_start`
-    /// header, `Pause`/`Finish` accumulate counters and deliveries and
-    /// emit a `sample` record on the `check_interval` grid (plus at the
-    /// horizon when it is off-grid). Off-grid checkpoint pauses
-    /// accumulate without emitting, and a `Finish` at an
-    /// already-sampled tick is deduplicated — both are what keep the
-    /// byte stream split-invariant.
-    pub fn observe(&mut self, phase: RunPhase, ctx: &PauseCtx<'_>, directives: &[Directive]) {
-        if self.error.is_some() {
-            return;
-        }
-        match phase {
-            RunPhase::Start => {
-                let record = self.run_start_record(ctx, directives);
-                self.write_line(record);
-                self.counters.start(ctx);
-            }
-            RunPhase::Pause | RunPhase::Finish => {
-                let total = self.counters.fold(ctx);
-                self.pending_deliveries += ctx.batch.len() as u64;
-                if let Some(first) = ctx.batch.first() {
-                    self.first_pending.get_or_insert(first.tick);
-                }
-                if let Some(last) = ctx.batch.last() {
-                    self.last_pending = Some(last.tick);
-                }
-                if self.due(ctx.tick) {
-                    let delta = total.delta_since(&self.at_sample);
-                    let record = self.sample_record(ctx, &delta, directives);
-                    self.write_line(record);
-                    self.at_sample = total;
-                    self.pending_deliveries = 0;
-                    self.first_pending = None;
-                    self.last_pending = None;
-                    self.last_emitted = Some(ctx.tick);
-                }
-            }
-        }
-    }
-
-    /// Marks a successful checkpoint/restore cycle at `split`: writes
-    /// the `resume` record and re-baselines the counter accumulator
-    /// (the restored engine's sinks restart at zero).
-    pub fn note_restore(&mut self, split: Tick) {
-        if self.error.is_some() {
-            return;
-        }
-        let record = obj(vec![("record", s("resume")), ("tick", int(split))]);
-        self.write_line(record);
-        self.counters.note_restore();
-    }
-
-    /// Writes the `run_end` record from the finished report and
-    /// flushes the writer.
-    pub fn finish(&mut self, report: &ScenarioReport) {
-        if self.error.is_some() {
-            return;
-        }
-        let m = &report.metrics;
-        let opt_tick = |t: Option<Tick>| match t {
-            Some(t) => int(t),
-            None => JsonValue::Null,
-        };
-        let record = obj(vec![
-            ("record", s("run_end")),
-            ("tick", int(m.completed_at.unwrap_or(m.horizon))),
-            ("completed_at", opt_tick(m.completed_at)),
-            ("hash", hex(report.digest.hash)),
-            ("stats", stats_json(&m.stats)),
-            ("prr", num(m.prr)),
-            (
-                "latency_hist",
-                JsonValue::Array(m.latency_hist.iter().map(|&b| int(b)).collect()),
-            ),
-            ("mean_latency", num(m.mean_latency)),
-            ("first_delivery", opt_tick(m.first_delivery)),
-            ("last_delivery", opt_tick(m.last_delivery)),
-        ]);
-        self.write_line(record);
-        if self.error.is_none() {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(format!("runlog flush: {e}"));
-            }
-        }
-    }
-
-    /// The first IO error the stream hit, if any (clears it).
-    pub fn take_error(&mut self) -> Option<String> {
-        self.error.take()
-    }
-
-    fn due(&self, tick: Tick) -> bool {
-        tick > 0
-            && (tick.is_multiple_of(self.ci) || tick == self.horizon)
-            && self.last_emitted != Some(tick)
-    }
-
-    fn run_start_record(&self, ctx: &PauseCtx<'_>, directives: &[Directive]) -> JsonValue {
-        let mut fields = vec![
-            ("record", s("run_start")),
-            ("format", s(RUNLOG_FORMAT)),
-            ("name", s(&self.name)),
-            ("seed", int(self.seed)),
-            ("horizon", int(self.horizon)),
-            ("check_interval", int(self.ci)),
-            ("nodes", int(self.nodes as u64)),
-            ("protocol", s(self.protocol)),
-            ("spec_sig", hex(self.spec_sig)),
-            ("channel_sig", hex(ctx.backend.channel_signature())),
-            ("controller_sig", hex(self.controller_sig)),
-        ];
-        if let Some((interval, max_nodes)) = self.monitor {
-            fields.push((
-                "monitor",
-                obj(vec![
-                    ("interval", int(interval)),
-                    ("max_nodes", int(max_nodes as u64)),
-                ]),
-            ));
-        }
-        if let Some(w) = self.window {
-            fields.push(("prr_window", int(w)));
-        }
-        if !directives.is_empty() {
-            fields.push(("directives", directives_json(directives)));
-        }
-        obj(fields)
-    }
-
-    fn sample_record(
-        &mut self,
-        ctx: &PauseCtx<'_>,
-        delta: &CounterSnapshot,
-        directives: &[Directive],
-    ) -> JsonValue {
-        let tick = ctx.tick;
-        let mut fields = vec![
-            ("record", s("sample")),
-            ("tick", int(tick)),
-            ("stats", stats_json(&ctx.stats)),
-            (
-                "counters",
-                obj(ENGINE_COUNTERS
-                    .iter()
-                    .map(|&c| (c.name(), int(delta.get(c))))
-                    .collect()),
-            ),
-        ];
-        let mut deliveries = vec![("count", int(self.pending_deliveries))];
-        if self.pending_deliveries > 0 {
-            if let Some(first) = self.first_pending {
-                deliveries.push(("first", int(first)));
-            }
-            if let Some(last) = self.last_pending {
-                deliveries.push(("last", int(last)));
-            }
-        }
-        fields.push(("deliveries", obj(deliveries)));
-        if let Some((interval, max_nodes)) = self.monitor {
-            if tick.is_multiple_of(interval) {
-                let zs = decay_channel::sample(tick, ctx.backend, max_nodes);
-                fields.push((
-                    "zeta",
-                    obj(vec![
-                        ("zeta", num(zs.zeta)),
-                        ("phi", num(zs.phi)),
-                        ("nodes", int(zs.nodes as u64)),
-                    ]),
-                ));
-            }
-        }
-        if let Some(w) = self.window {
-            if tick.is_multiple_of(w) {
-                let tx = ctx.stats.transmissions - self.at_boundary.0;
-                let dv = ctx.stats.deliveries - self.at_boundary.1;
-                let prr = if tx == 0 { 0.0 } else { dv as f64 / tx as f64 };
-                fields.push((
-                    "prr_window",
-                    obj(vec![
-                        ("transmissions", int(tx)),
-                        ("deliveries", int(dv)),
-                        ("prr", num(prr)),
-                    ]),
-                ));
-                self.at_boundary = (ctx.stats.transmissions, ctx.stats.deliveries);
-            }
-        }
-        if !directives.is_empty() {
-            fields.push(("directives", directives_json(directives)));
-        }
-        if Counters::timing_enabled() {
-            let mut timers = Vec::with_capacity(2 * Timer::ALL.len());
-            for t in Timer::ALL {
-                timers.push((ns_key(t), int(delta.timer_ns(t).unwrap_or(0))));
-                timers.push((calls_key(t), int(delta.timer_calls(t).unwrap_or(0))));
-            }
-            fields.push(("timers", obj(timers)));
-        }
-        obj(fields)
-    }
-
-    fn write_line(&mut self, record: JsonValue) {
-        if let Err(e) = writeln!(self.out, "{}", record.compact()) {
-            self.error = Some(format!("runlog write: {e}"));
-        }
-    }
-}
-
-/// The stable `"<timer>_ns"` key a sample's `timers` object uses.
-fn ns_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_ns",
-        Timer::Resolve => "resolve_ns",
-        Timer::RowBuild => "row_build_ns",
-    }
-}
-
-/// The stable `"<timer>_calls"` key a sample's `timers` object uses.
-fn calls_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_calls",
-        Timer::Resolve => "resolve_calls",
-        Timer::RowBuild => "row_build_calls",
-    }
-}
-
-/// The workload kind string a `run_start` record carries.
-fn protocol_kind(p: &ProtocolSpec) -> &'static str {
-    match p {
-        ProtocolSpec::Broadcast { .. } => "broadcast",
-        ProtocolSpec::Contention { .. } => "contention",
-        ProtocolSpec::Announce { .. } => "announce",
-    }
-}
-
-fn hex(x: u64) -> JsonValue {
+/// A `u64` as the `0x`-prefixed, zero-padded hex string the runlog uses
+/// for hashes and signatures.
+pub(crate) fn hex(x: u64) -> JsonValue {
     s(&format!("{x:#018x}"))
 }
 
-fn stats_json(stats: &EngineStats) -> JsonValue {
+/// Engine counters as the JSON object the runlog and the metrics
+/// report share.
+pub(crate) fn stats_json(stats: &EngineStats) -> JsonValue {
     obj(vec![
         ("events", int(stats.events)),
         ("wakes", int(stats.wakes)),
@@ -434,7 +87,8 @@ fn stats_json(stats: &EngineStats) -> JsonValue {
     ])
 }
 
-fn directives_json(directives: &[Directive]) -> JsonValue {
+/// Controller directives as a JSON array.
+pub(crate) fn directives_json(directives: &[Directive]) -> JsonValue {
     JsonValue::Array(
         directives
             .iter()

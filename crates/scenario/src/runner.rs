@@ -1,8 +1,8 @@
 //! The scenario runner: a thin driver over the session core. A run is
 //! **compile** ([`crate::CompiledScenario`]) → **session**
-//! ([`crate::RunSession`]) → this module's drive loop, which just steps
-//! the session to completion (parking and resuming it once when a
-//! resume split is requested).
+//! ([`crate::RunSession`]) → [`crate::RunSession::run_to_end`], which
+//! steps the session to completion (parking and resuming it once when
+//! [`RunOptions::resume_at`] requests a split).
 //!
 //! # Determinism
 //!
@@ -11,9 +11,8 @@
 //! The session only pauses the engine on a fixed boundary grid
 //! (multiples of `check_interval`), so pausing more often — to
 //! checkpoint, restore, or drain metrics — cannot change what the
-//! engine computes. That is what makes
-//! [`ScenarioRunner::run_with_resume`] digest-identical to
-//! [`ScenarioRunner::run`], and all three decay backends
+//! engine computes. That is what makes a run with a `resume_at` split
+//! digest-identical to one without, and all three decay backends
 //! digest-identical to each other.
 
 use std::fmt;
@@ -21,13 +20,11 @@ use std::io;
 use std::sync::Arc;
 
 use decay_core::telemetry::SpanEvent;
-use decay_engine::probe::Probe;
 use decay_engine::{EngineError, EngineStats, Tick};
-use serde::{Deserialize, Serialize};
 
 use crate::json::{int, obj, s, JsonValue};
 use crate::metrics::MetricsReport;
-use crate::session::{CompiledScenario, RunSession, SessionStep};
+use crate::session::{CompiledScenario, RunSession};
 use crate::spec::{BackendSpec, ScenarioSpec, SpecError};
 
 /// A failure constructing or running a scenario.
@@ -39,10 +36,10 @@ pub enum ScenarioError {
     Engine(EngineError),
     /// A checkpoint failed to round-trip through bytes.
     Checkpoint(String),
-    /// [`ScenarioRunner::run_with_resume`] was asked to split outside
-    /// `(0, horizon)` — such a split could never checkpoint mid-run, and
-    /// silently running without one (the old behavior) made callers
-    /// believe resume fidelity had been exercised when it had not.
+    /// [`RunOptions::resume_at`] asked to split outside `(0, horizon)` —
+    /// such a split could never checkpoint mid-run, and silently running
+    /// without one made callers believe resume fidelity had been
+    /// exercised when it had not.
     InvalidSplit {
         /// The requested split tick.
         split: Tick,
@@ -88,7 +85,7 @@ impl From<EngineError> for ScenarioError {
 /// spec — on any backend, with or without a checkpoint/resume cycle —
 /// must produce equal digests; `tests/golden/` pins them per shipped
 /// spec.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDigest {
     /// The spec name.
     pub name: String,
@@ -194,7 +191,7 @@ impl TraceDigest {
 }
 
 /// The outcome of one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
     /// The canonical trace digest.
     pub digest: TraceDigest,
@@ -202,9 +199,9 @@ pub struct ScenarioReport {
     pub metrics: MetricsReport,
     /// Number of nodes simulated.
     pub nodes: usize,
-    /// Tick at which a checkpoint/restore cycle actually ran (only for
-    /// [`ScenarioRunner::run_with_resume`], and `None` there too when
-    /// the run completed before reaching the requested split — callers
+    /// Tick at which a checkpoint/restore cycle actually ran (only with
+    /// [`RunOptions::resume_at`], and `None` there too when the run
+    /// completed before reaching the requested split — callers
     /// asserting resume fidelity should check this rather than assume).
     pub checkpointed: Option<Tick>,
 }
@@ -233,19 +230,22 @@ impl fmt::Display for ScenarioReport {
     }
 }
 
-/// Optional attachments for [`ScenarioRunner::run_with_options`] and
+/// Optional attachments for [`ScenarioRunner::run`] and
 /// [`RunSession::new`]: the backend override (the one execution knob
 /// [`crate::spec_signature`] excludes, so a cached compilation runs
-/// under the submitted backend), the checkpoint
-/// split, and the observability sinks (none of which can perturb the
-/// run — the runlog is read-only like a probe, spans are timing-gated
-/// telemetry, and the flight dump is written after the engine stops).
+/// under the submitted backend), the checkpoint split, and the
+/// observability sinks. No sink can perturb the run or its report: the
+/// runlog writer renders what the session's recorder already folded,
+/// spans are timing-gated telemetry, and the flight dump is written
+/// after the engine stops. Attaching any subset leaves the digest, the
+/// metrics series, and the runlog bytes unchanged.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Backend override (`None` = the spec's declared backend).
     pub backend: Option<BackendSpec>,
-    /// Checkpoint/restore split tick, as in
-    /// [`ScenarioRunner::run_with_resume`].
+    /// Checkpoint/restore split tick: the run is serialized to bytes,
+    /// decoded, and restored onto a freshly built backend there. Must
+    /// lie inside `(0, horizon)`.
     pub resume_at: Option<Tick>,
     /// Writer receiving the `decay-runlog-v1` NDJSON stream (see
     /// [`crate::runlog`]).
@@ -332,118 +332,22 @@ impl ScenarioRunner {
         &self.compiled
     }
 
-    /// Runs the scenario on the backend the spec declares.
+    /// Runs the scenario to the end through one [`RunSession`]:
+    /// `opts.backend` overrides the spec's backend (the cross-backend
+    /// conformance hook; the digest must not depend on the choice),
+    /// `opts.resume_at` runs one checkpoint/restore cycle mid-run (the
+    /// digest must equal an uninterrupted run's), and the sinks receive
+    /// the runlog, spans, and flight dump. To attach extra probes, open
+    /// the session with [`RunSession::new`] and call
+    /// [`RunSession::run_to_end`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the engine rejects the compiled configuration.
-    pub fn run(&self) -> Result<ScenarioReport, ScenarioError> {
-        self.run_on(self.spec().backend)
-    }
-
-    /// Runs the scenario on an explicit backend (the cross-backend
-    /// conformance hook; the digest must not depend on the choice).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the engine rejects the compiled configuration.
-    pub fn run_on(&self, backend: BackendSpec) -> Result<ScenarioReport, ScenarioError> {
-        self.execute(
-            RunOptions {
-                backend: Some(backend),
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
-    }
-
-    /// Runs the scenario with a checkpoint/restore cycle at tick
-    /// `split`: the engine is serialized to bytes, decoded, and restored
-    /// onto a freshly built backend mid-run. The digest must equal an
-    /// uninterrupted run's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::InvalidSplit`] unless
-    /// `0 < split < horizon`, and an error if the engine rejects the
-    /// configuration or the checkpoint fails to round-trip.
-    pub fn run_with_resume(&self, split: Tick) -> Result<ScenarioReport, ScenarioError> {
-        self.run_instrumented(self.spec().backend, Some(split), &mut [])
-    }
-
-    /// The fully general entry point: runs on `backend`, optionally
-    /// with a checkpoint/restore cycle at `resume_at`, feeding every
-    /// probe in `extra` the same pause stream the built-in probes
-    /// (metrics, ζ(t) monitor, windowed PRR, digest capture) observe.
-    /// Probes are read-only, so attaching any subset leaves the digest
-    /// and the ζ(t) series bit-identical — the probe-transparency
-    /// proptest under `tests/` enforces it.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run_on`] and [`Self::run_with_resume`] can
-    /// return.
-    pub fn run_instrumented(
-        &self,
-        backend: BackendSpec,
-        resume_at: Option<Tick>,
-        extra: &mut [&mut dyn Probe],
-    ) -> Result<ScenarioReport, ScenarioError> {
-        self.run_with_options(
-            RunOptions {
-                backend: Some(backend),
-                resume_at,
-                ..RunOptions::default()
-            },
-            extra,
-        )
-    }
-
-    /// [`Self::run_instrumented`] plus the observability sinks: attach
-    /// a `decay-runlog-v1` writer, a span-timeline sink, and/or a
-    /// flight-recorder dump writer via [`RunOptions`]. All sinks are
-    /// pause-grid observers — attaching any subset leaves the digest,
-    /// the metrics series, and the runlog bytes unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run_instrumented`] can return, plus
+    /// Returns [`ScenarioError::InvalidSplit`] unless `resume_at` lies
+    /// inside `(0, horizon)`, an error if the engine rejects the
+    /// configuration or the checkpoint fails to round-trip, and
     /// [`ScenarioError::RunLog`] when an attached writer fails.
-    pub fn run_with_options<'a>(
-        &self,
-        opts: RunOptions<'a>,
-        extra: &'a mut [&mut dyn Probe],
-    ) -> Result<ScenarioReport, ScenarioError> {
-        if let Some(split) = opts.resume_at {
-            if split == 0 || split >= self.spec().horizon {
-                return Err(ScenarioError::InvalidSplit {
-                    split,
-                    horizon: self.spec().horizon,
-                });
-            }
-        }
-        self.execute(opts, extra)
-    }
-
-    /// The drive loop: step the session to completion, and when it
-    /// reports the breakpoint (the requested resume split), run one
-    /// full park/resume cycle through checkpoint bytes.
-    fn execute<'a>(
-        &self,
-        opts: RunOptions<'a>,
-        extra: &'a mut [&mut dyn Probe],
-    ) -> Result<ScenarioReport, ScenarioError> {
-        let mut session = RunSession::new(Arc::clone(&self.compiled), opts, extra)?;
-        loop {
-            match session.step_to_next_pause() {
-                SessionStep::Paused => {}
-                SessionStep::Breakpoint => {
-                    let bytes = session.park();
-                    session.resume(&bytes)?;
-                }
-                SessionStep::Finished => break,
-            }
-        }
-        session.finish()
+    pub fn run(&self, opts: RunOptions<'_>) -> Result<ScenarioReport, ScenarioError> {
+        RunSession::new(Arc::clone(&self.compiled), opts, &mut [])?.run_to_end()
     }
 }

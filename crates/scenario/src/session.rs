@@ -9,16 +9,18 @@
 //!    immutable and `Send + Sync`, so one compilation can feed any
 //!    number of concurrent runs. [`ScenarioCache`] memoizes compilations
 //!    by signature.
-//! 2. **Session** — [`RunSession`] owns a running engine plus every
-//!    pause-grid observer (metrics, ζ(t) monitor, windowed PRR, digest,
-//!    telemetry, caller extras) and exposes the run as a sequence of
-//!    externally driven steps: [`RunSession::step_to_next_pause`],
-//!    [`RunSession::checkpoint`], [`RunSession::park`] /
-//!    [`RunSession::resume`], [`RunSession::finish`].
-//! 3. **Drive** — [`crate::ScenarioRunner`]'s `run_*` entry points are
-//!    thin loops over a session; external schedulers can drive the same
-//!    session API themselves (preempt a run, serialize it, resume it on
-//!    another thread).
+//! 2. **Session** — [`RunSession`] owns a running engine, the one
+//!    recorder that folds every pause (metrics, ζ(t), windowed PRR,
+//!    telemetry, digest, runlog), and any caller extras, and exposes
+//!    the run as a sequence of externally driven steps:
+//!    [`RunSession::step_to_next_pause`], [`RunSession::checkpoint`],
+//!    [`RunSession::park`] / [`RunSession::resume`],
+//!    [`RunSession::finish`].
+//! 3. **Drive** — [`RunSession::run_to_end`] steps a session to the
+//!    end, parking and resuming it once at the requested split;
+//!    [`crate::ScenarioRunner::run`] is that loop over a fresh session.
+//!    External schedulers can drive the same session API themselves
+//!    (preempt a run, serialize it, resume it on another thread).
 //!
 //! # Determinism
 //!
@@ -35,33 +37,20 @@ use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use decay_channel::{AdaptiveContention, MetricityMonitor};
+use decay_channel::AdaptiveContention;
 use decay_core::telemetry::{Counter, Counters, SpanEvent};
 use decay_core::NodeId;
 use decay_distributed::{build_contention_engine, ContentionNode, EventBroadcaster};
-use decay_engine::probe::{
-    apply_directives, Controller, Directive, PauseCtx, Probe, Tunable, WindowedPrr,
-};
+use decay_engine::probe::{apply_directives, Controller, Directive, PauseCtx, Probe, Tunable};
 use decay_engine::{
     dump_flight, Checkpoint, Codec, DecayBackend, Engine, EngineConfig, EngineStats, EventBehavior,
-    EventRecord, TelemetryProbe, Tick,
+    EventRecord, Tick,
 };
 use decay_spaces::Point;
 
-use crate::metrics::ScanStatsReport;
-use crate::probes::{DigestProbe, MetricsProbe};
-use crate::runlog::{RunLogProbe, RunPhase};
+use crate::recorder::{RunPhase, RunRecorder};
 use crate::runner::{RunOptions, ScenarioError, ScenarioReport};
 use crate::spec::{spec_signature, BackendSpec, ProtocolSpec, ScenarioSpec};
-
-/// Windows of pair-level traffic the [`WindowedPrr`] tracker retains
-/// for windowed per-pair queries (the report series is unbounded; this
-/// only caps the tracker's memory).
-pub(crate) const PRR_KEEP_WINDOWS: usize = 8;
-
-/// Pause-grid samples the flight recorder retains (the report series is
-/// unbounded; this only caps the crash-dump tail).
-pub(crate) const FLIGHT_KEEP_SAMPLES: usize = 32;
 
 /// Dispatched events the engine-side flight-recorder ring retains.
 pub(crate) const FLIGHT_KEEP_EVENTS: usize = 64;
@@ -410,11 +399,6 @@ trait EngineHarness: Send {
     fn done(&self) -> bool;
     fn prr(&self) -> f64;
     fn stats(&self) -> EngineStats;
-    fn len(&self) -> usize;
-    fn channel_signature(&self) -> u64;
-    /// Whether the backend keeps a channel-side telemetry sink (the
-    /// temporal adapters do; static backends scan nothing).
-    fn has_channel_sink(&self) -> bool;
     fn checkpoint_bytes(&mut self) -> Vec<u8>;
     /// Drops the engine; every other method panics until
     /// [`Self::restore`] succeeds.
@@ -477,18 +461,6 @@ where
 
     fn stats(&self) -> EngineStats {
         self.engine().stats()
-    }
-
-    fn len(&self) -> usize {
-        self.engine().len()
-    }
-
-    fn channel_signature(&self) -> u64 {
-        self.engine().backend().channel_signature()
-    }
-
-    fn has_channel_sink(&self) -> bool {
-        self.engine().backend().telemetry().is_some()
     }
 
     fn checkpoint_bytes(&mut self) -> Vec<u8> {
@@ -685,7 +657,7 @@ fn wall_clock_start() -> Instant {
 
 /// One scenario run, held open: the **session** phase.
 ///
-/// A session owns the engine, the built-in pause-grid observers, the
+/// A session owns the engine, the recorder that folds every pause, the
 /// controller, and the observability sinks, and exposes the run as
 /// externally driven steps. Between steps the caller may snapshot
 /// ([`Self::checkpoint`]), fully preempt ([`Self::park`], which drops
@@ -701,15 +673,10 @@ pub struct RunSession<'a, 'p> {
     harness: Box<dyn EngineHarness>,
     horizon: Tick,
     ci: Tick,
-    metrics: MetricsProbe,
-    monitor: Option<MetricityMonitor>,
-    windowed_prr: Option<WindowedPrr>,
-    digest: DigestProbe,
-    telemetry: TelemetryProbe,
+    recorder: RunRecorder<'a>,
     extra: &'a mut [&'p mut dyn Probe],
     controller: Option<AdaptiveContention>,
     controller_sig: u64,
-    runlog: Option<RunLogProbe<'a>>,
     trace_spans: Option<&'a mut Vec<SpanEvent>>,
     flight_dump: Option<&'a mut (dyn io::Write + Send)>,
     wall_start: Instant,
@@ -740,22 +707,31 @@ impl fmt::Debug for RunSession<'_, '_> {
 
 impl<'a, 'p> RunSession<'a, 'p> {
     /// Opens a session over a compiled scenario: builds the engine on
-    /// the resolved backend, arms every observer, and fires the start
-    /// pause. `opts.resume_at` becomes the initial breakpoint;
-    /// `opts.backend` overrides the spec's (that is how a cached
-    /// compilation — keyed without the backend — runs under the
+    /// the resolved backend, arms the recorder and `extra`, and fires
+    /// the start pause. `opts.resume_at` becomes the initial
+    /// breakpoint; `opts.backend` overrides the spec's (that is how a
+    /// cached compilation — keyed without the backend — runs under the
     /// submitted spec's backend).
     ///
     /// # Errors
     ///
-    /// Returns an error if the engine rejects the compiled
-    /// configuration.
+    /// Returns [`ScenarioError::InvalidSplit`] unless `opts.resume_at`
+    /// is `None` or inside `(0, horizon)`, and an error if the engine
+    /// rejects the compiled configuration.
     pub fn new(
         compiled: Arc<CompiledScenario>,
-        mut opts: RunOptions<'a>,
+        opts: RunOptions<'a>,
         extra: &'a mut [&'p mut dyn Probe],
     ) -> Result<RunSession<'a, 'p>, ScenarioError> {
         let spec = compiled.spec();
+        if let Some(split) = opts.resume_at {
+            if split == 0 || split >= spec.horizon {
+                return Err(ScenarioError::InvalidSplit {
+                    split,
+                    horizon: spec.horizon,
+                });
+            }
+        }
         let backend = opts.backend.unwrap_or(spec.backend);
         let config = spec.engine_config();
 
@@ -778,20 +754,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
         harness.enable_event_log(FLIGHT_KEEP_EVENTS);
         harness.set_controller_signature(controller_sig);
 
-        // ζ(t) sampling and PRR windows fire only on their own
-        // sub-grids of the pause grid (validated multiples of
-        // check_interval), so neither series can depend on backend
-        // choice or on an extra breakpoint pause.
-        let monitor = spec.channel.as_ref().and_then(|c| c.build_monitor());
-        let windowed_prr = spec
-            .prr_window
-            .map(|w| WindowedPrr::new(spec.node_count(), w, PRR_KEEP_WINDOWS));
-        let telemetry = TelemetryProbe::new(spec.check_interval, FLIGHT_KEEP_SAMPLES);
-
-        let runlog = opts
-            .runlog
-            .take()
-            .map(|w| RunLogProbe::new(w, spec, controller_sig));
+        let recorder = RunRecorder::new(spec, controller_sig, opts.runlog);
         if opts.trace_spans.is_some() {
             harness.arm_spans();
         }
@@ -801,15 +764,10 @@ impl<'a, 'p> RunSession<'a, 'p> {
             ci: spec.check_interval,
             compiled,
             harness,
-            metrics: MetricsProbe::new(),
-            monitor,
-            windowed_prr,
-            digest: DigestProbe::new(),
-            telemetry,
+            recorder,
             extra,
             controller,
             controller_sig,
-            runlog,
             trace_spans: opts.trace_spans,
             flight_dump: opts.flight_dump,
             wall_start: wall_clock_start(),
@@ -824,12 +782,12 @@ impl<'a, 'p> RunSession<'a, 'p> {
         Ok(session)
     }
 
-    /// Shows every probe the same [`PauseCtx`] (assembled once by
-    /// [`decay_engine::probe::with_pause`]), collects the controller's
-    /// grid-aligned directives (`steer: false` suppresses decisions —
-    /// off-grid breakpoint pauses, the final drain), and lets the
-    /// runlog narrate last, after the probes have observed and the
-    /// controller has decided.
+    /// Runs one pause over the [`PauseCtx`] assembled once by
+    /// [`decay_engine::probe::with_pause`]: the recorder folds it, the
+    /// extras observe it, the controller decides (`steer: false`
+    /// suppresses decisions — off-grid breakpoint pauses, the final
+    /// drain), and the recorder writes the runlog line last, with the
+    /// directives in hand.
     fn pause_all(&mut self, phase: RunPhase, steer: bool) {
         fn dispatch(p: &mut dyn Probe, phase: RunPhase, ctx: &PauseCtx<'_>) {
             match phase {
@@ -841,36 +799,21 @@ impl<'a, 'p> RunSession<'a, 'p> {
         let RunSession {
             harness,
             horizon,
-            metrics,
-            monitor,
-            windowed_prr,
-            digest,
-            telemetry,
+            recorder,
             extra,
             controller,
-            runlog,
             ..
         } = self;
         harness.pause(*horizon, &mut |ctx| {
-            dispatch(&mut *metrics, phase, ctx);
-            if let Some(m) = monitor.as_mut() {
-                dispatch(m, phase, ctx);
-            }
-            if let Some(w) = windowed_prr.as_mut() {
-                dispatch(w, phase, ctx);
-            }
-            dispatch(&mut *digest, phase, ctx);
-            dispatch(&mut *telemetry, phase, ctx);
+            recorder.observe(phase, ctx);
             for p in extra.iter_mut() {
                 dispatch(&mut **p, phase, ctx);
             }
             let directives = match controller.as_mut() {
-                Some(c) if steer && !matches!(phase, RunPhase::Finish) => c.decide(ctx),
+                Some(c) if steer && phase != RunPhase::Finish => c.decide(ctx),
                 _ => Vec::new(),
             };
-            if let Some(rl) = runlog.as_mut() {
-                rl.observe(phase, ctx, &directives);
-            }
+            recorder.narrate(phase, ctx, &directives);
             directives
         });
     }
@@ -900,7 +843,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
 
     /// Advances the engine to the next pause — the next
     /// `check_interval` grid tick, or the breakpoint if one lands
-    /// sooner — runs the full probe/controller/runlog pause there, and
+    /// sooner — runs the full recorder/probe/controller pause there, and
     /// reports what it arrived at.
     ///
     /// # Panics
@@ -916,11 +859,11 @@ impl<'a, 'p> RunSession<'a, 'p> {
         if let Some(split) = self.breakpoint {
             if split > now && split <= grid_next {
                 self.harness.run_until(split);
-                // An off-grid breakpoint pause is invisible: probes
-                // that sample (monitor, PRR windows) ignore off-grid
-                // ticks, and completion/decisions are only evaluated on
-                // the grid — so a stepped run observes, steers, and
-                // stops identically to an uninterrupted one.
+                // An off-grid breakpoint pause is invisible: the
+                // recorder samples only on the grid, and
+                // completion/decisions are only evaluated on the grid —
+                // so a stepped run observes, steers, and stops
+                // identically to an uninterrupted one.
                 let on_grid = split == grid_next;
                 self.pause_all(RunPhase::Pause, on_grid);
                 if on_grid && self.harness.done() {
@@ -992,8 +935,8 @@ impl<'a, 'p> RunSession<'a, 'p> {
     /// Restores a parked session onto a freshly rebuilt backend and
     /// re-applies everything the checkpoint codec deliberately
     /// excludes: the flight-recorder ring, the carried queue high-water
-    /// mark, span arming, and the counter baselines of the telemetry
-    /// series and the runlog.
+    /// mark, span arming, and the recorder's counter baseline (plus the
+    /// runlog's `resume` record).
     ///
     /// # Errors
     ///
@@ -1012,7 +955,7 @@ impl<'a, 'p> RunSession<'a, 'p> {
             "RunSession::resume on a live session; call park() first"
         );
         if let Err(err) = self.harness.restore(bytes, self.controller_sig) {
-            let dump = dump_flight(&self.telemetry.recent(), &self.parked_events);
+            let dump = dump_flight(self.recorder.flight_tail(), &self.parked_events);
             if let Some(w) = self.flight_dump.as_deref_mut() {
                 // Best-effort: the resume already failed, and the
                 // caller gets the underlying error either way.
@@ -1032,12 +975,9 @@ impl<'a, 'p> RunSession<'a, 'p> {
         if self.trace_spans.is_some() {
             self.harness.arm_spans();
         }
-        self.telemetry.on_restore();
+        self.recorder.note_restore(self.parked_at);
         for p in self.extra.iter_mut() {
             p.on_restore();
-        }
-        if let Some(rl) = self.runlog.as_mut() {
-            rl.note_restore(self.parked_at);
         }
         self.checkpointed = Some(self.parked_at);
         Ok(())
@@ -1062,52 +1002,44 @@ impl<'a, 'p> RunSession<'a, 'p> {
             spans.extend(self.harness.take_spans());
         }
         if let Some(w) = self.flight_dump.as_deref_mut() {
-            let dump = dump_flight(&self.telemetry.recent(), &self.harness.recent_events());
+            let dump = dump_flight(self.recorder.flight_tail(), &self.harness.recent_events());
             if let Err(e) = w.write_all(dump.as_bytes()).and_then(|()| w.flush()) {
                 return Err(ScenarioError::RunLog(format!("flight dump: {e}")));
             }
         }
-        // The telemetry probe's totals fold across restores, so a
-        // resumed run reports its scans from the start, not only those
-        // of the rebuilt backend.
-        let scan_stats = self.harness.has_channel_sink().then(|| {
-            let total = self.telemetry.totals();
-            ScanStatsReport {
-                scans: total.get(Counter::RowsBuilt),
-                pairs: total.get(Counter::RowPairs),
-                row_hits: total.get(Counter::RowHits),
-            }
-        });
-        let stats = self.harness.stats();
-        let metrics = self.metrics.into_collector().finish(
-            stats,
-            self.horizon,
+        let nodes = self.recorder.nodes();
+        let (digest, metrics) = self.recorder.finish(
+            self.compiled.spec.name.clone(),
             self.harness.prr(),
             self.completed_at,
             self.wall_start.elapsed(),
-            self.monitor.map(|m| m.into_samples()).unwrap_or_default(),
-            self.windowed_prr
-                .map(WindowedPrr::into_samples)
-                .unwrap_or_default(),
-            self.telemetry.into_samples(),
-            scan_stats,
-            self.harness.channel_signature(),
-        );
-        let report = ScenarioReport {
-            digest: self
-                .digest
-                .into_digest(self.compiled.spec.name.clone(), self.completed_at),
+        )?;
+        Ok(ScenarioReport {
+            digest,
             metrics,
-            nodes: self.harness.len(),
+            nodes,
             checkpointed: self.checkpointed,
-        };
-        if let Some(mut rl) = self.runlog {
-            rl.finish(&report);
-            if let Some(e) = rl.take_error() {
-                return Err(ScenarioError::RunLog(e));
+        })
+    }
+
+    /// Steps the session to the end and finishes it. At the breakpoint
+    /// (the requested `resume_at` split) it runs one full park/resume
+    /// cycle through checkpoint bytes.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Self::resume`] and [`Self::finish`] can return.
+    pub fn run_to_end(mut self) -> Result<ScenarioReport, ScenarioError> {
+        loop {
+            match self.step_to_next_pause() {
+                SessionStep::Paused => {}
+                SessionStep::Breakpoint => {
+                    let bytes = self.park();
+                    self.resume(&bytes)?;
+                }
+                SessionStep::Finished => return self.finish(),
             }
         }
-        Ok(report)
     }
 }
 

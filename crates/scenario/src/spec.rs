@@ -9,10 +9,7 @@
 //! on every backend, across checkpoint/resume cycles — enforced by the
 //! golden-trace suite.
 //!
-//! The JSON codec here is hand-rolled (the workspace `serde` is an
-//! offline stand-in that cannot serialize); all spec types still derive
-//! `Serialize`/`Deserialize` so swapping the real `serde` back in works
-//! without touching this crate.
+//! The JSON codec here is hand-rolled over [`decay_core::json`].
 
 use std::fmt;
 use std::path::Path;
@@ -23,7 +20,6 @@ use decay_distributed::ContentionStrategy;
 use decay_engine::{ChurnConfig, EngineConfig, JamSchedule, LatencyModel, Tick};
 use decay_netsim::{FaultPlan, ReceptionModel};
 use decay_sinr::SinrParams;
-use serde::{Deserialize, Serialize};
 
 use crate::json::{self, int, num, obj, s, JsonError, JsonValue};
 
@@ -32,7 +28,7 @@ use crate::json::{self, int, num, obj, s, JsonError, JsonValue};
 /// constructors in `decay-spaces` ([`decay_spaces::line_points`],
 /// [`decay_spaces::grid_points`], [`decay_spaces::ring_points`],
 /// [`decay_spaces::random_points`], [`decay_spaces::clustered_points`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologySpec {
     /// `n` evenly spaced nodes on a line.
     Line {
@@ -91,7 +87,7 @@ pub enum TopologySpec {
 /// Which [`decay_engine::DecayBackend`] realizes the topology's decay
 /// space. All three are required to produce bit-identical traces for the
 /// same spec — the cross-backend conformance suite enforces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSpec {
     /// Materialized `n × n` matrix ([`decay_engine::DenseBackend`]).
     Dense,
@@ -109,7 +105,7 @@ pub enum BackendSpec {
 
 /// SINR physics: capture threshold and ambient noise (see
 /// [`decay_sinr::SinrParams`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SinrSpec {
     /// Capture threshold `β`.
     pub beta: f64,
@@ -119,7 +115,7 @@ pub struct SinrSpec {
 
 /// One scheduled outage (see [`decay_netsim::Outage`]); `until: None`
 /// means a permanent crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// The affected node index.
     pub node: usize,
@@ -130,7 +126,7 @@ pub struct FaultSpec {
 }
 
 /// One directed link for the contention protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSpec {
     /// The sending node index.
     pub from: usize,
@@ -139,7 +135,7 @@ pub struct LinkSpec {
 }
 
 /// The workload: which protocol the nodes run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolSpec {
     /// Event-driven local broadcast
     /// ([`decay_distributed::run_local_broadcast_event`]): every node
@@ -181,7 +177,7 @@ pub enum ProtocolSpec {
 /// The mobility layer of a temporal channel (see
 /// [`decay_channel::MobilityModel`]). Distances are in deployment units,
 /// speeds in units per coherence block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MobilitySpec {
     /// Random waypoint: walk to a uniform target, pause, repeat.
     Waypoint {
@@ -219,7 +215,7 @@ pub enum MobilitySpec {
 
 /// Spatially correlated log-normal shadowing (see
 /// [`decay_channel::ShadowingConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowingSpec {
     /// Per-link shadowing standard deviation in dB.
     pub sigma_db: f64,
@@ -232,7 +228,7 @@ pub struct ShadowingSpec {
 }
 
 /// Block Rayleigh fading (see [`decay_channel::FadingConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FadingSpec {
     /// Draw seed.
     pub seed: u64,
@@ -241,7 +237,7 @@ pub struct FadingSpec {
 /// Metricity monitoring: sample `ζ(t)`/`φ(t)` of the instantaneous gain
 /// matrix into the metrics report (see
 /// [`decay_channel::MetricityMonitor`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorSpec {
     /// Sampling interval in ticks; must be a multiple of the spec's
     /// `check_interval` (samples are taken on the runner's pause grid,
@@ -255,7 +251,7 @@ pub struct MonitorSpec {
 /// layers riding on the static backend. With a `trace` (inline) or a
 /// `trace_path` (repo-relative file), the measured gain matrices
 /// replace the generative layers entirely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelSpec {
     /// Coherence block length in ticks.
     pub block: Tick,
@@ -284,7 +280,7 @@ pub struct ChannelSpec {
 /// `interval` ticks. Controller identity (kind + parameters) is folded
 /// into checkpoint signatures, so resuming under a different adaptive
 /// block is refused.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSpec {
     /// Decision interval in ticks; must be a multiple of the spec's
     /// `check_interval` (decisions fire on the runner's pause grid,
@@ -305,7 +301,7 @@ pub struct AdaptiveSpec {
 
 /// A complete declarative scenario. See the crate docs for the JSON
 /// format and `scenarios/` for shipped examples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name; also names the golden-trace digest file.
     pub name: String,

@@ -11,7 +11,7 @@ use decay_engine::{ChurnConfig, JamSchedule, LatencyModel};
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, MobilitySpec, MonitorSpec, ProtocolSpec,
-    ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
+    RunOptions, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -204,11 +204,17 @@ proptest! {
             channel,
         });
         let runner = ScenarioRunner::new(spec).unwrap();
-        let dense = runner.run_on(BackendSpec::Dense).unwrap();
-        let lazy = runner.run_on(BackendSpec::Lazy).unwrap();
-        let tiled = runner
-            .run_on(BackendSpec::Tiled { tile_size: 5, max_tiles: 3 })
-            .unwrap();
+        let run_on = |backend| {
+            runner
+                .run(RunOptions {
+                    backend: Some(backend),
+                    ..RunOptions::default()
+                })
+                .unwrap()
+        };
+        let dense = run_on(BackendSpec::Dense);
+        let lazy = run_on(BackendSpec::Lazy);
+        let tiled = run_on(BackendSpec::Tiled { tile_size: 5, max_tiles: 3 });
         prop_assert_eq!(&dense.digest, &lazy.digest, "dense vs lazy");
         prop_assert_eq!(&dense.digest, &tiled.digest, "dense vs tiled");
         prop_assert_eq!(&dense.metrics.zeta_series, &lazy.metrics.zeta_series);
@@ -220,7 +226,7 @@ proptest! {
             );
         }
         // Deterministic in the spec: a second run reproduces exactly.
-        let again = runner.run_on(BackendSpec::Dense).unwrap();
+        let again = run_on(BackendSpec::Dense);
         prop_assert_eq!(&dense.digest, &again.digest, "rerun");
         // And the digest survives its own canonical text form.
         let parsed = decay_scenario::TraceDigest::parse(&dense.digest.canonical()).unwrap();
@@ -244,7 +250,11 @@ fn seeds_differentiate_digests() {
             pruned: false,
             channel: 0,
         });
-        ScenarioRunner::new(spec).unwrap().run().unwrap().digest
+        ScenarioRunner::new(spec)
+            .unwrap()
+            .run(RunOptions::default())
+            .unwrap()
+            .digest
     };
     let a = run(1);
     let b = run(2);

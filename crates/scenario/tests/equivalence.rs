@@ -13,14 +13,13 @@ use decay_engine::{DenseBackend, Engine, EngineConfig, SlotAdapter};
 use decay_netsim::{Action, FaultPlan, NodeBehavior, Simulator, SlotContext};
 use decay_scenario::TopologySpec;
 use decay_sinr::SinrParams;
-use serde::{Deserialize, Serialize};
 
 /// Deterministic lockstep protocol: node `i` transmits exactly when
 /// `(slot + 7·i) mod 97 == 0` (about 1% of nodes per slot), listens
 /// otherwise. No RNG — the two substrates draw per-node randomness from
 /// different stream families, so only an RNG-free behavior can be
 /// compared delivery-for-delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Lockstep;
 
 impl NodeBehavior for Lockstep {

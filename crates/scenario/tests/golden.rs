@@ -8,7 +8,7 @@
 //! `SCENARIO_GOLDEN_UPDATE=1` and commit the rewritten digest files.
 
 use decay_scenario::golden::{self, GoldenOutcome};
-use decay_scenario::{BackendSpec, ScenarioRunner};
+use decay_scenario::{BackendSpec, RunOptions, ScenarioRunner};
 
 #[test]
 fn shipped_specs_have_stable_cross_backend_digests() {
@@ -23,7 +23,9 @@ fn shipped_specs_have_stable_cross_backend_digests() {
         let name = spec.name.clone();
         let horizon = spec.horizon;
         let runner = ScenarioRunner::new(spec).expect("shipped specs validate");
-        let declared = runner.run().expect("declared-backend run");
+        let declared = runner
+            .run(RunOptions::default())
+            .expect("declared-backend run");
 
         // Conformance: the digest must not depend on the backend (the
         // declared one already ran; only the other two need runs)...
@@ -38,7 +40,12 @@ fn shipped_specs_have_stable_cross_backend_digests() {
         .into_iter()
         .filter(|&b| b != runner.spec().backend)
         {
-            let other = runner.run_on(backend).expect("cross-backend run");
+            let other = runner
+                .run(RunOptions {
+                    backend: Some(backend),
+                    ..RunOptions::default()
+                })
+                .expect("cross-backend run");
             assert_eq!(
                 declared.digest, other.digest,
                 "{name}: digest differs on {backend:?}"
@@ -50,7 +57,12 @@ fn shipped_specs_have_stable_cross_backend_digests() {
         // did — a split past the run's end silently skips the
         // checkpoint, which would leave codec regressions untested.
         let split = (declared.digest.completed_at.unwrap_or(horizon) / 2).max(1);
-        let resumed = runner.run_with_resume(split).expect("resumed run");
+        let resumed = runner
+            .run(RunOptions {
+                resume_at: Some(split),
+                ..RunOptions::default()
+            })
+            .expect("resumed run");
         assert_eq!(
             resumed.checkpointed,
             Some(split),

@@ -1,17 +1,22 @@
 //! Probe transparency: attaching *any* subset of read-only probes to a
 //! run — with any backend, with or without a checkpoint/resume split,
 //! with or without a ζ(t)-adaptive controller — must leave the trace
-//! digest and the ζ(t) series bit-identical to a bare run. This is the
-//! determinism contract of the probe API: observation never perturbs.
+//! digest and the ζ(t) series bit-identical to a bare run, and
+//! attaching a runlog writer must leave the whole report untouched.
+//! This is the determinism contract of the probe API: observation
+//! never perturbs.
+
+use std::sync::Arc;
 
 use decay_channel::MetricityMonitor;
 use decay_distributed::ContentionStrategy;
 use decay_engine::probe::{PauseCtx, Probe};
-use decay_engine::{ChurnConfig, JamSchedule, LatencyModel, TelemetryProbe, Tick, WindowedPrr};
+use decay_engine::{ChurnConfig, JamSchedule, LatencyModel, Tick, WindowedPrr};
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     runlog, AdaptiveSpec, BackendSpec, ChannelSpec, FadingSpec, MobilitySpec, MonitorSpec,
-    ProtocolSpec, RunOptions, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec, TopologySpec,
+    ProtocolSpec, RunOptions, RunSession, ScenarioRunner, ScenarioSpec, ShadowingSpec, SinrSpec,
+    TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -121,18 +126,6 @@ impl Probe for Counter {
 
 use decay_core::telemetry::{Counter as TCounter, TelemetrySample};
 
-/// The engine-side counters: bumped only by the dispatch/resolve hot
-/// path, never by a probe reading the backend (unlike the backend-side
-/// row/epoch counters, which honestly count every `decay_at` a monitor
-/// issues).
-const ENGINE_SIDE: [TCounter; 5] = [
-    TCounter::Events,
-    TCounter::ResolveTicks,
-    TCounter::SinrPairs,
-    TCounter::DecayCalls,
-    TCounter::ReachScans,
-];
-
 /// One timing-free telemetry sample: tick, queue high-water mark, and
 /// the chosen counter deltas by wire name.
 type CounterViewRow = (Tick, u64, Vec<(&'static str, u64)>);
@@ -163,13 +156,14 @@ proptest! {
     /// Any subset of read-only extra probes, on any backend, with or
     /// without a resume split and with or without the adaptive
     /// controller, reproduces the bare run's digest, ζ(t) series, and
-    /// windowed-PRR series bit for bit.
+    /// windowed-PRR series bit for bit; and a run without a runlog
+    /// reports the same telemetry and scan stats as one with it.
     #[test]
     fn probe_subsets_never_perturb_the_run(
         protocol in 0u8..3,
         seed in 0u64..3_000,
         backend_knob in 0u8..3,
-        subset in 0u8..16,
+        subset in 0u8..8,
         split_knob in 0u64..520,
         adaptive_knob in 0u8..2,
     ) {
@@ -185,24 +179,34 @@ proptest! {
             ScenarioRunner::new(observed_spec(protocol, seed, adaptive)).unwrap();
         let mut bare_log = Vec::new();
         let bare = runner
-            .run_with_options(
-                RunOptions {
-                    backend: Some(backend),
-                    runlog: Some(&mut bare_log),
-                    ..RunOptions::default()
-                },
-                &mut [],
-            )
+            .run(RunOptions {
+                backend: Some(backend),
+                runlog: Some(&mut bare_log),
+                ..RunOptions::default()
+            })
             .unwrap();
 
+        // A runlog writer renders what the session already folded, so
+        // dropping it leaves every counter delta — the backend-side
+        // row/epoch counters included — and the scan stats unchanged.
+        let unlogged = runner
+            .run(RunOptions {
+                backend: Some(backend),
+                ..RunOptions::default()
+            })
+            .unwrap();
+        prop_assert_eq!(
+            counter_view(&unlogged.metrics.telemetry, &TCounter::ALL),
+            counter_view(&bare.metrics.telemetry, &TCounter::ALL),
+            "attaching a runlog changed the telemetry series"
+        );
+        prop_assert_eq!(unlogged.metrics.scan_stats, bare.metrics.scan_stats);
+
         let mut counter = Counter::default();
-        // Same grid and subset size as the built-in monitor, so the two
+        // Same grid and subset size as the spec's monitor, so the two
         // series must agree sample for sample.
         let mut extra_monitor = MetricityMonitor::new(32, 10);
         let mut extra_prr = WindowedPrr::new(18, 64, 4);
-        // Same interval as the built-in telemetry probe (the spec's
-        // check_interval), so the two counter series must agree.
-        let mut extra_telemetry = TelemetryProbe::new(16, 8);
         let mut extras: Vec<&mut dyn Probe> = Vec::new();
         if subset & 1 != 0 {
             extras.push(&mut counter);
@@ -213,21 +217,20 @@ proptest! {
         if subset & 4 != 0 {
             extras.push(&mut extra_prr);
         }
-        if subset & 8 != 0 {
-            extras.push(&mut extra_telemetry);
-        }
         let mut probed_log = Vec::new();
-        let probed = runner
-            .run_with_options(
-                RunOptions {
-                    backend: Some(backend),
-                    resume_at: split,
-                    runlog: Some(&mut probed_log),
-                    ..RunOptions::default()
-                },
-                &mut extras,
-            )
-            .unwrap();
+        let probed = RunSession::new(
+            Arc::clone(runner.compiled()),
+            RunOptions {
+                backend: Some(backend),
+                resume_at: split,
+                runlog: Some(&mut probed_log),
+                ..RunOptions::default()
+            },
+            &mut extras,
+        )
+        .unwrap()
+        .run_to_end()
+        .unwrap();
         drop(extras);
 
         prop_assert_eq!(&bare.digest, &probed.digest, "digest drift");
@@ -273,27 +276,6 @@ proptest! {
             let sum: u64 = extra_prr.samples().iter().map(|s| s.deliveries).sum();
             prop_assert!(sum <= probed.digest.stats.deliveries);
         }
-        if subset & 8 != 0 {
-            prop_assert!(
-                !extra_telemetry.samples().is_empty(),
-                "telemetry probe never sampled"
-            );
-            // An extra monitor (bit 2) issues backend reads between the
-            // built-in telemetry read and this probe's, so the
-            // backend-side row/epoch counters honestly differ; without
-            // it the full counter set must agree delta for delta.
-            let compare: &[TCounter] = if subset & 2 == 0 {
-                &TCounter::ALL
-            } else {
-                &ENGINE_SIDE
-            };
-            prop_assert_eq!(
-                counter_view(extra_telemetry.samples(), compare),
-                counter_view(&probed.metrics.telemetry, compare),
-                "an extra telemetry probe on the same grid must see the \
-                 same counter deltas as the built-in one"
-            );
-        }
     }
 }
 
@@ -306,12 +288,25 @@ proptest! {
 #[test]
 fn counter_deltas_identical_across_backends() {
     let runner = ScenarioRunner::new(observed_spec(1, 7, false)).unwrap();
-    let dense = runner.run_on(BackendSpec::Dense).unwrap();
-    let lazy = runner.run_on(BackendSpec::Lazy).unwrap();
+    let dense = runner
+        .run(RunOptions {
+            backend: Some(BackendSpec::Dense),
+            ..RunOptions::default()
+        })
+        .unwrap();
+    let lazy = runner
+        .run(RunOptions {
+            backend: Some(BackendSpec::Lazy),
+            ..RunOptions::default()
+        })
+        .unwrap();
     let tiled = runner
-        .run_on(BackendSpec::Tiled {
-            tile_size: 5,
-            max_tiles: 3,
+        .run(RunOptions {
+            backend: Some(BackendSpec::Tiled {
+                tile_size: 5,
+                max_tiles: 3,
+            }),
+            ..RunOptions::default()
         })
         .unwrap();
     assert!(
@@ -363,7 +358,10 @@ fn out_of_range_splits_are_rejected() {
     let runner = ScenarioRunner::new(observed_spec(0, 1, false)).unwrap();
     let horizon = runner.spec().horizon;
     for bad in [0, horizon, horizon + 1, horizon * 10] {
-        match runner.run_with_resume(bad) {
+        match runner.run(RunOptions {
+            resume_at: Some(bad),
+            ..RunOptions::default()
+        }) {
             Err(decay_scenario::ScenarioError::InvalidSplit { split, horizon: h }) => {
                 assert_eq!(split, bad);
                 assert_eq!(h, horizon);
@@ -373,8 +371,16 @@ fn out_of_range_splits_are_rejected() {
     }
     // Every strictly-interior split is accepted and actually checkpoints
     // (unless the run completes first, which `checkpointed` reports).
-    let report = runner.run_with_resume(horizon - 1).unwrap();
-    assert_eq!(report.digest, runner.run().unwrap().digest);
+    let report = runner
+        .run(RunOptions {
+            resume_at: Some(horizon - 1),
+            ..RunOptions::default()
+        })
+        .unwrap();
+    assert_eq!(
+        report.digest,
+        runner.run(RunOptions::default()).unwrap().digest
+    );
 }
 
 /// The adaptive controller actually steers: the same spec with and
@@ -388,12 +394,12 @@ fn out_of_range_splits_are_rejected() {
 fn adaptive_block_changes_and_reproduces_the_trace() {
     let fixed = ScenarioRunner::new(observed_spec(0, 9, false))
         .unwrap()
-        .run()
+        .run(RunOptions::default())
         .unwrap();
     let run_adaptive = || {
         ScenarioRunner::new(observed_spec(0, 9, true))
             .unwrap()
-            .run()
+            .run(RunOptions::default())
             .unwrap()
     };
     let adaptive = run_adaptive();

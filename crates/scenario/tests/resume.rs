@@ -140,30 +140,24 @@ proptest! {
         let runner = ScenarioRunner::new(stormy_spec(protocol, seed)).unwrap();
         let mut plain_log = Vec::new();
         let uninterrupted = runner
-            .run_with_options(
-                RunOptions {
-                    runlog: Some(&mut plain_log),
-                    ..RunOptions::default()
-                },
-                &mut [],
-            )
+            .run(RunOptions {
+                runlog: Some(&mut plain_log),
+                ..RunOptions::default()
+            })
             .unwrap();
         let mut resumed_log = Vec::new();
         let resumed = runner
-            .run_with_options(
-                RunOptions {
-                    resume_at: Some(split as Tick),
-                    runlog: Some(&mut resumed_log),
-                    ..RunOptions::default()
-                },
-                &mut [],
-            )
+            .run(RunOptions {
+                resume_at: Some(split as Tick),
+                runlog: Some(&mut resumed_log),
+                ..RunOptions::default()
+            })
             .unwrap();
         prop_assert_eq!(&uninterrupted.digest, &resumed.digest, "split {}", split);
         // The runlog determinism contract: the resumed run's byte
         // stream equals the uninterrupted one's, modulo the `resume`
         // marker — even the counter deltas in the sample spanning the
-        // split, which the probe accumulates across the restore.
+        // split, which the recorder accumulates across the restore.
         let plain_text = String::from_utf8(plain_log).unwrap();
         let resumed_text = String::from_utf8(resumed_log).unwrap();
         if !decay_core::telemetry::Counters::timing_enabled() {
@@ -238,7 +232,7 @@ proptest! {
 fn stormy_spec_exercises_all_dynamics() {
     let report = ScenarioRunner::new(stormy_spec(0, 7))
         .unwrap()
-        .run()
+        .run(RunOptions::default())
         .unwrap();
     let stats = report.digest.stats;
     assert!(stats.deliveries > 0, "no deliveries");

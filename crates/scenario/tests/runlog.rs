@@ -58,15 +58,12 @@ fn run_with_log(
     let mut log = Vec::new();
     let report = ScenarioRunner::new(spec)
         .unwrap()
-        .run_with_options(
-            RunOptions {
-                backend: Some(backend),
-                resume_at: split,
-                runlog: Some(&mut log),
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
+        .run(RunOptions {
+            backend: Some(backend),
+            resume_at: split,
+            runlog: Some(&mut log),
+            ..RunOptions::default()
+        })
         .unwrap();
     (report, String::from_utf8(log).unwrap())
 }
@@ -221,13 +218,10 @@ fn shipped_scenario_runlog_matches_golden_fixture() {
     let mut log = Vec::new();
     ScenarioRunner::new(spec)
         .unwrap()
-        .run_with_options(
-            RunOptions {
-                runlog: Some(&mut log),
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
+        .run(RunOptions {
+            runlog: Some(&mut log),
+            ..RunOptions::default()
+        })
         .unwrap();
     let text = String::from_utf8(log).unwrap();
     // Pin the normalized form so default and timing builds agree on
@@ -263,15 +257,12 @@ fn flight_dump_and_trace_spans_sinks() {
     let mut spans = Vec::new();
     ScenarioRunner::new(full_featured_spec(3))
         .unwrap()
-        .run_with_options(
-            RunOptions {
-                resume_at: Some(90),
-                flight_dump: Some(&mut dump),
-                trace_spans: Some(&mut spans),
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
+        .run(RunOptions {
+            resume_at: Some(90),
+            flight_dump: Some(&mut dump),
+            trace_spans: Some(&mut spans),
+            ..RunOptions::default()
+        })
         .unwrap();
     let dump_text = String::from_utf8(dump).unwrap();
     assert!(

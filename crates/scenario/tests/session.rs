@@ -13,8 +13,9 @@ use decay_engine::{ChurnConfig, JamSchedule, LatencyModel, PrrWindowSample, Tick
 use decay_netsim::ReceptionModel;
 use decay_scenario::{
     runlog, AdaptiveSpec, BackendSpec, ChannelSpec, CompiledScenario, FadingSpec, MobilitySpec,
-    MonitorSpec, ProtocolSpec, RunLog, RunOptions, RunSession, ScenarioCache, ScenarioReport,
-    ScenarioRunner, ScenarioSpec, SessionStep, ShadowingSpec, SinrSpec, TopologySpec,
+    MonitorSpec, ProtocolSpec, RunLog, RunOptions, RunSession, ScenarioCache, ScenarioError,
+    ScenarioReport, ScenarioRunner, ScenarioSpec, SessionStep, ShadowingSpec, SinrSpec,
+    TopologySpec,
 };
 use proptest::prelude::*;
 
@@ -190,14 +191,11 @@ fn reference_run(spec: ScenarioSpec, backend: BackendSpec) -> (ScenarioReport, S
     let mut log: Vec<u8> = Vec::new();
     let report = ScenarioRunner::new(spec)
         .expect("spec compiles")
-        .run_with_options(
-            RunOptions {
-                backend: Some(backend),
-                runlog: Some(&mut log),
-                ..RunOptions::default()
-            },
-            &mut [],
-        )
+        .run(RunOptions {
+            backend: Some(backend),
+            runlog: Some(&mut log),
+            ..RunOptions::default()
+        })
         .expect("reference run succeeds");
     (report, String::from_utf8(log).expect("runlog is utf-8"))
 }
@@ -324,6 +322,39 @@ fn horizon_ends_the_run_and_every_park_parses() {
     }
 }
 
+/// A session refuses a `resume_at` outside `(0, horizon)` when it
+/// opens, instead of running to the end without a checkpoint cycle;
+/// an interior split opens and checkpoints exactly there.
+#[test]
+fn session_rejects_out_of_range_resume_at() {
+    let spec = observed_spec(0, 1, false);
+    let horizon = spec.horizon;
+    let compiled = Arc::new(CompiledScenario::compile(spec).expect("compiles"));
+    let open = |resume_at| {
+        RunSession::new(
+            Arc::clone(&compiled),
+            RunOptions {
+                resume_at: Some(resume_at),
+                ..RunOptions::default()
+            },
+            &mut [],
+        )
+    };
+    for bad in [0, horizon, 1000] {
+        match open(bad) {
+            Err(ScenarioError::InvalidSplit { split, horizon: h }) => {
+                assert_eq!((split, h), (bad, horizon));
+            }
+            other => panic!("resume_at {bad}: expected InvalidSplit, got {other:?}"),
+        }
+    }
+    let report = open(100)
+        .expect("interior split opens")
+        .run_to_end()
+        .expect("run succeeds");
+    assert_eq!(report.checkpointed, Some(100));
+}
+
 /// A warm [`ScenarioCache`] hit shares the compilation — points and
 /// plan untouched, `compile_hits` bumped — and the shared compilation
 /// runs to the same digest as the cold one.
@@ -334,7 +365,7 @@ fn warm_cache_skips_recompilation() {
     let cold = cache.compile(spec.clone()).expect("cold compile");
     assert_eq!(cache.compile_hits(), 0);
     let first = ScenarioRunner::from_compiled(Arc::clone(&cold))
-        .run()
+        .run(RunOptions::default())
         .expect("cold run");
 
     let warm = cache.compile(spec).expect("warm compile");
@@ -347,6 +378,8 @@ fn warm_cache_skips_recompilation() {
         Arc::ptr_eq(cold.points(), warm.points()),
         "warm hit redeployed the topology"
     );
-    let second = ScenarioRunner::from_compiled(warm).run().expect("warm run");
+    let second = ScenarioRunner::from_compiled(warm)
+        .run(RunOptions::default())
+        .expect("warm run");
     assert_eq!(first.digest, second.digest);
 }

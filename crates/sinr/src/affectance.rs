@@ -15,13 +15,12 @@
 //! `a_S(v) ≤ 1/K` (see DESIGN.md reading note 3).
 
 use decay_core::DecaySpace;
-use serde::{Deserialize, Serialize};
 
 use crate::error::SinrError;
 use crate::link::{LinkId, LinkSet};
 
 /// Physical-layer parameters: SINR threshold and ambient noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SinrParams {
     beta: f64,
     noise: f64,

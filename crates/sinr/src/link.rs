@@ -8,12 +8,11 @@
 use std::fmt;
 
 use decay_core::{DecaySpace, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::error::SinrError;
 
 /// Identifier of a link within a link set (a dense index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(usize);
 
 impl LinkId {
@@ -41,7 +40,7 @@ impl From<usize> for LinkId {
 }
 
 /// A communication link: sender and receiver nodes in a decay space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// The sending node `s_v`.
     pub sender: NodeId,
@@ -92,7 +91,7 @@ impl fmt::Display for Link {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSet {
     links: Vec<Link>,
 }

@@ -9,13 +9,12 @@
 //! linear power (`τ = 1`).
 
 use decay_core::DecaySpace;
-use serde::{Deserialize, Serialize};
 
 use crate::error::SinrError;
 use crate::link::LinkSet;
 
 /// A rule assigning transmission powers to links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PowerAssignment {
     /// Every sender uses the same power.
     Uniform {

@@ -19,13 +19,12 @@
 
 use decay_core::{DecayError, DecaySpace, NodeId};
 use decay_sinr::{Link, LinkId, LinkSet, SinrError};
-use serde::{Deserialize, Serialize};
 
 use crate::graph::Graph;
 
 /// A hardness instance: links over a decay space whose feasibility
 /// structure mirrors a graph's independence structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardnessInstance {
     /// The decay space.
     pub space: DecaySpace,

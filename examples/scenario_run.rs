@@ -88,19 +88,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .transpose()
         .map_err(|e| format!("cannot create flight-dump file: {e}"))?;
     let mut spans = Vec::new();
-    let report = runner.run_with_options(
-        RunOptions {
-            runlog: runlog_file
-                .as_mut()
-                .map(|f| f as &mut (dyn std::io::Write + Send)),
-            flight_dump: flight_file
-                .as_mut()
-                .map(|f| f as &mut (dyn std::io::Write + Send)),
-            trace_spans: trace_path.is_some().then_some(&mut spans),
-            ..RunOptions::default()
-        },
-        &mut [],
-    )?;
+    let report = runner.run(RunOptions {
+        runlog: runlog_file
+            .as_mut()
+            .map(|f| f as &mut (dyn std::io::Write + Send)),
+        flight_dump: flight_file
+            .as_mut()
+            .map(|f| f as &mut (dyn std::io::Write + Send)),
+        trace_spans: trace_path.is_some().then_some(&mut spans),
+        ..RunOptions::default()
+    })?;
     if as_json {
         print!("{}", report.to_json().pretty());
     } else {
@@ -129,7 +126,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The reproducibility contract in action: re-running on a different
     // backend leaves the digest untouched.
-    let cross = runner.run_on(BackendSpec::Dense)?;
+    let cross = runner.run(RunOptions {
+        backend: Some(BackendSpec::Dense),
+        ..RunOptions::default()
+    })?;
     assert_eq!(cross.digest, report.digest, "cross-backend digest drift");
     println!("\ncross-checked on the dense backend: digests identical");
     Ok(())

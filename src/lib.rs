@@ -82,9 +82,9 @@ pub mod prelude {
     };
     pub use decay_scenario::{
         chrome_trace_json, runlog, AdaptiveSpec, BackendSpec, ChannelSpec, CompiledScenario,
-        DigestProbe, MetricsProbe, MetricsReport, MobilitySpec, MonitorSpec, ProtocolSpec, RunLog,
-        RunOptions, RunSession, ScenarioCache, ScenarioReport, ScenarioRunner, ScenarioSpec,
-        SessionStep, TopologySpec, TraceDigest,
+        MetricsReport, MobilitySpec, MonitorSpec, ProtocolSpec, RunLog, RunOptions, RunSession,
+        ScenarioCache, ScenarioReport, ScenarioRunner, ScenarioSpec, SessionStep, TopologySpec,
+        TraceDigest,
     };
     pub use decay_sinr::{
         inductive_independence, sample_feasible_sets, AffectanceMatrix, ConflictGraph, Link,
