@@ -8,9 +8,7 @@
 //!     [--threshold 20] [--strict]
 //! ```
 //!
-//! Rows are matched by `(backend, block)`; rows of older documents that
-//! carry a `threads` value other than 1 (multi-lane measurements, no
-//! longer produced) are skipped. A row whose `events_per_sec`
+//! Rows are matched by `(backend, block)`. A row whose `events_per_sec`
 //! fell more than `threshold` percent below the baseline is reported as
 //! a regression with a GitHub Actions `::warning::` annotation (or
 //! `::error::` plus a non-zero exit under `--strict` — quick-mode CI
@@ -60,7 +58,6 @@ fn rows_of(doc: &JsonValue, path: &str) -> Result<Vec<Row>, String> {
         .and_then(JsonValue::as_array)
         .ok_or_else(|| format!("{path}: no rows array"))?;
     rows.iter()
-        .filter(|r| r.get("threads").and_then(JsonValue::as_u64).unwrap_or(1) == 1)
         .map(|r| {
             let backend = r
                 .get("backend")

@@ -40,7 +40,7 @@ use decay_channel::{
 use decay_core::json::{int, num, obj, parse, s, JsonValue};
 use decay_core::telemetry::{Counter, CounterSnapshot, Counters, SpanEvent, Timer};
 use decay_engine::{DecayBackend, Engine, EngineConfig, EventBehavior, LazyBackend, NodeCtx};
-use decay_scenario::{runlog, RunOptions, ScenarioCache, ScenarioRunner, ScenarioSpec};
+use decay_scenario::runlog;
 use decay_sinr::SinrParams;
 use decay_spaces::line_points;
 use rand::Rng;
@@ -204,16 +204,8 @@ fn counters_json(m: &Measurement) -> JsonValue {
     if Counters::timing_enabled() {
         for t in Timer::ALL {
             if let (Some(ns), Some(calls)) = (m.counters.timer_ns(t), m.counters.timer_calls(t)) {
-                pairs.push(match t {
-                    Timer::Dispatch => ("dispatch_ns", int(ns)),
-                    Timer::Resolve => ("resolve_ns", int(ns)),
-                    Timer::RowBuild => ("row_build_ns", int(ns)),
-                });
-                pairs.push(match t {
-                    Timer::Dispatch => ("dispatch_calls", int(calls)),
-                    Timer::Resolve => ("resolve_calls", int(calls)),
-                    Timer::RowBuild => ("row_build_calls", int(calls)),
-                });
+                pairs.push((t.ns_key(), int(ns)));
+                pairs.push((t.calls_key(), int(calls)));
             }
         }
     }
@@ -326,61 +318,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             record_spans,
         ),
     );
-
-    // Compiled-scenario cache row: the same broadcast spec submitted
-    // twice through a ScenarioCache, timed end to end (compile + run).
-    // The cold pass pays the deployment and the required-receivers
-    // field probe; the warm pass hits the cache and pays only the run —
-    // `warm_speedup` is the compile share bench_trend watches.
-    {
-        let spec_json = r#"{
-            "name": "bench-compile",
-            "seed": 7,
-            "horizon": 64,
-            "check_interval": 16,
-            "topology": { "kind": "line", "n": 2000, "spacing": 1.0, "alpha": 2.0 },
-            "sinr": { "beta": 1.0, "noise": 0.0 },
-            "protocol": { "kind": "broadcast", "neighborhood_decay": 4.0, "power": 1.0 },
-            "reach_decay": 16.0,
-            "top_k": 8
-        }"#;
-        let cache = ScenarioCache::new(4);
-        let submit = || {
-            let spec = ScenarioSpec::from_json_str(spec_json).expect("bench spec parses");
-            #[allow(clippy::disallowed_methods)] // report-only harness timing
-            let start = Instant::now();
-            let compiled = cache.compile(spec).expect("bench spec compiles");
-            let report = ScenarioRunner::from_compiled(compiled)
-                .run(RunOptions::default())
-                .expect("bench run succeeds");
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            let rate = report.metrics.stats.events as f64 / secs;
-            (report, rate)
-        };
-        let (cold_report, cold_rate) = submit();
-        let (warm_report, warm_rate) = submit();
-        assert_eq!(
-            cold_report.digest, warm_report.digest,
-            "cache hit forked the trace"
-        );
-        assert_eq!(cache.compile_hits(), 1, "second submission must hit");
-        rows.push(obj(vec![
-            ("backend", s("compile_cached")),
-            ("events", int(warm_report.metrics.stats.events)),
-            ("deliveries", int(warm_report.metrics.stats.deliveries)),
-            ("events_per_sec", num(warm_rate.round())),
-            ("cold_events_per_sec", num(cold_rate.round())),
-            ("warm_speedup", num(warm_rate / cold_rate.max(1e-9))),
-            ("compile_hits", int(cache.compile_hits())),
-        ]));
-        eprintln!(
-            "compile_cached: {} events, cold {:.0} -> warm {:.0} events/sec ({:.2}x)",
-            warm_report.metrics.stats.events,
-            cold_rate,
-            warm_rate,
-            warm_rate / cold_rate.max(1e-9),
-        );
-    }
 
     let doc = obj(vec![
         ("bench", s("engine")),

@@ -16,10 +16,15 @@
 //! function of the block, the composite field — and therefore every
 //! engine trace over it — is bit-identical across base backends too.
 //!
-//! Per-block state (mobility positions, per-node shadowing field values)
-//! lives in one epoch cache, recomputed at block boundaries; queries for
-//! an earlier block rebuild deterministically from block 0, which is how
-//! checkpoint restore replays without serialized channel state.
+//! Per-block state (mobility positions, per-node shadowing field values
+//! and reach scales) lives in one epoch cache. The *epoch solve* that
+//! recomputes it at a block boundary advances mobility, evaluates the
+//! spectral shadowing field once per node (`O(n · M)` with `M` fixed
+//! sinusoids, see [`crate::shadowing`]) and derives each node's reach
+//! scale; it is timed as `epoch_solve` under `telemetry-timing`.
+//! Queries for an earlier block rebuild deterministically from block 0,
+//! which is how checkpoint restore replays without serialized channel
+//! state.
 //!
 //! # Reach candidates
 //!
@@ -35,15 +40,16 @@
 //! the exact field, so the bound changes cost, never values.
 
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use decay_core::telemetry::{Counters, Timer};
 use decay_core::NodeId;
 use decay_engine::{DecayBackend, Tick};
 use decay_spaces::{distance, Point};
 
 use crate::fading::{FadingConfig, DRAW_BUCKETS};
 use crate::mobility::{MobilityConfig, MobilityEngine, MobilityModel, MobilityState};
-use crate::shadowing::{ShadowField, ShadowingConfig};
+use crate::shadowing::{ShadowField, ShadowingConfig, FIELD_VERSION};
 use crate::temporal::{signature_of, TemporalBackend};
 
 /// Decay clamp keeping composite values inside the decay-space contract
@@ -101,6 +107,9 @@ pub struct TemporalChannel {
     /// fade's share of the per-pair reach bound (empty without fading).
     gain_powers: Box<[f64]>,
     epoch: Mutex<Epoch>,
+    /// Sink for the epoch-solve timer: the adapter's, once attached
+    /// (see [`TemporalBackend::attach_telemetry`]).
+    telemetry: Arc<Counters>,
 }
 
 impl TemporalChannel {
@@ -151,6 +160,7 @@ impl TemporalChannel {
                 max_disp: 0.0,
                 shadow_min: f64::INFINITY,
             }),
+            telemetry: Arc::new(Counters::new()),
         }
     }
 
@@ -207,7 +217,7 @@ impl TemporalChannel {
     /// Adds a correlated shadowing layer.
     #[must_use]
     pub fn with_shadowing(mut self, config: ShadowingConfig) -> Self {
-        self.shadowing = Some(ShadowField::new(config, &self.initial));
+        self.shadowing = Some(ShadowField::new(config));
         self.shadowing_config = Some(config);
         self
     }
@@ -246,6 +256,7 @@ impl TemporalChannel {
         if epoch.ready && epoch.block == block {
             return epoch;
         }
+        let timer = self.telemetry.timer_start();
         if let Some(engine) = &self.mobility {
             let state = epoch.mob.get_or_insert_with(|| engine.initial_state());
             if state.block > block {
@@ -262,11 +273,10 @@ impl TemporalChannel {
                 let positions = epoch.mob.as_ref().map_or(&self.initial[..], |s| &s.pos[..]);
                 field.node_values(block, positions)
             };
-            let exp = -2.0 / self.alpha;
             epoch.reach_scale.clear();
             epoch
                 .reach_scale
-                .extend(values.iter().map(|&f| field.node_factor(f).powf(exp)));
+                .extend(values.iter().map(|&f| field.reach_scale(f, self.alpha)));
             epoch.shadow = values;
         }
         epoch.max_disp = epoch.mob.as_ref().map_or(0.0, |s| {
@@ -279,6 +289,7 @@ impl TemporalChannel {
         epoch.shadow_min = epoch.shadow.iter().copied().fold(f64::INFINITY, f64::min);
         epoch.block = block;
         epoch.ready = true;
+        self.telemetry.timer_stop(Timer::EpochSolve, timer);
         epoch
     }
 
@@ -460,6 +471,10 @@ impl TemporalBackend for TemporalChannel {
         Some(candidates)
     }
 
+    fn attach_telemetry(&mut self, sink: Arc<Counters>) {
+        self.telemetry = sink;
+    }
+
     fn signature(&self) -> u64 {
         let mut words = vec![0xC4A7_7E1Du64, self.block_len, self.alpha.to_bits()];
         if let Some(m) = &self.mobility_config {
@@ -488,6 +503,7 @@ impl TemporalBackend for TemporalChannel {
         if let Some(s) = &self.shadowing_config {
             words.extend([
                 2,
+                FIELD_VERSION,
                 s.sigma_db.to_bits(),
                 s.corr_dist.to_bits(),
                 s.time_corr.to_bits(),
@@ -657,6 +673,30 @@ mod tests {
         assert!(
             per_scan < n as f64 / 2.0,
             "{per_scan:.0} pairs per scan on {n} nodes"
+        );
+    }
+
+    /// Pins the shadowing field's bits for one configuration over three
+    /// blocks, next to the channel signature. A change to the field must
+    /// bump [`FIELD_VERSION`], which moves the signature and makes old
+    /// checkpoints fail to resume instead of replaying a different
+    /// field; then both pins are updated together.
+    #[test]
+    fn shadow_field_bits_are_pinned_to_the_signature() {
+        let ch = channel(16).with_shadowing(ShadowingConfig {
+            sigma_db: 4.0,
+            corr_dist: 3.0,
+            time_corr: 0.7,
+            seed: 77,
+        });
+        let bits: Vec<u64> = (0..3)
+            .flat_map(|block| ch.epoch_at(block).shadow.clone())
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(
+            (FIELD_VERSION, ch.signature(), crate::draw::mix(&bits)),
+            (2, 9_687_319_280_409_153_735, 15_842_272_315_176_972_517),
+            "shadow field bits moved: bump FIELD_VERSION and re-pin"
         );
     }
 

@@ -1,11 +1,12 @@
 //! Deterministic, random-access random draws.
 //!
 //! Every stochastic ingredient of a temporal channel — waypoint choices,
-//! Lévy step lengths, shadowing field anchors, block fading gains — is a
-//! *pure function* of `(seed, stream, coherence block, entity)`. That is
-//! what makes the whole subsystem checkpoint-free: a restored engine can
-//! re-evaluate any past or future block and land on exactly the bits the
-//! uninterrupted run saw, with no mid-stream RNG state to serialize. The
+//! Lévy step lengths, shadowing wave vectors and coefficients, block
+//! fading gains — is a *pure function* of `(seed, stream, coherence
+//! block, entity)`. That is what makes the whole subsystem
+//! checkpoint-free: a restored engine can re-evaluate any past or future
+//! block and land on exactly the bits the uninterrupted run saw, with no
+//! mid-stream RNG state to serialize. The
 //! generator is a splitmix64 chain over the key words (the same mixer
 //! `decay-engine`'s RNG seeds from), which passes through to uniform and
 //! Gaussian variates.

@@ -33,7 +33,7 @@
 //! (block, pair) of the view.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use decay_core::telemetry::{Counter, Counters, Timer};
 use decay_core::NodeId;
@@ -88,6 +88,14 @@ pub trait TemporalBackend: Send + Sync {
     fn reach_candidates(&self, block: u64, from: NodeId, reach: f64) -> Option<Vec<NodeId>> {
         let _ = (block, from, reach);
         None
+    }
+
+    /// Hands the backend its adapter's telemetry sink, so layers the
+    /// adapter cannot see (the per-block epoch solve) time themselves
+    /// into the same counters. Called once by [`TemporalAdapter::new`];
+    /// the default ignores it.
+    fn attach_telemetry(&mut self, sink: Arc<Counters>) {
+        let _ = sink;
     }
 
     /// A non-zero fingerprint of the channel's configuration, recorded in
@@ -209,8 +217,9 @@ pub struct TemporalAdapter {
     /// Channel-side telemetry sink (row builds/hits, window widths,
     /// view traffic), surfaced through [`DecayBackend::telemetry`].
     /// Disjoint from the engine's counter set, so merged snapshots
-    /// never double-count.
-    telemetry: Counters,
+    /// never double-count. Shared with the backend, which times its
+    /// epoch solves into it.
+    telemetry: Arc<Counters>,
 }
 
 /// Compile-time `Send + Sync` audit: the adapter is a `DecayBackend`
@@ -230,16 +239,18 @@ impl TemporalAdapter {
     /// # Panics
     ///
     /// Panics if the backend declares a zero block length.
-    pub fn new(inner: impl TemporalBackend + 'static) -> Self {
+    pub fn new(mut inner: impl TemporalBackend + 'static) -> Self {
         assert!(inner.block_len() >= 1, "coherence block must be >= 1 tick");
         let n = inner.len();
+        let telemetry = Arc::new(Counters::new());
+        inner.attach_telemetry(Arc::clone(&telemetry));
         TemporalAdapter {
             inner: Box::new(inner),
             n,
             block0: BlockSnapshot::empty(0, n),
             current: BlockSnapshot::empty(0, 0),
             all_nodes: OnceLock::new(),
-            telemetry: Counters::new(),
+            telemetry,
         }
     }
 

@@ -121,11 +121,19 @@ pub enum Timer {
     Resolve,
     /// Temporal decay-row builds.
     RowBuild,
+    /// Temporal epoch solves: the per-block recompute of mobility
+    /// positions, shadowing field values and reach scales.
+    EpochSolve,
 }
 
 impl Timer {
     /// Every timer, in declaration (= wire) order.
-    pub const ALL: [Timer; TIMER_COUNT] = [Timer::Dispatch, Timer::Resolve, Timer::RowBuild];
+    pub const ALL: [Timer; TIMER_COUNT] = [
+        Timer::Dispatch,
+        Timer::Resolve,
+        Timer::RowBuild,
+        Timer::EpochSolve,
+    ];
 
     /// Stable snake_case name used in JSON reports.
     pub fn name(self) -> &'static str {
@@ -133,12 +141,33 @@ impl Timer {
             Timer::Dispatch => "dispatch",
             Timer::Resolve => "resolve",
             Timer::RowBuild => "row_build",
+            Timer::EpochSolve => "epoch_solve",
+        }
+    }
+
+    /// JSON key of the timer's accumulated nanoseconds.
+    pub fn ns_key(self) -> &'static str {
+        match self {
+            Timer::Dispatch => "dispatch_ns",
+            Timer::Resolve => "resolve_ns",
+            Timer::RowBuild => "row_build_ns",
+            Timer::EpochSolve => "epoch_solve_ns",
+        }
+    }
+
+    /// JSON key of the timer's interval count.
+    pub fn calls_key(self) -> &'static str {
+        match self {
+            Timer::Dispatch => "dispatch_calls",
+            Timer::Resolve => "resolve_calls",
+            Timer::RowBuild => "row_build_calls",
+            Timer::EpochSolve => "epoch_solve_calls",
         }
     }
 }
 
 /// Number of [`Timer`] variants.
-pub const TIMER_COUNT: usize = 3;
+pub const TIMER_COUNT: usize = 4;
 
 /// Opaque token returned by [`Counters::timer_start`]. Zero-sized when
 /// timing is compiled out, so untimed builds pay nothing at the call
@@ -161,7 +190,7 @@ pub struct TimerStart {
 /// outside the determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Phase name (`dispatch`, `resolve`, or `row_build`).
+    /// Phase name ([`Timer::name`]).
     pub name: &'static str,
     /// Recording thread, as a small stable-per-thread id.
     pub tid: u32,

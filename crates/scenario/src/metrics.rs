@@ -262,30 +262,12 @@ fn telemetry_sample_json(s: &TelemetrySample) -> JsonValue {
     if Counters::timing_enabled() {
         for t in Timer::ALL {
             if let (Some(ns), Some(calls)) = (s.delta.timer_ns(t), s.delta.timer_calls(t)) {
-                pairs.push((timer_ns_key(t), int(ns)));
-                pairs.push((timer_calls_key(t), int(calls)));
+                pairs.push((t.ns_key(), int(ns)));
+                pairs.push((t.calls_key(), int(calls)));
             }
         }
     }
     obj(pairs)
-}
-
-/// Static JSON key for a timer's nanosecond column.
-pub(crate) fn timer_ns_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_ns",
-        Timer::Resolve => "resolve_ns",
-        Timer::RowBuild => "row_build_ns",
-    }
-}
-
-/// Static JSON key for a timer's call-count column.
-pub(crate) fn timer_calls_key(t: Timer) -> &'static str {
-    match t {
-        Timer::Dispatch => "dispatch_calls",
-        Timer::Resolve => "resolve_calls",
-        Timer::RowBuild => "row_build_calls",
-    }
 }
 
 impl fmt::Display for MetricsReport {

@@ -51,9 +51,7 @@ use decay_engine::telemetry::CounterAccumulator;
 use decay_engine::{DeliveryRecord, EngineStats, PrrWindowSample, Tick};
 
 use crate::json::{int, num, obj, s, JsonValue};
-use crate::metrics::{
-    timer_calls_key, timer_ns_key, MetricsCollector, MetricsReport, ScanStatsReport,
-};
+use crate::metrics::{MetricsCollector, MetricsReport, ScanStatsReport};
 use crate::runlog::{directives_json, hex, stats_json, RUNLOG_FORMAT};
 use crate::runner::{ScenarioError, TraceDigest};
 use crate::spec::{spec_signature, MonitorSpec, ProtocolSpec, ScenarioSpec};
@@ -464,8 +462,8 @@ impl<'w> RunLogWriter<'w> {
         if Counters::timing_enabled() {
             let mut timers = Vec::with_capacity(2 * Timer::ALL.len());
             for t in Timer::ALL {
-                timers.push((timer_ns_key(t), int(delta.timer_ns(t).unwrap_or(0))));
-                timers.push((timer_calls_key(t), int(delta.timer_calls(t).unwrap_or(0))));
+                timers.push((t.ns_key(), int(delta.timer_ns(t).unwrap_or(0))));
+                timers.push((t.calls_key(), int(delta.timer_calls(t).unwrap_or(0))));
             }
             fields.push(("timers", obj(timers)));
         }

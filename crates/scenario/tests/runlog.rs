@@ -274,8 +274,10 @@ fn flight_dump_and_trace_spans_sinks() {
         let trace = runlog::chrome_trace_json(&spans);
         let n = runlog::validate_trace(&trace).expect("trace validates");
         assert_eq!(n, spans.len());
-        // The engine's phase timers appear on the timeline.
+        // The engine's phase timers appear on the timeline, and so do
+        // the channel's epoch solves, timed into the backend's sink.
         assert!(spans.iter().any(|s| s.name == "resolve"));
+        assert!(spans.iter().any(|s| s.name == "epoch_solve"));
     } else {
         assert!(spans.is_empty(), "default builds compile spans out");
         // An empty timeline still renders valid (if boring) JSON.
