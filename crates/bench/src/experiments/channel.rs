@@ -235,6 +235,7 @@ pub fn e39_hint_window() -> Table {
         let mut full = build(speed, shadowed, faded, false);
         let sources: Vec<usize> = (0..8).map(|k| k * n / 8).collect();
         let mut exact = true;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
         for block in 0..blocks {
             let tick = block * block_len;
             // Advance the views as the engine does, so `scans` counts
@@ -243,8 +244,11 @@ pub fn e39_hint_window() -> Table {
             full.advance_to(tick);
             for &src in &sources {
                 let from = NodeId::new(src);
-                exact &= hinted.potential_receivers_at(tick, from, Some(reach))
-                    == full.potential_receivers_at(tick, from, Some(reach));
+                got.clear();
+                want.clear();
+                hinted.reach_at(tick, from, Some(reach), &mut got);
+                full.reach_at(tick, from, Some(reach), &mut want);
+                exact &= got == want;
             }
         }
         let stats = hinted.scan_stats();

@@ -664,7 +664,7 @@ mod tests {
         for block in [32, 64] {
             adapter.advance_to(block);
             for src in (0..n).step_by(61) {
-                adapter.potential_receivers_at(block, NodeId::new(src), Some(100.0));
+                adapter.reach_at(block, NodeId::new(src), Some(100.0), &mut Vec::new());
             }
         }
         let stats = adapter.scan_stats();

@@ -8,12 +8,12 @@
 //! evaluation is as cheap as a static backend's.
 //!
 //! [`TemporalAdapter`] implements [`decay_engine::DecayBackend`] on top,
-//! overriding the tick-aware methods (`decay_at`,
-//! `potential_receivers_at`, `advance_to`, `channel_signature`) so an
-//! unmodified [`decay_engine::Engine`] runs time-varying channels. The
-//! adapter's *static* view (`decay`, `potential_receivers`) is the
-//! block-0 field — what deployment-time computations (broadcast
-//! neighborhoods, link viability) see.
+//! overriding the tick-aware methods (`decay_at`, `reach_at`,
+//! `advance_to`, `channel_signature`) so an unmodified
+//! [`decay_engine::Engine`] runs time-varying channels. The adapter's
+//! *static* view (`decay`, `potential_receivers`) is the block-0 field
+//! — what deployment-time computations (broadcast neighborhoods, link
+//! viability) see.
 //!
 //! # Block views
 //!
@@ -28,9 +28,10 @@
 //! each touched source gets one immutable row: a dense decay cache over
 //! the source's candidate window, built by a single batched
 //! [`TemporalBackend::decay_row_in_block`] call (one epoch solve per
-//! row, not per pair) and shared by reach queries and hot-path
-//! `decay_at` lookups alike, so the backend evaluates at most once per
-//! (block, pair) of the view.
+//! row, not per pair). Reach queries hand the row's decays out with
+//! the receivers, so the engine never looks a pair up again, and
+//! `decay_at` reads (monitors, probes) are served from the same row:
+//! the backend evaluates at most once per (block, pair) of the view.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -133,10 +134,6 @@ struct SourceRow {
     window_reach: f64,
     /// Decays aligned with `candidates` (dense rows: indexed by node).
     decays: Vec<f64>,
-    /// The first exact reach list materialized from this row, keyed by
-    /// the reach bits (runs overwhelmingly use one reach value; other
-    /// reaches re-filter `decays` without re-evaluating the field).
-    list: OnceLock<(u64, Vec<NodeId>)>,
 }
 
 impl SourceRow {
@@ -153,20 +150,22 @@ impl SourceRow {
         }
     }
 
-    /// The exact receiver list for `reach`, filtered from the cached
+    /// Appends the exact receivers for `reach` with their cached
     /// decays (ascending node order, matching a brute-force scan).
-    fn filter(&self, from: NodeId, reach: f64) -> Vec<NodeId> {
+    fn extend_within(&self, from: NodeId, reach: f64, out: &mut Vec<(NodeId, f64)>) {
+        let within = |&(v, d): &(NodeId, f64)| v != from && d <= reach;
         match &self.candidates {
-            None => (0..self.decays.len())
-                .filter(|&j| j != from.index() && self.decays[j] <= reach)
-                .map(NodeId::new)
-                .collect(),
-            Some(c) => c
-                .iter()
-                .zip(&self.decays)
-                .filter(|&(_, &d)| d <= reach)
-                .map(|(&v, _)| v)
-                .collect(),
+            None => out.extend(
+                (0..self.decays.len())
+                    .map(|j| (NodeId::new(j), self.decays[j]))
+                    .filter(within),
+            ),
+            Some(c) => out.extend(
+                c.iter()
+                    .copied()
+                    .zip(self.decays.iter().copied())
+                    .filter(within),
+            ),
         }
     }
 }
@@ -197,7 +196,7 @@ impl BlockSnapshot {
 /// block-0 field or of the current view, so the scan cost amortizes
 /// over `block_len` ticks of transmissions. The block-0 snapshot (the
 /// static deployment view) is kept independently of the current view,
-/// so interleaving `potential_receivers` with `potential_receivers_at`
+/// so interleaving static-view queries with tick-aware `reach_at` calls
 /// never thrashes either cache.
 pub struct TemporalAdapter {
     inner: Box<dyn TemporalBackend>,
@@ -209,10 +208,9 @@ pub struct TemporalAdapter {
     /// block-0 queries always go to `block0`.
     current: BlockSnapshot,
     /// All node ids in order, built once — unbounded-reach
-    /// (`reach: None`) lists are sliced out of it per call (two
-    /// memcpys around the source) instead of re-filtering `0..n`, and
-    /// unhinted scans (trace replay, say) evaluate their full rows over
-    /// it. It is block-independent, so it lives beside the snapshots.
+    /// (`reach: None`) queries and unhinted scans (trace replay, say)
+    /// evaluate their full rows over it. It is block-independent, so it
+    /// lives beside the snapshots.
     all_nodes: OnceLock<Vec<NodeId>>,
     /// Channel-side telemetry sink (row builds/hits, window widths,
     /// view traffic), surfaced through [`DecayBackend::telemetry`].
@@ -324,7 +322,6 @@ impl TemporalAdapter {
             candidates,
             window_reach,
             decays,
-            list: OnceLock::new(),
         }
     }
 
@@ -354,36 +351,30 @@ impl TemporalAdapter {
         (reach <= row.window_reach).then_some(&**row)
     }
 
-    fn receivers_in_block(&self, block: u64, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
+    fn reach_in_block(
+        &self,
+        block: u64,
+        from: NodeId,
+        reach: Option<f64>,
+        out: &mut Vec<(NodeId, f64)>,
+    ) {
         let Some(r) = reach else {
-            // Everyone but the source: slice the shared id list around
-            // `from` (the trait returns an owned `Vec`, so one `O(n)`
-            // allocation is unavoidable — but not an `O(n)` filter, and
-            // not `O(n)` retained memory per source).
+            // Everyone but the source: one batched, uncached row (rows
+            // cache reach windows, and a full row per source would hold
+            // `O(n²)` memory).
             let all = self.all_nodes();
-            let mut out = Vec::with_capacity(self.n.saturating_sub(1));
-            out.extend_from_slice(&all[..from.index()]);
-            out.extend_from_slice(&all[from.index() + 1..]);
-            return out;
+            let decays = self.inner.decay_row_in_block(block, from, all);
+            out.extend(all.iter().copied().zip(decays).filter(|&(v, _)| v != from));
+            return;
         };
-        let Some(snapshot) = self.snapshot(block) else {
-            // Not the current view: answer exactly, cache nothing.
-            return self.scan(block, from, r).filter(from, r);
-        };
-        match self.row(snapshot, from, r) {
-            Some(row) => {
-                if let Some((bits, list)) = row.list.get() {
-                    if *bits == r.to_bits() {
-                        return list.clone();
-                    }
-                }
-                let list = row.filter(from, r);
-                let _ = row.list.set((r.to_bits(), list.clone()));
-                list
-            }
-            // The cached row was built for a narrower reach: answer
-            // exactly without disturbing it.
-            None => self.scan(block, from, r).filter(from, r),
+        match self
+            .snapshot(block)
+            .and_then(|snapshot| self.row(snapshot, from, r))
+        {
+            Some(row) => row.extend_within(from, r, out),
+            // Not the current view, or the cached row was built for a
+            // narrower reach: answer exactly, cache nothing.
+            None => self.scan(block, from, r).extend_within(from, r, out),
         }
     }
 }
@@ -417,12 +408,8 @@ impl DecayBackend for TemporalAdapter {
         }
     }
 
-    fn potential_receivers(&self, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
-        self.receivers_in_block(0, from, reach)
-    }
-
-    fn potential_receivers_at(&self, tick: Tick, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
-        self.receivers_in_block(self.block_of(tick), from, reach)
+    fn reach_at(&self, tick: Tick, from: NodeId, reach: Option<f64>, out: &mut Vec<(NodeId, f64)>) {
+        self.reach_in_block(self.block_of(tick), from, reach, out);
     }
 
     /// Moves the current view to `tick`'s block, starting an empty
@@ -473,6 +460,13 @@ mod tests {
         fn signature(&self) -> u64 {
             signature_of(&[0xD0, self.n as u64])
         }
+    }
+
+    /// `reach_at`'s receiver ids.
+    fn reach_ids(a: &TemporalAdapter, tick: Tick, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        a.reach_at(tick, from, reach, &mut out);
+        out.into_iter().map(|(v, _)| v).collect()
     }
 
     /// Evaluation counts per (block, from, to).
@@ -535,7 +529,7 @@ mod tests {
     #[test]
     fn reach_sets_track_the_block() {
         let a = TemporalAdapter::new(Pulse { n: 10 });
-        let at0 = a.potential_receivers_at(0, NodeId::new(5), Some(4.0));
+        let at0 = reach_ids(&a, 0, NodeId::new(5), Some(4.0));
         // Block 0: d² ≤ 4 ⇒ distance ≤ 2.
         assert_eq!(
             at0,
@@ -545,18 +539,18 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // Block 3: 4·d² ≤ 4 ⇒ distance ≤ 1 — the field tightened.
-        let at12 = a.potential_receivers_at(12, NodeId::new(5), Some(4.0));
+        let at12 = reach_ids(&a, 12, NodeId::new(5), Some(4.0));
         assert_eq!(
             at12,
             vec![4, 6].into_iter().map(NodeId::new).collect::<Vec<_>>()
         );
-        // Cached answer is identical on a repeat query.
-        assert_eq!(
-            a.potential_receivers_at(13, NodeId::new(5), Some(4.0)),
-            at12
-        );
+        // Cached answer is identical on a repeat query, and carries
+        // the block's decays.
+        let mut carried = Vec::new();
+        a.reach_at(13, NodeId::new(5), Some(4.0), &mut carried);
+        assert_eq!(carried, vec![(NodeId::new(4), 4.0), (NodeId::new(6), 4.0)]);
         // No reach = everyone else, any block.
-        assert_eq!(a.potential_receivers_at(12, NodeId::new(5), None).len(), 9);
+        assert_eq!(reach_ids(&a, 12, NodeId::new(5), None).len(), 9);
     }
 
     /// Interleaved block-0 (static view) and block-N (tick-aware) reach
@@ -578,11 +572,11 @@ mod tests {
             a.advance_to(tick);
             for src in [0usize, 3, 7] {
                 let from = NodeId::new(src);
-                let at = a.potential_receivers_at(tick, from, reach);
+                let at = reach_ids(&a, tick, from, reach);
                 let fixed = a.potential_receivers(from, reach);
                 assert_eq!(
                     at,
-                    a.potential_receivers_at(tick, from, reach),
+                    reach_ids(&a, tick, from, reach),
                     "tick {tick} src {src}"
                 );
                 assert_eq!(fixed, a.potential_receivers(from, reach));
@@ -614,7 +608,7 @@ mod tests {
         let field = Pulse { n: 12 };
         let (from, other, reach) = (NodeId::new(5), NodeId::new(2), 9.0);
         a.advance_to(8); // block 2
-        let in_view = a.potential_receivers_at(8, from, Some(reach));
+        let in_view = reach_ids(&a, 8, from, Some(reach));
         let in_view_decay = a.decay_at(9, from, NodeId::new(6));
         let swaps = a.telemetry.get(Counter::EpochSwaps);
         // A later block (5) and an earlier one (1).
@@ -626,7 +620,7 @@ mod tests {
                     .filter(|&to| to != src && field.decay_in_block(block, src, to) <= reach)
                     .collect();
                 assert!(!want.is_empty());
-                assert_eq!(a.potential_receivers_at(tick, src, Some(reach)), want);
+                assert_eq!(reach_ids(&a, tick, src, Some(reach)), want);
                 assert_eq!(
                     a.decay_at(tick, src, NodeId::new(6)),
                     field.decay_in_block(block, src, NodeId::new(6))
@@ -640,23 +634,27 @@ mod tests {
         assert_eq!(a.telemetry.get(Counter::EpochSwaps), swaps);
         // The view's row still answers from cache, evaluating nothing.
         let evaluated = ledger.lock().unwrap().clone();
-        assert_eq!(a.potential_receivers_at(9, from, Some(reach)), in_view);
+        assert_eq!(reach_ids(&a, 9, from, Some(reach)), in_view);
         assert_eq!(a.decay_at(10, from, NodeId::new(6)), in_view_decay);
         assert_eq!(*ledger.lock().unwrap(), evaluated);
     }
 
-    /// Unbounded-reach (`reach: None`) lists were rebuilt (an `O(n)`
-    /// allocation) on every call; they are now cached per source.
+    /// Unbounded-reach (`reach: None`) queries list every other node
+    /// with its block's decay, without building a row.
     #[test]
-    fn unbounded_reach_lists_are_cached() {
+    fn unbounded_reach_lists_every_node_without_a_row() {
         let a = TemporalAdapter::new(Pulse { n: 64 });
         let from = NodeId::new(9);
-        let first = a.potential_receivers_at(0, from, None);
-        assert_eq!(first.len(), 63);
-        // Same list from any block — and no field evaluations at all.
-        assert_eq!(a.potential_receivers_at(400, from, None), first);
-        assert_eq!(a.potential_receivers(from, None), first);
-        assert_eq!(a.scan_stats().scans, 0, "reach: None never scans the field");
+        for tick in [0, 400] {
+            let mut out = Vec::new();
+            a.reach_at(tick, from, None, &mut out);
+            assert_eq!(out.len(), 63);
+            assert!(out
+                .iter()
+                .all(|&(v, d)| v != from && d == a.decay_at(tick, from, v)));
+        }
+        assert_eq!(a.potential_receivers(from, None).len(), 63);
+        assert_eq!(a.scan_stats().scans, 0, "reach: None never builds a row");
     }
 
     /// A wider reach than the cached row's window answers exactly
@@ -690,10 +688,10 @@ mod tests {
         a.advance_to(2);
         let from = NodeId::new(5);
         // Block 2 scales decays by 3: reach 3 ⇒ distance ≤ 1.
-        let narrow = a.potential_receivers_at(2, from, Some(3.0));
+        let narrow = reach_ids(&a, 2, from, Some(3.0));
         assert_eq!(narrow, vec![NodeId::new(4), NodeId::new(6)]);
         // Reach 27 ⇒ distance ≤ 3, wider than the cached row's window.
-        let wide = a.potential_receivers_at(2, from, Some(27.0));
+        let wide = reach_ids(&a, 2, from, Some(27.0));
         assert_eq!(
             wide,
             vec![2, 3, 4, 6, 7, 8]
@@ -702,6 +700,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // The narrow row still answers its own reach from cache.
-        assert_eq!(a.potential_receivers_at(2, from, Some(3.0)), narrow);
+        assert_eq!(reach_ids(&a, 2, from, Some(3.0)), narrow);
     }
 }

@@ -265,7 +265,8 @@ proptest! {
 
     /// The snapshot path (hint-widened candidate windows pruned by the
     /// per-pair bound, cached rows, the block-0 snapshot) answers every
-    /// reach query exactly as a brute-force per-block scan does — across
+    /// reach query, ids and carried decays bit for bit, exactly as a
+    /// brute-force per-block scan does — across
     /// random interleavings of blocks up to 64 (so mobility drifts far
     /// from the deployment), sources, and reach values (including `None`
     /// and the exact decay of a random pair, which sits on the boundary
@@ -297,23 +298,70 @@ proptest! {
                     5 => Some(adapter.inner().decay_in_block(block, from, partner)),
                     k => Some(reaches[k]),
                 };
-                let got = adapter.potential_receivers_at(block * block_len, from, reach);
-                let want: Vec<NodeId> = (0..N)
+                let mut got = Vec::new();
+                adapter.reach_at(block * block_len, from, reach, &mut got);
+                let want: Vec<(NodeId, u64)> = (0..N)
                     .filter(|&j| j != src)
-                    .map(NodeId::new)
-                    .filter(|&to| match reach {
-                        None => true,
-                        Some(r) => adapter.inner().decay_in_block(block, from, to) <= r,
+                    .map(|j| {
+                        let to = NodeId::new(j);
+                        (to, adapter.inner().decay_in_block(block, from, to))
                     })
+                    .filter(|&(_, d)| reach.is_none_or(|r| d <= r))
+                    .map(|(to, d)| (to, d.to_bits()))
                     .collect();
+                let got: Vec<(NodeId, u64)> = got.iter().map(|&(v, d)| (v, d.to_bits())).collect();
                 if reach_idx == 5 {
-                    prop_assert!(got.contains(&partner), "boundary pair dropped");
+                    prop_assert!(got.iter().any(|&(v, _)| v == partner), "boundary pair dropped");
                 }
                 prop_assert_eq!(
                     got, want,
                     "base {} mask {} block {} src {} reach {:?}",
                     kind, mask, block, src, reach
                 );
+            }
+        }
+    }
+
+    /// `reach_at` is the fused form of a brute-force scan: on every
+    /// static base and over it every layer subset, at any tick, for a
+    /// reach inside the cached row's window, one beyond it (the
+    /// uncached fallback) and no reach at all, it yields exactly
+    /// `(v, decay_at(tick, from, v))` for each `v ≠ from` whose decay
+    /// is within reach — ids equal, decays bit-equal.
+    #[test]
+    fn reach_at_equals_a_brute_force_decay_at_scan(
+        seed in 0u64..300,
+        mask in 0u8..8,
+        block_len in 1u64..6,
+        queries in prop::collection::vec((0u64..200, 0usize..N), 12),
+    ) {
+        for kind in 0..4 {
+            let base = geometric_base(kind);
+            let mut adapter = hinted_channel(kind, seed, mask, block_len);
+            for &(tick, src) in &queries {
+                adapter.advance_to(tick);
+                let from = NodeId::new(src);
+                // The first reach builds the view's row; the second sits
+                // inside its window, the third beyond it.
+                for reach in [Some(9.0), Some(4.0), Some(1e6), None] {
+                    for backend in [&adapter as &dyn DecayBackend, &*base] {
+                        let mut got = Vec::new();
+                        backend.reach_at(tick, from, reach, &mut got);
+                        let got: Vec<(NodeId, u64)> =
+                            got.iter().map(|&(v, d)| (v, d.to_bits())).collect();
+                        let want: Vec<(NodeId, u64)> = (0..N)
+                            .filter(|&j| j != src)
+                            .map(|j| (NodeId::new(j), backend.decay_at(tick, from, NodeId::new(j))))
+                            .filter(|&(_, d)| reach.is_none_or(|r| d <= r))
+                            .map(|(v, d)| (v, d.to_bits()))
+                            .collect();
+                        prop_assert_eq!(
+                            got, want,
+                            "base {} mask {} tick {} src {} reach {:?}",
+                            kind, mask, tick, src, reach
+                        );
+                    }
+                }
             }
         }
     }

@@ -46,9 +46,11 @@ pub enum Counter {
     /// (listener, transmitter) candidate pairs examined during SINR
     /// resolution.
     SinrPairs,
-    /// Backend `decay_at` evaluations issued from the engine hot path.
+    /// Pair decays consumed by SINR groups: the decays the engine's
+    /// reach queries carried to listening receivers (one per pair of a
+    /// resolved listener group; no second backend lookup).
     DecayCalls,
-    /// Backend `potential_receivers`/`potential_receivers_at` queries.
+    /// Backend reach queries (`reach_at`), one per transmission.
     ReachScans,
     /// Temporal `SourceRow`s built (one batched decay-row evaluation
     /// each).
@@ -57,13 +59,17 @@ pub enum Counter {
     /// left after the channel's reach bound, not the hint-window width
     /// — so a silent widening shows up here first.
     RowPairs,
-    /// Queries served from an already-built `SourceRow` (cache hits).
+    /// Queries served from an already-built `SourceRow` (cache hits):
+    /// reach queries whose row was built earlier in the block, and
+    /// `decay_at` reads from outside the engine (monitors, probes). The
+    /// engine no longer looks rows up per pair.
     RowHits,
     /// Temporal block-view advances: the engine moved the view to a
     /// new coherence block, which starts an empty block snapshot.
     EpochSwaps,
     /// Tick-aware temporal reads for a block other than block 0 (each
-    /// consults the current block view).
+    /// consults the current block view): one per reach query, plus
+    /// `decay_at` reads from outside the engine (monitors, probes).
     EpochLoads,
     /// Compiled-scenario cache hits: submissions served an existing
     /// `CompiledScenario` instead of rebuilding topology/backend state.

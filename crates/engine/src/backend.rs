@@ -9,12 +9,13 @@
 //! matrix tiles) for large ones.
 //!
 //! Backends also answer the *reachability* query that makes event-driven
-//! reception resolution cheap: [`DecayBackend::potential_receivers`]
-//! enumerates the nodes a transmission could plausibly reach. Dense and
-//! generic lazy backends answer by scanning a row; a [`LazyBackend`] built
-//! from structured deployments (lines, grids, anything index-local) can
-//! install a *neighbor hint* answering in `O(k)` — the difference between
-//! `O(n)` and `O(k)` work per transmission at 100k+ nodes.
+//! reception resolution cheap: [`DecayBackend::reach_at`] enumerates the
+//! nodes a transmission could plausibly reach, each with the decay it
+//! was filtered on. Dense and generic lazy backends answer by scanning a
+//! row; a [`LazyBackend`] built from structured deployments (lines,
+//! grids, anything index-local) can install a *neighbor hint* answering
+//! in `O(k)` — the difference between `O(n)` and `O(k)` work per
+//! transmission at 100k+ nodes.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -62,31 +63,35 @@ pub trait DecayBackend: Send + Sync {
         self.decay(from, to)
     }
 
-    /// Nodes a transmission from `from` could plausibly reach: every
-    /// `z ≠ from` with `decay(from, z) ≤ reach`, or every other node when
-    /// `reach` is `None`.
+    /// The fused reach query at tick `tick`: appends to `out` every
+    /// `(z, f_t(from, z))` with `z ≠ from` and `f_t(from, z) ≤ reach`
+    /// (every other node when `reach` is `None`), once each in
+    /// ascending node order, carrying the exact decay each receiver was
+    /// filtered on.
     ///
-    /// The default implementation scans the whole row (`O(n)` decay
-    /// evaluations). Structured backends should override it — see
-    /// [`LazyBackend::with_neighbor_hint`].
-    fn potential_receivers(&self, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
-        let n = self.len();
-        (0..n)
-            .filter(|&j| j != from.index())
-            .map(NodeId::new)
-            .filter(|&to| match reach {
-                None => true,
-                Some(r) => self.decay(from, to) <= r,
-            })
-            .collect()
+    /// Each decay must equal [`Self::decay_at`]`(tick, from, z)` bit for
+    /// bit, so callers consume it in place of a second lookup — in the
+    /// decay-space model `f` is the only primitive, and the engine's
+    /// SINR resolve evaluates it once per pair this way.
+    ///
+    /// The default scans the whole row (`O(n)` [`Self::decay_at`]
+    /// evaluations), which suits dense and tiled backends. Structured
+    /// backends override it — see [`LazyBackend::with_neighbor_hint`] —
+    /// and temporal backends answer from per-block caches.
+    fn reach_at(&self, tick: Tick, from: NodeId, reach: Option<f64>, out: &mut Vec<(NodeId, f64)>) {
+        scan_row(self, tick, from, reach, 0..self.len(), out);
     }
 
-    /// Reach candidates at tick `tick`, mirroring [`Self::decay_at`].
-    /// Static backends delegate to [`Self::potential_receivers`];
-    /// temporal backends recompute the set per coherence block.
-    fn potential_receivers_at(&self, tick: Tick, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
-        let _ = tick;
-        self.potential_receivers(from, reach)
+    /// The static view's receiver ids: [`Self::reach_at`] at tick 0,
+    /// decays dropped. Deployment-time computations (broadcast
+    /// neighborhoods, reach windows of a temporal channel's base) use
+    /// it.
+    fn potential_receivers(&self, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.reach_at(0, from, reach, &mut out);
+        // Borrowing copies into an exact-size list; collecting by value
+        // would keep the pairs' twice-as-large allocation.
+        out.iter().map(|&(v, _)| v).collect()
     }
 
     /// Moves the backend's tick-scoped view to `tick`. The engine calls
@@ -102,8 +107,8 @@ pub trait DecayBackend: Send + Sync {
     /// `(from, reach)`, *unfiltered* by this backend's decay — `None`
     /// when the backend has no structural hint installed.
     ///
-    /// [`Self::potential_receivers`] filters its hint window against
-    /// this backend's own decay; callers that re-filter against a
+    /// [`Self::reach_at`] filters its hint window against this
+    /// backend's own decay; callers that re-filter against a
     /// *different* field — a temporal channel widening the window
     /// conservatively before testing the instantaneous decays — use
     /// this to skip that redundant base pass. Results may include
@@ -134,6 +139,26 @@ pub trait DecayBackend: Send + Sync {
     }
 }
 
+/// Appends `(z, decay_at(tick, from, z))` for each candidate `z ≠ from`
+/// whose decay is within `reach`: the row scan behind the default
+/// [`DecayBackend::reach_at`] and the lazy backend's hint windows.
+fn scan_row<B: DecayBackend + ?Sized>(
+    backend: &B,
+    tick: Tick,
+    from: NodeId,
+    reach: Option<f64>,
+    candidates: impl Iterator<Item = usize>,
+    out: &mut Vec<(NodeId, f64)>,
+) {
+    for j in candidates.filter(|&j| j != from.index()) {
+        let to = NodeId::new(j);
+        let d = backend.decay_at(tick, from, to);
+        if reach.is_none_or(|r| d <= r) {
+            out.push((to, d));
+        }
+    }
+}
+
 /// Boxed backends forward, so heterogeneous call sites (a scenario spec
 /// choosing its backend at runtime) can hand the engine a
 /// `Box<dyn DecayBackend>` directly.
@@ -141,7 +166,7 @@ pub trait DecayBackend: Send + Sync {
 /// Every method — including the default-overridable ones — forwards to
 /// the inner implementation, so boxing can never silently discard a
 /// specialized override (a temporal `decay_at`, a structured
-/// `potential_receivers`, a channel signature).
+/// `reach_at`, a channel signature).
 impl<T: DecayBackend + ?Sized> DecayBackend for Box<T> {
     fn len(&self) -> usize {
         (**self).len()
@@ -163,8 +188,8 @@ impl<T: DecayBackend + ?Sized> DecayBackend for Box<T> {
         (**self).potential_receivers(from, reach)
     }
 
-    fn potential_receivers_at(&self, tick: Tick, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
-        (**self).potential_receivers_at(tick, from, reach)
+    fn reach_at(&self, tick: Tick, from: NodeId, reach: Option<f64>, out: &mut Vec<(NodeId, f64)>) {
+        (**self).reach_at(tick, from, reach, out);
     }
 
     fn advance_to(&mut self, tick: Tick) {
@@ -263,12 +288,14 @@ impl LazyBackend {
     }
 
     /// Installs a neighbor hint, replacing the `O(n)` row scan in
-    /// [`DecayBackend::potential_receivers`] with a structured `O(k)`
-    /// candidate query.
+    /// [`DecayBackend::reach_at`] with a structured `O(k)` candidate
+    /// query.
     ///
     /// The hint may over-approximate (extra candidates are filtered by
-    /// decay) but must never omit a node within reach, or deliveries will
-    /// silently be lost.
+    /// decay, and each kept receiver carries the decay it was filtered
+    /// on) but must never omit a node within reach, or deliveries will
+    /// silently be lost. Repeated or unordered indices are allowed and
+    /// cost a sort; strictly ascending output is used as is.
     #[must_use]
     pub fn with_neighbor_hint<F>(mut self, hint: F) -> Self
     where
@@ -318,25 +345,21 @@ impl DecayBackend for LazyBackend {
         })
     }
 
-    fn potential_receivers(&self, from: NodeId, reach: Option<f64>) -> Vec<NodeId> {
+    fn reach_at(&self, tick: Tick, from: NodeId, reach: Option<f64>, out: &mut Vec<(NodeId, f64)>) {
         match (&self.neighbors, reach) {
-            (Some(hint), Some(r)) => hint(from.index(), r)
-                .into_iter()
-                .filter(|&j| j != from.index() && j < self.n)
-                .map(NodeId::new)
-                .filter(|&to| self.decay(from, to) <= r)
-                .collect(),
-            _ => {
-                let n = self.n;
-                (0..n)
-                    .filter(|&j| j != from.index())
-                    .map(NodeId::new)
-                    .filter(|&to| match reach {
-                        None => true,
-                        Some(r) => self.decay(from, to) <= r,
-                    })
-                    .collect()
+            (Some(hint), Some(r)) => {
+                // A hint may repeat or reorder indices; a repeated
+                // receiver would count its own transmitter as
+                // interference, so sanitize unless already ascending.
+                let mut window = hint(from.index(), r);
+                if !window.is_sorted_by(|a, b| a < b) {
+                    window.sort_unstable();
+                    window.dedup();
+                }
+                let window = window.into_iter().filter(|&j| j < self.n);
+                scan_row(self, tick, from, reach, window, out);
             }
+            _ => scan_row(self, tick, from, reach, 0..self.n, out),
         }
     }
 }
@@ -535,6 +558,12 @@ mod tests {
         );
         let all = b.potential_receivers(NodeId::new(5), None);
         assert_eq!(all.len(), 9);
+        // The default row scan (dense) carries the decays it filtered on.
+        let dense = DenseBackend::new(DecaySpace::from_fn(10, line_fn).unwrap());
+        let mut out = Vec::new();
+        dense.reach_at(0, NodeId::new(5), Some(4.0), &mut out);
+        let want = [(3, 4.0), (4, 1.0), (6, 1.0), (7, 4.0)].map(|(j, d)| (NodeId::new(j), d));
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -544,12 +573,23 @@ mod tests {
             let w = r.sqrt().ceil() as usize;
             (i.saturating_sub(w)..=(i + w).min(49)).collect()
         });
+        // Unordered, repeated, out-of-range and self indices: the scan
+        // sanitizes them to the same set.
+        let messy = LazyBackend::from_fn(50, line_fn).with_neighbor_hint(|i, r| {
+            let w = r.sqrt().ceil() as usize;
+            let window: Vec<usize> = (i.saturating_sub(w)..=i + w).collect();
+            window.iter().rev().chain(&window).copied().collect()
+        });
+        let reach_of = |b: &LazyBackend, i: usize| {
+            let mut out = Vec::new();
+            b.reach_at(3, NodeId::new(i), Some(9.0), &mut out);
+            out
+        };
         for i in [0usize, 10, 49] {
-            assert_eq!(
-                scan.potential_receivers(NodeId::new(i), Some(9.0)),
-                hinted.potential_receivers(NodeId::new(i), Some(9.0)),
-                "node {i}"
-            );
+            let want = reach_of(&scan, i);
+            assert!(!want.is_empty());
+            assert_eq!(want, reach_of(&hinted, i), "node {i}");
+            assert_eq!(want, reach_of(&messy, i), "node {i}");
         }
     }
 
@@ -595,16 +635,14 @@ mod tests {
         fn decay_at(&self, tick: Tick, _from: NodeId, _to: NodeId) -> f64 {
             (tick + 2) as f64
         }
-        fn potential_receivers(&self, _from: NodeId, _reach: Option<f64>) -> Vec<NodeId> {
-            vec![NodeId::new(2)]
-        }
-        fn potential_receivers_at(
+        fn reach_at(
             &self,
             tick: Tick,
             _from: NodeId,
             _reach: Option<f64>,
-        ) -> Vec<NodeId> {
-            vec![NodeId::new(tick as usize)]
+            out: &mut Vec<(NodeId, f64)>,
+        ) {
+            out.push((NodeId::new(tick as usize), 0.5));
         }
         fn hint_candidates(&self, _from: NodeId, reach: f64) -> Option<Vec<NodeId>> {
             Some(vec![NodeId::new(reach as usize)])
@@ -625,14 +663,17 @@ mod tests {
             7.0,
             "decay_at override lost through Box"
         );
+        let mut out = Vec::new();
+        boxed.reach_at(1, NodeId::new(0), None, &mut out);
         assert_eq!(
-            boxed.potential_receivers(NodeId::new(0), None),
-            vec![NodeId::new(2)]
+            out,
+            vec![(NodeId::new(1), 0.5)],
+            "reach_at override lost through Box"
         );
         assert_eq!(
-            boxed.potential_receivers_at(1, NodeId::new(0), None),
-            vec![NodeId::new(1)],
-            "potential_receivers_at override lost through Box"
+            boxed.potential_receivers(NodeId::new(0), None),
+            vec![NodeId::new(0)],
+            "potential_receivers is reach_at at tick 0"
         );
         assert_eq!(
             boxed.hint_candidates(NodeId::new(0), 2.0),
@@ -662,10 +703,11 @@ mod tests {
                 b.decay_at(tick, NodeId::new(2), NodeId::new(9)),
                 b.decay(NodeId::new(2), NodeId::new(9))
             );
-            assert_eq!(
-                b.potential_receivers_at(tick, NodeId::new(5), Some(4.0)),
-                b.potential_receivers(NodeId::new(5), Some(4.0))
-            );
+            let mut at = Vec::new();
+            b.reach_at(tick, NodeId::new(5), Some(4.0), &mut at);
+            let ids: Vec<NodeId> = at.iter().map(|&(v, _)| v).collect();
+            assert_eq!(ids, b.potential_receivers(NodeId::new(5), Some(4.0)));
+            assert!(at.iter().all(|&(v, d)| d == b.decay(NodeId::new(5), v)));
         }
         assert_eq!(b.channel_signature(), 0, "static backends have sig 0");
     }

@@ -862,10 +862,12 @@ pub struct Engine<B> {
     event_log: Option<Ring<crate::telemetry::EventRecord>>,
     /// Resolve scratch, reused across ticks and never checkpointed:
     /// per-node "transmits this tick" flags (set and cleared within one
-    /// resolution round), the sorted `(listener, tx index)` pair list,
+    /// resolution round), one reach query's `(receiver, decay)` list,
+    /// the sorted `(pair key, decay)` list (see [`Self::resolve_pairs`]),
     /// and one listener group's received powers.
     transmitting: Vec<bool>,
-    pairs: Vec<(NodeId, usize)>,
+    reach_buf: Vec<(NodeId, f64)>,
+    pairs: Vec<(u64, f64)>,
     rx: Vec<(usize, f64)>,
 }
 
@@ -955,6 +957,7 @@ impl<B: EventBehavior> Engine<B> {
             telemetry: Arc::new(Counters::new()),
             event_log: None,
             transmitting: vec![false; n],
+            reach_buf: Vec::new(),
             pairs: Vec::new(),
             rx: Vec::new(),
             config,
@@ -1032,6 +1035,7 @@ impl<B: EventBehavior> Engine<B> {
             telemetry: Arc::new(Counters::new()),
             event_log: None,
             transmitting: vec![false; n],
+            reach_buf: Vec::new(),
             pairs: Vec::new(),
             rx: Vec::new(),
         };
@@ -1482,36 +1486,51 @@ impl<B: EventBehavior> Engine<B> {
     ///
     /// 0. **View advance**: the backend moves its tick-scoped view
     ///    ([`DecayBackend::advance_to`]) to the current tick.
-    /// 1. **Reach scans**, in transmission order, collected as
-    ///    `(listener, tx index)` pairs and sorted by (listener, tx
-    ///    order), so each listener's candidates form one group.
+    /// 1. **Reach scans**, in transmission order: each
+    ///    [`DecayBackend::reach_at`] query yields its receivers with the
+    ///    decays they were filtered on, collected as `(key, decay)`
+    ///    pairs and sorted by key — listener id in the high 32 bits, tx
+    ///    index in the low 32 — so each listener's candidates form one
+    ///    group in tx order. (16-byte entries sort measurably faster
+    ///    than `(NodeId, usize, f64)` triples on 100k-node runs.)
     /// 2. **Per listener group**, ascending listener id: a listener that
     ///    is not listening, is inside an outage, or transmits this tick
     ///    is skipped. Otherwise each pair draws its Rayleigh fade (before
-    ///    top-k pruning) and looks up its decay, and the strongest signal
-    ///    is tested against SINR.
+    ///    top-k pruning) and reads its carried decay, and the strongest
+    ///    signal is tested against SINR.
     /// 3. **Per won reception**: the latency jitter draw and the
     ///    delivery event. Fades and jitter come from separate streams,
     ///    so both draw sequences are fixed by the group order alone.
     fn resolve_pairs(&mut self, txs: &[(NodeId, f64, u64)], per_tx_receivers: &mut [Vec<NodeId>]) {
+        let mut reach = std::mem::take(&mut self.reach_buf);
         let mut pairs = std::mem::take(&mut self.pairs);
         let mut rx = std::mem::take(&mut self.rx);
         pairs.clear();
+        assert!(
+            self.modes.len() <= u32::MAX as usize && txs.len() <= u32::MAX as usize,
+            "pair keys hold 32-bit listener and transmission indices"
+        );
         self.backend.advance_to(self.now);
         for (k, &(t, _, _)) in txs.iter().enumerate() {
-            let receivers =
-                self.backend
-                    .potential_receivers_at(self.now, t, self.config.reach_decay);
-            pairs.extend(receivers.into_iter().map(|v| (v, k)));
+            reach.clear();
+            self.backend
+                .reach_at(self.now, t, self.config.reach_decay, &mut reach);
+            pairs.extend(
+                reach
+                    .iter()
+                    .map(|&(v, decay)| (((v.index() as u64) << 32) | k as u64, decay)),
+            );
             self.transmitting[t.index()] = true;
         }
         self.telemetry.add(Counter::ReachScans, txs.len() as u64);
         self.telemetry.add(Counter::SinrPairs, pairs.len() as u64);
-        pairs.sort_unstable_by_key(|&(v, k)| (v.index(), k));
+        // A reach query lists each receiver once, so keys are unique
+        // and the unstable sort is deterministic.
+        pairs.sort_unstable_by_key(|&(key, _)| key);
 
         let mut decay_calls = 0u64;
-        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
-            let v = group[0].0;
+        for group in pairs.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
+            let v = NodeId::new((group[0].0 >> 32) as usize);
             if self.modes[v.index()] != NodeMode::Listening
                 || self.transmitting[v.index()]
                 || self.fault_until(v, self.now).is_some()
@@ -1523,15 +1542,16 @@ impl<B: EventBehavior> Engine<B> {
             // construction).
             rx.clear();
             decay_calls += group.len() as u64;
-            for &(_, k) in group {
-                let (t, power, _) = txs[k];
+            for &(key, decay) in group {
+                let k = (key & u64::from(u32::MAX)) as usize;
+                let (_, power, _) = txs[k];
                 let fade = match self.config.reception {
                     ReceptionModel::Threshold => 1.0,
                     // Unit-mean exponential via inverse CDF, as in the
                     // slot simulator.
                     ReceptionModel::Rayleigh => -(1.0 - self.fading_rng.gen::<f64>()).ln(),
                 };
-                rx.push((k, fade * power / self.backend.decay_at(self.now, t, v)));
+                rx.push((k, fade * power / decay));
             }
             // Top-k affectance pruning: keep only the k strongest signals
             // in the SINR denominator. Stable sort keeps the earliest
@@ -1589,6 +1609,7 @@ impl<B: EventBehavior> Engine<B> {
             self.transmitting[t.index()] = false;
         }
         self.telemetry.add(Counter::DecayCalls, decay_calls);
+        self.reach_buf = reach;
         self.pairs = pairs;
         self.rx = rx;
     }

@@ -369,3 +369,43 @@ fn lazy_and_dense_backends_agree() {
     assert_eq!(dense.trace_hash(), from_lazy.trace_hash());
     assert_eq!(dense.trace(), from_lazy.trace());
 }
+
+/// A neighbor hint may repeat indices ("superset allowed"). On a ring
+/// whose wrapping window overlaps itself, the repeat once put a
+/// `(listener, transmitter)` pair into the SINR group twice, so the
+/// transmitter interfered with itself and the delivery was lost. The
+/// hinted run must match the unhinted row scan exactly.
+#[test]
+fn self_overlapping_ring_hint_matches_the_unhinted_scan() {
+    let n = 6;
+    let ring = move |i: usize, j: usize| {
+        let d = i.abs_diff(j).min(n - i.abs_diff(j)) as f64;
+        d * d
+    };
+    let cfg = EngineConfig {
+        reach_decay: Some(9.0),
+        record_trace: true,
+        ..EngineConfig::default()
+    };
+    let run = |backend: LazyBackend| {
+        let mut engine = Engine::new(
+            backend,
+            (0..n).map(|_| Chirper::new(0.4)).collect(),
+            SinrParams::new(1.0, 0.05).unwrap(),
+            cfg.clone(),
+            9,
+        )
+        .unwrap();
+        engine.run_until(80);
+        (engine.trace_hash(), engine.trace().to_vec())
+    };
+    // Reach 9 spans 3 hops each way: 7 window slots on a 6-node ring,
+    // so the farthest node appears twice.
+    let hinted = LazyBackend::from_fn(n, ring).with_neighbor_hint(move |i, reach| {
+        let w = reach.sqrt().ceil() as usize;
+        (0..=2 * w).map(|k| (i + n * w + k - w) % n).collect()
+    });
+    let (hash, trace) = run(LazyBackend::from_fn(n, ring));
+    assert!(!trace.is_empty(), "the run delivers something");
+    assert_eq!(run(hinted), (hash, trace));
+}

@@ -74,7 +74,7 @@ fn covered_pairs(engine: &Engine<EventBroadcaster>, required: &[Vec<NodeId>]) ->
 ///
 /// Broadcast's required-receiver sets are computed from a lazily built,
 /// channel-wrapped field probe; the cross-backend conformance suite pins
-/// `potential_receivers` value-identical across backends, so the plan is
+/// reach queries value-identical across backends, so the plan is
 /// valid for whichever backend the run later picks.
 enum ProtocolPlan {
     Broadcast {
@@ -109,8 +109,8 @@ impl ProtocolPlan {
             } => {
                 // Probe the composite field once, at compile time. The
                 // lazy backend is the cheapest prober, and conformance
-                // pins its `potential_receivers` equal to dense/tiled —
-                // so the plan cannot depend on the run's backend choice.
+                // pins its reach queries equal to dense/tiled — so the
+                // plan cannot depend on the run's backend choice.
                 let probe = realize(spec, points, BackendSpec::Lazy);
                 let n = probe.len();
                 let required: Vec<Vec<NodeId>> = (0..n)

@@ -79,6 +79,11 @@ fn axis_window(d: f64, spacing: f64, n: usize) -> usize {
     }
 }
 
+/// Relative slack on the grid hint's disk radius: far above the
+/// rounding in `reach^(1/α)`, in lattice coordinates and in `dist^α`, so
+/// the disk stays a superset of the in-reach set.
+const DISK_MARGIN: f64 = 1.0 + 1e-9;
+
 impl BackendSpec {
     /// Builds the backend realizing `topology`'s decay space. The point
     /// deployment is generated once and shared (behind an `Arc`) with
@@ -120,11 +125,28 @@ impl BackendSpec {
                     }
                     TopologySpec::Grid { side, spacing, .. } => {
                         Box::new(lazy.with_neighbor_hint(move |i, reach| {
-                            let w = axis_window(reach.powf(1.0 / alpha), spacing, side);
+                            let d = reach.powf(1.0 / alpha);
+                            let w = axis_window(d, spacing, side);
+                            // The in-reach set is a disk of radius `r`
+                            // lattice steps: each window row keeps the
+                            // columns `|dx| ≤ ⌊√(r² − dy²)⌋ + 1`, and rows
+                            // past `r` keep none. The margin and the `+ 1`
+                            // absorb rounding in `r` and in the decay.
+                            let r = d / spacing * DISK_MARGIN;
                             let (x, y) = (i % side, i / side);
                             let mut out = Vec::new();
                             for yy in y.saturating_sub(w)..=(y + w).min(side - 1) {
-                                for xx in x.saturating_sub(w)..=(x + w).min(side - 1) {
+                                let h = if r.is_finite() {
+                                    let dy = yy.abs_diff(y) as f64;
+                                    let room = r * r - dy * dy;
+                                    if room < 0.0 {
+                                        continue;
+                                    }
+                                    (room.sqrt() as usize + 1).min(w)
+                                } else {
+                                    w
+                                };
+                                for xx in x.saturating_sub(h)..=(x + h).min(side - 1) {
                                     out.push(yy * side + xx);
                                 }
                             }
@@ -236,7 +258,14 @@ mod tests {
 
     #[test]
     fn hints_match_exhaustive_scans() {
-        for topology in [
+        let reach_of = |b: &dyn DecayBackend, i: usize, reach: f64| {
+            let mut out = Vec::new();
+            b.reach_at(0, NodeId::new(i), Some(reach), &mut out);
+            out.into_iter()
+                .map(|(v, d)| (v, d.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let mut topologies = vec![
             TopologySpec::Line {
                 n: 30,
                 spacing: 0.7,
@@ -247,12 +276,40 @@ mod tests {
                 spacing: 1.3,
                 alpha: 2.8,
             },
-        ] {
+        ];
+        // Grids where the disk clip binds.
+        for spacing in [0.7, 1.3] {
+            for alpha in [2.5, 3.0] {
+                topologies.push(TopologySpec::Grid {
+                    side: 20,
+                    spacing,
+                    alpha,
+                });
+            }
+        }
+        for topology in topologies {
             let dense = BackendSpec::Dense.build(&topology);
             let lazy = BackendSpec::Lazy.build(&topology);
             let n = topology.points().len();
-            for reach in [1.0, 4.0, 25.0] {
-                for i in [0, n / 2, n - 1] {
+            let (alpha, spacing) = match topology {
+                TopologySpec::Line { alpha, spacing, .. }
+                | TopologySpec::Grid { alpha, spacing, .. } => (alpha, spacing),
+                _ => unreachable!(),
+            };
+            // Off-lattice reaches, reaches exactly on the lattice
+            // distances `(k·spacing)^α` and on the decays of actual
+            // (diagonal) pairs, and one wider than the whole grid.
+            let mut reaches = vec![1.0, 4.0, 25.0, 1e9];
+            reaches.extend((1..=8).map(|k| (k as f64 * spacing).powf(alpha)));
+            reaches.extend(
+                (1..n)
+                    .step_by(23)
+                    .map(|j| dense.decay(NodeId::new(0), NodeId::new(j))),
+            );
+            for reach in reaches {
+                for i in [0, 1, n / 2, n / 2 + 7, n - 1] {
+                    let want = reach_of(&*dense, i, reach);
+                    assert_eq!(want, reach_of(&*lazy, i, reach), "node {i}, reach {reach}");
                     assert_eq!(
                         dense.potential_receivers(NodeId::new(i), Some(reach)),
                         lazy.potential_receivers(NodeId::new(i), Some(reach)),

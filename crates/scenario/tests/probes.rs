@@ -316,9 +316,11 @@ fn counter_deltas_identical_across_backends() {
     // Everything except RowHits is a backend invariant: the dispatch
     // counts follow the (bit-identical) trace, and the temporal layer
     // builds the same rows over the same candidate windows. Row-cache
-    // *hits* are the one cost-shape counter allowed to wiggle — whether
-    // a block-0 lookup hits depends on which reach first built the row,
-    // which follows the inner backend's hint enumeration.
+    // *hits* are the one cost-shape counter allowed to wiggle. The
+    // engine's reach queries hit or build rows alike on every backend,
+    // but whether a read from outside the engine (the ζ monitor's
+    // `decay_at`) hits can depend on the row's candidate window, which
+    // follows the inner backend's hint enumeration.
     let stable: Vec<TCounter> = TCounter::ALL
         .iter()
         .copied()
