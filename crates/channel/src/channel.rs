@@ -33,11 +33,14 @@
 //! `db` the current-block distance, `s_k` node `k`'s share of the
 //! separable shadowing factor, `F_b` the block fade. A reach scan first
 //! takes the base's hint window around the deployment, then drops every
-//! candidate this product provably puts above the reach — a
-//! multiply-only test with the fade at its clamp, then the pair's exact
-//! fade draw for the survivors — so rows evaluate the full composite
-//! only for pairs that can be in reach. The caller re-filters against
-//! the exact field, so the bound changes cost, never values.
+//! candidate this product provably puts above the reach in two
+//! branch-free compaction passes — a multiply-only test with the fade
+//! at its clamp, then the pair's exact fade draw for the survivors — so
+//! rows evaluate the full composite only for pairs that can be in
+//! reach. Fade draws hash the block's key prefix once per row or window
+//! ([`FadingConfig::block_key`]), not once per pair. The window query
+//! and both passes are timed as `reach_window`. The caller re-filters
+//! against the exact field, so the bound changes cost, never values.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -47,7 +50,7 @@ use decay_core::NodeId;
 use decay_engine::{DecayBackend, Tick};
 use decay_spaces::{distance, Point};
 
-use crate::fading::{FadingConfig, DRAW_BUCKETS};
+use crate::fading::{FadeKey, FadingConfig, DRAW_BUCKETS};
 use crate::mobility::{MobilityConfig, MobilityEngine, MobilityModel, MobilityState};
 use crate::shadowing::{ShadowField, ShadowingConfig, FIELD_VERSION};
 use crate::temporal::{signature_of, TemporalBackend};
@@ -293,11 +296,22 @@ impl TemporalChannel {
         epoch
     }
 
+    /// The block's fade key (`None` without a fading layer).
+    fn fade_key(&self, block: u64) -> Option<FadeKey> {
+        self.fading.map(|fade| fade.block_key(block))
+    }
+
     /// One composite decay evaluation under an already-locked epoch
-    /// (`None` when neither mobility nor shadowing is attached). Shared
-    /// by the per-pair and batched-row paths so both produce identical
-    /// bits: same factors, same order.
-    fn decay_with(&self, epoch: Option<&Epoch>, block: u64, from: NodeId, to: NodeId) -> f64 {
+    /// (`None` when neither mobility nor shadowing is attached) and the
+    /// block's fade key. Shared by the per-pair and batched-row paths
+    /// so both produce identical bits: same factors, same order.
+    fn decay_with(
+        &self,
+        epoch: Option<&Epoch>,
+        fade: Option<FadeKey>,
+        from: NodeId,
+        to: NodeId,
+    ) -> f64 {
         let mut d = self.base.decay(from, to);
         if let Some(epoch) = epoch {
             if self.mobility.is_some() {
@@ -312,24 +326,28 @@ impl TemporalChannel {
                 d *= field.link_factor(epoch.shadow[from.index()], epoch.shadow[to.index()]);
             }
         }
-        if let Some(fade) = &self.fading {
-            d *= fade.decay_factor(block, from, to);
+        if let Some(fade) = fade {
+            d *= fade.decay_factor(from, to);
         }
         d.clamp(MIN_DECAY, MAX_DECAY)
     }
 
-    /// Drops every candidate whose block-`block` decay from `from` is
-    /// provably above `reach` (`reach < MAX_DECAY`, geometric base).
+    /// Drops every candidate whose decay from `from` in the block of
+    /// `epoch` and `fade` is provably above `reach` (`reach <
+    /// MAX_DECAY`, geometric base), keeping the survivors in order.
     ///
     /// With a geometric base the composite is `db^α · s_i · s_j · F`
     /// up to rounding, so a pair is in reach only if
     /// `db² ≤ reach^(2/α) · g^(2/α) · t_i · t_j`, with `g = 1 / F` the
-    /// fade's power gain. The first test takes `g` at its clamp and
-    /// costs only multiplies. The second runs on its survivors with the
-    /// pair's exact fade draw, reading `g^(2/α)` at the upper edge of
-    /// the draw's bucket (see [`crate::fading::gain_powers`]): one hash
-    /// and a lookup where the exact factor would cost a log and a
-    /// power.
+    /// fade's power gain. Two in-place compaction passes apply it
+    /// without a branch per candidate: each writes the candidate at the
+    /// kept count and advances the count by the test's outcome. The
+    /// coarse pass takes `g` at its clamp and costs only multiplies (it
+    /// also drops ids outside the deployment). The fine pass runs on its
+    /// survivors with the pair's exact fade draw, reading `g^(2/α)` at
+    /// the upper edge of the draw's bucket (see
+    /// [`crate::fading::gain_powers`]): one keyed hash and a lookup
+    /// where the exact factor would cost a log and a power.
     ///
     /// `HINT_MARGIN` on the reach absorbs the rounding between this
     /// product and the composite's factor-by-factor evaluation. The
@@ -341,7 +359,7 @@ impl TemporalChannel {
     fn prune(
         &self,
         epoch: Option<&Epoch>,
-        block: u64,
+        fade: Option<FadeKey>,
         from: NodeId,
         reach: f64,
         candidates: &mut Vec<NodeId>,
@@ -354,21 +372,31 @@ impl TemporalChannel {
         let fine = (reach * HINT_MARGIN).powf(2.0 / self.alpha) * t(from);
         let coarse = fine * self.gain_powers.last().copied().unwrap_or(1.0);
         let p = pos[from.index()];
-        candidates.retain(|&to| {
-            let Some(&q) = pos.get(to.index()) else {
-                return false;
-            };
+        let d2 = |q: Point| {
             let (dx, dy) = (p.0 - q.0, p.1 - q.1);
-            let d2 = dx * dx + dy * dy;
-            let t_to = t(to);
-            if d2 > coarse * t_to {
-                return false;
-            }
-            self.fading.as_ref().is_none_or(|fade| {
-                let k = (fade.draw(block, from, to) * DRAW_BUCKETS as f64) as usize;
-                d2 <= fine * self.gain_powers[k] * t_to
-            })
-        });
+            dx * dx + dy * dy
+        };
+        let mut kept = 0;
+        for i in 0..candidates.len() {
+            let to = candidates[i];
+            let Some(&q) = pos.get(to.index()) else {
+                continue;
+            };
+            candidates[kept] = to;
+            kept += usize::from(d2(q) <= coarse * t(to));
+        }
+        candidates.truncate(kept);
+        let Some(fade) = fade else {
+            return;
+        };
+        let mut kept = 0;
+        for i in 0..candidates.len() {
+            let to = candidates[i];
+            let k = (fade.draw(from, to) * DRAW_BUCKETS as f64) as usize;
+            candidates[kept] = to;
+            kept += usize::from(d2(pos[to.index()]) <= fine * self.gain_powers[k] * t(to));
+        }
+        candidates.truncate(kept);
     }
 }
 
@@ -398,11 +426,12 @@ impl TemporalBackend for TemporalChannel {
         if from == to {
             return 0.0;
         }
+        let fade = self.fade_key(block);
         if self.mobility.is_some() || self.shadowing.is_some() {
             let epoch = self.epoch_at(block);
-            self.decay_with(Some(&epoch), block, from, to)
+            self.decay_with(Some(&epoch), fade, from, to)
         } else {
-            self.decay_with(None, block, from, to)
+            self.decay_with(None, fade, from, to)
         }
     }
 
@@ -411,13 +440,14 @@ impl TemporalBackend for TemporalChannel {
         // for the whole row, instead of one lock + lookup per pair.
         let epoch =
             (self.mobility.is_some() || self.shadowing.is_some()).then(|| self.epoch_at(block));
+        let fade = self.fade_key(block);
         targets
             .iter()
             .map(|&to| {
                 if from == to {
                     0.0
                 } else {
-                    self.decay_with(epoch.as_deref(), block, from, to)
+                    self.decay_with(epoch.as_deref(), fade, from, to)
                 }
             })
             .collect()
@@ -459,6 +489,9 @@ impl TemporalBackend for TemporalChannel {
         if !widened.is_finite() {
             return None;
         }
+        // Timed after the epoch solve, so `reach_window` and
+        // `epoch_solve` stay disjoint.
+        let timer = self.telemetry.timer_start();
         let mut candidates = self
             .base
             .hint_candidates(from, widened)
@@ -466,8 +499,10 @@ impl TemporalBackend for TemporalChannel {
         // At `MAX_DECAY` and above the clamp can pull a decay *down*
         // into reach, which the product bound below does not model.
         if reach < MAX_DECAY {
-            self.prune(epoch.as_deref(), block, from, reach, &mut candidates);
+            let fade = self.fade_key(block);
+            self.prune(epoch.as_deref(), fade, from, reach, &mut candidates);
         }
+        self.telemetry.timer_stop(Timer::ReachWindow, timer);
         Some(candidates)
     }
 
@@ -674,6 +709,91 @@ mod tests {
             per_scan < n as f64 / 2.0,
             "{per_scan:.0} pairs per scan on {n} nodes"
         );
+    }
+
+    /// The two compaction passes keep exactly what one `retain` over
+    /// the combined bound keeps, in the same order, for every mix of
+    /// layers. Windows hold the source itself, duplicates, unsorted ids
+    /// and ids outside the deployment.
+    #[test]
+    fn prune_keeps_what_a_retain_keeps() {
+        let side = 12;
+        let n = side * side;
+        let pts: Vec<Point> = (0..n)
+            .map(|i| ((i % side) as f64, (i / side) as f64))
+            .collect();
+        let alpha = 2.5;
+        for mask in 0..8u8 {
+            let field = pts.clone();
+            let base =
+                LazyBackend::from_fn(n, move |i, j| distance(field[i], field[j]).powf(alpha));
+            let mut ch = TemporalChannel::new(base, pts.clone(), alpha, 1).with_geometric_hints();
+            if mask & 1 != 0 {
+                ch = ch.with_mobility(MobilityConfig {
+                    model: MobilityModel::RandomWaypoint {
+                        speed: 0.6,
+                        pause: 1,
+                    },
+                    seed: 4,
+                });
+            }
+            if mask & 2 != 0 {
+                ch = ch.with_shadowing(ShadowingConfig {
+                    sigma_db: 6.0,
+                    corr_dist: 2.0,
+                    time_corr: 0.5,
+                    seed: 5,
+                });
+            }
+            if mask & 4 != 0 {
+                ch = ch.with_fading(FadingConfig { seed: 6 });
+            }
+            let layered = ch.mobility.is_some() || ch.shadowing.is_some();
+            for block in [0, 3, 17] {
+                let guard = layered.then(|| ch.epoch_at(block));
+                let epoch = guard.as_deref();
+                let fade = ch.fade_key(block);
+                // The single-pass predicate the two passes replace.
+                let pos = epoch
+                    .and_then(|e| e.mob.as_ref())
+                    .map_or(&ch.initial[..], |s| &s.pos[..]);
+                let scale = epoch.map_or(&[][..], |e| &e.reach_scale[..]);
+                let t = |k: NodeId| scale.get(k.index()).copied().unwrap_or(1.0);
+                for reach in [1.0, 10.0, 100.0, 1e4] {
+                    for from in [0, 7, n / 2 + 5, n - 1] {
+                        let src = NodeId::new(from);
+                        let fine = (reach * HINT_MARGIN).powf(2.0 / alpha) * t(src);
+                        let coarse = fine * ch.gain_powers.last().copied().unwrap_or(1.0);
+                        let p = pos[from];
+                        let mut window: Vec<NodeId> =
+                            (0..n).rev().step_by(3).map(NodeId::new).collect();
+                        window.extend([from, n, from, n + 7, 5, 5, usize::MAX].map(NodeId::new));
+                        window.extend((0..n).step_by(5).map(NodeId::new));
+                        let mut want = window.clone();
+                        want.retain(|&to| {
+                            let Some(&q) = pos.get(to.index()) else {
+                                return false;
+                            };
+                            let (dx, dy) = (p.0 - q.0, p.1 - q.1);
+                            let d2 = dx * dx + dy * dy;
+                            if d2 > coarse * t(to) {
+                                return false;
+                            }
+                            fade.is_none_or(|fade| {
+                                let k = (fade.draw(src, to) * DRAW_BUCKETS as f64) as usize;
+                                d2 <= fine * ch.gain_powers[k] * t(to)
+                            })
+                        });
+                        let mut got = window;
+                        ch.prune(epoch, fade, src, reach, &mut got);
+                        assert_eq!(
+                            got, want,
+                            "mask {mask} block {block} reach {reach} from {from}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Pins the shadowing field's bits for one configuration over three

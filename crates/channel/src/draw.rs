@@ -12,21 +12,31 @@
 //! Gaussian variates.
 
 /// One splitmix64 scramble step.
-fn scramble(mut z: u64) -> u64 {
+pub(crate) fn scramble(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// Mixes key words into one well-scrambled 64-bit value. Order matters:
-/// `mix(&[a, b]) != mix(&[b, a])` in general.
-pub(crate) fn mix(words: &[u64]) -> u64 {
-    let mut h = 0x243F_6A88_85A3_08D3; // pi, for nothing-up-my-sleeve
+/// The chain state before any key word: pi, for nothing-up-my-sleeve.
+pub(crate) const MIX_START: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Absorbs key words into a chain state. A key shared by many draws is
+/// absorbed once and extended per draw:
+/// `scramble(absorb(absorb(MIX_START, a), b)) == mix(a ++ b)`.
+pub(crate) fn absorb(mut h: u64, words: &[u64]) -> u64 {
     for &w in words {
         h = scramble(h ^ w);
     }
-    scramble(h)
+    h
+}
+
+/// Mixes key words into one well-scrambled 64-bit value: the absorbed
+/// chain plus a final scramble. Order matters: `mix(&[a, b]) !=
+/// mix(&[b, a])` in general.
+pub(crate) fn mix(words: &[u64]) -> u64 {
+    scramble(absorb(MIX_START, words))
 }
 
 /// A uniform draw in `[0, 1)` from a mixed key (53 mantissa bits).

@@ -12,7 +12,7 @@
 
 use decay_core::NodeId;
 
-use crate::draw::{mix, unit};
+use crate::draw::{absorb, scramble, unit, MIX_START};
 
 /// Stream tag for fading draws.
 const STREAM_FADE: u64 = 23;
@@ -33,21 +33,36 @@ pub struct FadingConfig {
 }
 
 impl FadingConfig {
-    /// The multiplicative *decay* factor (`1 / power gain`) for the link
-    /// in the given coherence block.
-    pub(crate) fn decay_factor(&self, block: u64, from: NodeId, to: NodeId) -> f64 {
-        1.0 / gain(self.draw(block, from, to))
+    /// The hash prefix every link's draw in `block` shares:
+    /// `(seed, STREAM_FADE, block)` absorbed once, so a row or a reach
+    /// window pays only its pairs' two words each.
+    pub(crate) fn block_key(&self, block: u64) -> FadeKey {
+        FadeKey(absorb(MIX_START, &[self.seed, STREAM_FADE, block]))
     }
+}
 
-    /// The uniform draw in `[0, 1)` behind the link's fade in `block`;
-    /// the power gain is the increasing function [`gain`] of it.
-    pub(crate) fn draw(&self, block: u64, from: NodeId, to: NodeId) -> f64 {
+/// One coherence block's fade draws (see [`FadingConfig::block_key`]).
+/// A link's draw is `unit(mix(&[seed, STREAM_FADE, block, min, max]))`
+/// over its endpoint indices, bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FadeKey(u64);
+
+impl FadeKey {
+    /// The uniform draw in `[0, 1)` behind the link's fade; the power
+    /// gain is the increasing function [`gain`] of it.
+    pub(crate) fn draw(self, from: NodeId, to: NodeId) -> f64 {
         let (a, b) = if from.index() <= to.index() {
             (from.index(), to.index())
         } else {
             (to.index(), from.index())
         };
-        unit(mix(&[self.seed, STREAM_FADE, block, a as u64, b as u64]))
+        unit(scramble(absorb(self.0, &[a as u64, b as u64])))
+    }
+
+    /// The multiplicative *decay* factor (`1 / power gain`) for the
+    /// link.
+    pub(crate) fn decay_factor(self, from: NodeId, to: NodeId) -> f64 {
+        1.0 / gain(self.draw(from, to))
     }
 }
 
@@ -77,22 +92,50 @@ pub(crate) fn gain_powers(exp: f64) -> Box<[f64]> {
 mod tests {
     use super::*;
 
+    use crate::draw::mix;
+
     #[test]
     fn fades_are_reciprocal_and_block_constant() {
         let f = FadingConfig { seed: 5 };
-        let a = f.decay_factor(3, NodeId::new(1), NodeId::new(7));
-        let b = f.decay_factor(3, NodeId::new(7), NodeId::new(1));
+        let a = f.block_key(3).decay_factor(NodeId::new(1), NodeId::new(7));
+        let b = f.block_key(3).decay_factor(NodeId::new(7), NodeId::new(1));
         assert_eq!(a.to_bits(), b.to_bits(), "reciprocity");
         assert_eq!(
             a.to_bits(),
-            f.decay_factor(3, NodeId::new(1), NodeId::new(7)).to_bits(),
+            f.block_key(3)
+                .decay_factor(NodeId::new(1), NodeId::new(7))
+                .to_bits(),
             "determinism"
         );
         assert_ne!(
             a.to_bits(),
-            f.decay_factor(4, NodeId::new(1), NodeId::new(7)).to_bits(),
+            f.block_key(4)
+                .decay_factor(NodeId::new(1), NodeId::new(7))
+                .to_bits(),
             "fresh draw per block"
         );
+    }
+
+    /// The keyed draw is the one-shot hash of the whole key, bit for
+    /// bit, for either endpoint order.
+    #[test]
+    fn keyed_draw_is_the_full_key_hash() {
+        for k in 0..2000u64 {
+            let seed = mix(&[k, 1]);
+            let block = mix(&[k, 2]) % 1_000_000;
+            let i = (mix(&[k, 3]) % 50_000) as usize;
+            let j = (mix(&[k, 4]) % 50_000) as usize;
+            let (lo, hi) = (i.min(j) as u64, i.max(j) as u64);
+            let want = unit(mix(&[seed, STREAM_FADE, block, lo, hi]));
+            let got = FadingConfig { seed }
+                .block_key(block)
+                .draw(NodeId::new(i), NodeId::new(j));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "seed {seed} block {block} ({i}, {j})"
+            );
+        }
     }
 
     #[test]
@@ -100,7 +143,7 @@ mod tests {
         let f = FadingConfig { seed: 9 };
         let n = 4000u64;
         let gains: Vec<f64> = (0..n)
-            .map(|b| 1.0 / f.decay_factor(b, NodeId::new(0), NodeId::new(1)))
+            .map(|b| 1.0 / f.block_key(b).decay_factor(NodeId::new(0), NodeId::new(1)))
             .collect();
         let mean = gains.iter().sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.08, "mean gain {mean}");

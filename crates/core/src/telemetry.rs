@@ -130,6 +130,9 @@ pub enum Timer {
     /// Temporal epoch solves: the per-block recompute of mobility
     /// positions, shadowing field values and reach scales.
     EpochSolve,
+    /// Temporal reach windows: the base's hint query plus the per-pair
+    /// prune, after the epoch solve.
+    ReachWindow,
 }
 
 impl Timer {
@@ -139,6 +142,7 @@ impl Timer {
         Timer::Resolve,
         Timer::RowBuild,
         Timer::EpochSolve,
+        Timer::ReachWindow,
     ];
 
     /// Stable snake_case name used in JSON reports.
@@ -148,6 +152,7 @@ impl Timer {
             Timer::Resolve => "resolve",
             Timer::RowBuild => "row_build",
             Timer::EpochSolve => "epoch_solve",
+            Timer::ReachWindow => "reach_window",
         }
     }
 
@@ -158,6 +163,7 @@ impl Timer {
             Timer::Resolve => "resolve_ns",
             Timer::RowBuild => "row_build_ns",
             Timer::EpochSolve => "epoch_solve_ns",
+            Timer::ReachWindow => "reach_window_ns",
         }
     }
 
@@ -168,12 +174,13 @@ impl Timer {
             Timer::Resolve => "resolve_calls",
             Timer::RowBuild => "row_build_calls",
             Timer::EpochSolve => "epoch_solve_calls",
+            Timer::ReachWindow => "reach_window_calls",
         }
     }
 }
 
 /// Number of [`Timer`] variants.
-pub const TIMER_COUNT: usize = 4;
+pub const TIMER_COUNT: usize = 5;
 
 /// Opaque token returned by [`Counters::timer_start`]. Zero-sized when
 /// timing is compiled out, so untimed builds pay nothing at the call

@@ -44,8 +44,8 @@
 //!
 //! Orthogonally to the runlog, [`chrome_trace_json`] renders the
 //! engine's recorded [`SpanEvent`]s (the `dispatch` / `resolve` /
-//! `row_build` / `epoch_solve` phase timers) as Chrome Trace Event JSON,
-//! loadable in [Perfetto](https://ui.perfetto.dev) or
+//! `row_build` / `epoch_solve` / `reach_window` phase timers) as Chrome
+//! Trace Event JSON, loadable in [Perfetto](https://ui.perfetto.dev) or
 //! `chrome://tracing`. Spans only exist on the `telemetry-timing`
 //! feature and are wall-clock by nature: nothing about them is part of
 //! the determinism contract.

@@ -1436,6 +1436,27 @@ impl ScenarioSpec {
                 }
             }
         }
+        // Every decay must stay inside the decay-space contract (0, ∞):
+        // the farthest pair's squared distance and decay finite (with a
+        // margin for the rounding of the computed distances), the
+        // closest guaranteed pair's squared distance a normal float (a
+        // subnormal one loses the pair to underflow) and its decay
+        // positive.
+        let (near, far) = self.topology.separation_bounds();
+        let far = far * (1.0 + 1e-9);
+        let alpha = self.topology.alpha();
+        if !(far * far).is_finite() || !far.powf(alpha).is_finite() {
+            return bad(
+                "topology",
+                "the farthest pair's decay overflows: shrink the deployment or lower alpha",
+            );
+        }
+        if near * near < f64::MIN_POSITIVE || near.powf(alpha) <= 0.0 {
+            return bad(
+                "topology",
+                "the closest pair's decay underflows: spread the deployment or lower alpha",
+            );
+        }
         if let BackendSpec::Tiled {
             tile_size,
             max_tiles,
@@ -1920,6 +1941,44 @@ mod tests {
             alpha: 2.0,
         };
         assert!(bad.validate().is_err());
+    }
+
+    /// Topologies whose decays would leave `(0, ∞)` fail validation at
+    /// `topology` instead of panicking while the backend is built or
+    /// hanging in point generation; every shipped spec still passes.
+    #[test]
+    fn decays_outside_the_contract_are_rejected() {
+        let grid = |spacing, alpha| TopologySpec::Grid {
+            side: 32,
+            spacing,
+            alpha,
+        };
+        for (topology, channel) in [
+            (grid(1.0, 400.0), true),
+            (grid(1.0, 190.0), true),
+            (grid(1.0, 1e3), false),
+            (grid(1e-200, 2.5), true),
+            (
+                TopologySpec::Random {
+                    n: 1500,
+                    size: 1e-250,
+                    alpha: 2.5,
+                    seed: 0,
+                },
+                false,
+            ),
+        ] {
+            let mut spec = demo_spec();
+            spec.topology = topology;
+            if !channel {
+                spec.channel = None;
+                spec.adaptive = None;
+            }
+            let err = spec.validate().unwrap_err();
+            assert_eq!(err.path, "topology", "{topology:?}: {err}");
+        }
+        let specs = crate::golden::load_specs(&crate::golden::scenario_dir()).unwrap();
+        assert_eq!(specs.len(), 8);
     }
 
     #[test]

@@ -50,6 +50,36 @@ impl TopologySpec {
         }
     }
 
+    /// The deployment's guaranteed smallest and largest point
+    /// separations `(near, far)` for a spec with at least two nodes:
+    /// the spacing, the ring chord, the `size / (100 n)` rejection
+    /// distance of random points and the `1e-9` threshold below which
+    /// clustered points are nudged apart; and the longest line, grid
+    /// diagonal, ring diameter or box diagonal (a clustered box grows
+    /// by the cluster spread and the nudges).
+    pub(crate) fn separation_bounds(&self) -> (f64, f64) {
+        use std::f64::consts::{PI, SQRT_2};
+        match *self {
+            TopologySpec::Line { n, spacing, .. } => (spacing, (n - 1) as f64 * spacing),
+            TopologySpec::Grid { side, spacing, .. } => {
+                (spacing, (side - 1) as f64 * spacing * SQRT_2)
+            }
+            TopologySpec::Ring { n, radius, .. } => {
+                (2.0 * radius * (PI / n as f64).sin(), 2.0 * radius)
+            }
+            TopologySpec::Random { n, size, .. } => (size / (100.0 * n as f64), size * SQRT_2),
+            TopologySpec::Clustered {
+                clusters,
+                per_cluster,
+                size,
+                ..
+            } => {
+                let n = clusters.saturating_mul(per_cluster) as f64;
+                (1e-9, (size * 1.1 + 1e-6 * n) * SQRT_2)
+            }
+        }
+    }
+
     /// The fully materialized decay space (used by the dense backend and
     /// by the netsim-equivalence harness).
     ///

@@ -275,9 +275,11 @@ fn flight_dump_and_trace_spans_sinks() {
         let n = runlog::validate_trace(&trace).expect("trace validates");
         assert_eq!(n, spans.len());
         // The engine's phase timers appear on the timeline, and so do
-        // the channel's epoch solves, timed into the backend's sink.
+        // the channel's epoch solves and reach windows, timed into the
+        // backend's sink.
         assert!(spans.iter().any(|s| s.name == "resolve"));
         assert!(spans.iter().any(|s| s.name == "epoch_solve"));
+        assert!(spans.iter().any(|s| s.name == "reach_window"));
     } else {
         assert!(spans.is_empty(), "default builds compile spans out");
         // An empty timeline still renders valid (if boring) JSON.
