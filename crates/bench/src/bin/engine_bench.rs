@@ -1,8 +1,10 @@
 //! The engine throughput bench behind CI's `BENCH_engine.json` artifact:
 //! events/sec at 10k nodes on the static lazy backend versus the full
 //! temporal channel (mobility + shadowing + block fading), plus the
-//! same static workload at 100k nodes — one JSON document per run so
-//! the perf trajectory accumulates across commits.
+//! same static workload at 100k nodes and on 10k uniform random points
+//! (the `random` row: a scenario topology's lazy backend, whose
+//! neighbor hint is the bucket-grid index over the points) — one JSON
+//! document per run so the perf trajectory accumulates across commits.
 //!
 //! ```text
 //! cargo run --release -p decay-bench --bin engine_bench -- --quick --out BENCH_engine.json
@@ -40,7 +42,7 @@ use decay_channel::{
 use decay_core::json::{int, num, obj, parse, s, JsonValue};
 use decay_core::telemetry::{Counter, CounterSnapshot, Counters, SpanEvent, Timer};
 use decay_engine::{DecayBackend, Engine, EngineConfig, EventBehavior, LazyBackend, NodeCtx};
-use decay_scenario::runlog;
+use decay_scenario::{runlog, BackendSpec, TopologySpec};
 use decay_sinr::SinrParams;
 use decay_spaces::line_points;
 use rand::Rng;
@@ -72,6 +74,18 @@ fn lazy_line(n: usize) -> LazyBackend {
             (i.saturating_sub(w)..=(i + w).min(last)).collect()
         },
     )
+}
+
+/// `n` uniform random points as a scenario topology builds them, at the
+/// line's density of receivers: about 20 nodes lie within the gossip
+/// reach (decay 100, distance 10).
+fn random(n: usize) -> Box<dyn DecayBackend> {
+    BackendSpec::Lazy.build(&TopologySpec::Random {
+        n,
+        size: 400.0,
+        alpha: 2.0,
+        seed: 3,
+    })
 }
 
 fn temporal(n: usize, block_len: u64) -> TemporalAdapter {
@@ -317,6 +331,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             best_of,
             record_spans,
         ),
+    );
+
+    // The static workload on random points.
+    push(
+        "random",
+        None,
+        measure_best(|| random(n), n, horizon, best_of, record_spans),
     );
 
     let doc = obj(vec![

@@ -32,7 +32,8 @@
 //! the composite is, up to rounding, `db^α · s_i · s_j · F_b(i, j)`:
 //! `db` the current-block distance, `s_k` node `k`'s share of the
 //! separable shadowing factor, `F_b` the block fade. A reach scan first
-//! takes the base's hint window around the deployment, then drops every
+//! takes the base's hint window around the deployment (a dense or tiled
+//! base, which has no hint, filters its whole static row), then drops every
 //! candidate this product provably puts above the reach in two
 //! branch-free compaction passes — a multiply-only test with the fade
 //! at its clamp, then the pair's exact fade draw for the survivors — so
@@ -171,7 +172,8 @@ impl TemporalChannel {
     /// the deployment — `base.decay(i, j) = dist(points[i], points[j])^alpha`
     /// — enabling structured reach hints: instead of scanning all `n`
     /// nodes per (block, source), the per-block reach scan queries the
-    /// base topology's hint window, widened conservatively for every
+    /// base backend's hint window (see
+    /// [`DecayBackend::hint_candidates`]), widened conservatively for every
     /// attached layer (mobility displacement, the block's shadowing
     /// floor, the fading clamp), and then prunes that window pair by
     /// pair with a lower bound on the composite decay built from the
@@ -492,6 +494,8 @@ impl TemporalBackend for TemporalChannel {
         // Timed after the epoch solve, so `reach_window` and
         // `epoch_solve` stay disjoint.
         let timer = self.telemetry.timer_start();
+        // A base without a hint (dense and tiled backends) filters its
+        // whole static row instead.
         let mut candidates = self
             .base
             .hint_candidates(from, widened)

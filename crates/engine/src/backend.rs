@@ -12,10 +12,11 @@
 //! reception resolution cheap: [`DecayBackend::reach_at`] enumerates the
 //! nodes a transmission could plausibly reach, each with the decay it
 //! was filtered on. Dense and generic lazy backends answer by scanning a
-//! row; a [`LazyBackend`] built from structured deployments (lines,
-//! grids, anything index-local) can install a *neighbor hint* answering
-//! in `O(k)` — the difference between `O(n)` and `O(k)` work per
-//! transmission at 100k+ nodes.
+//! row; a [`LazyBackend`] whose decay comes from positions can install a
+//! *neighbor hint* — a spatial query over the point set, such as
+//! `decay-scenario`'s bucket grid behind every named topology —
+//! answering in `O(k)`: the difference between `O(n)` and `O(k)` work
+//! per transmission at 100k+ nodes.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -288,8 +289,10 @@ impl LazyBackend {
     }
 
     /// Installs a neighbor hint, replacing the `O(n)` row scan in
-    /// [`DecayBackend::reach_at`] with a structured `O(k)` candidate
-    /// query.
+    /// [`DecayBackend::reach_at`] with an `O(k)` candidate query. Hints
+    /// come from where the nodes are, not from how they are numbered:
+    /// a spatial index over the deployment answers any point set, and an
+    /// index-range window serves only layouts whose ids follow position.
     ///
     /// The hint may over-approximate (extra candidates are filtered by
     /// decay, and each kept receiver carries the decay it was filtered

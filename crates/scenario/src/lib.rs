@@ -110,6 +110,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cells;
 mod channel;
 pub mod golden;
 pub mod json;

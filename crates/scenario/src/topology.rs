@@ -5,10 +5,14 @@
 //! in `decay-spaces`) with geometric decay `dist^alpha`. The same closure
 //! feeds all three backends, so dense, lazy, and tiled runs evaluate
 //! *bit-identical* decays — the invariant the cross-backend conformance
-//! suite rests on. Structured topologies (lines and grids) additionally
-//! install a neighbor hint on lazy backends, replacing `O(n)` row scans
-//! with `O(k)` window queries; hints over-approximate and the backend
-//! re-filters by decay, so they can never change results, only cost.
+//! suite rests on. Lazy backends also get a neighbor hint from the point
+//! set itself, whatever its shape: a bucket-grid index
+//! (`crate::cells`) answers a reach `r` with the cells meeting the disk
+//! of radius `r^(1/α)`, replacing `O(n)` row scans with window
+//! queries: `O(k)` on lines, grids, rings and random points, wider
+//! under strong clustering, where one uniform cell holds many points.
+//! Hints over-approximate and the backend re-filters by decay, so they
+//! can never change results, only cost.
 
 use std::sync::Arc;
 
@@ -19,6 +23,7 @@ use decay_spaces::{
     ring_points, Point,
 };
 
+use crate::cells::CellIndex;
 use crate::spec::{BackendSpec, TopologySpec};
 
 impl TopologySpec {
@@ -93,32 +98,30 @@ impl TopologySpec {
     }
 }
 
-/// Index window covering all candidates within Euclidean distance `d` on
-/// a line/grid axis with the given spacing (an over-approximation; the
-/// backend re-filters by decay). Clamped to `n`, so huge reach values
-/// degrade to a full scan instead of overflowing.
-fn axis_window(d: f64, spacing: f64, n: usize) -> usize {
-    if spacing <= 0.0 || !d.is_finite() {
-        return n;
-    }
-    let w = (d / spacing).ceil();
-    if w >= n as f64 {
-        n
-    } else {
-        w as usize + 1
-    }
-}
-
-/// Relative slack on the grid hint's disk radius: far above the
-/// rounding in `reach^(1/α)`, in lattice coordinates and in `dist^α`, so
-/// the disk stays a superset of the in-reach set.
+/// Relative slack on the hint's disk radius, applied to the reach
+/// before the root and to the radius after it: far above the rounding
+/// in `dist`, in `dist^α` and in `reach^(1/α)` for any `α`, so the disk
+/// stays a superset of the in-reach set.
 const DISK_MARGIN: f64 = 1.0 + 1e-9;
+
+/// Added to the hint's disk radius: about `√f64::MIN_POSITIVE`, the
+/// distance below which a squared distance leaves the normal floats and
+/// `dist` stops being accurate to a few ulps. Validated specs never get
+/// there; the slack keeps the hint sound for any point set.
+const UNDERFLOW_SLACK: f64 = 1.5e-154;
+
+/// The Euclidean radius around a node holding every node whose decay
+/// `dist^α` from it is at most `reach`.
+fn reach_radius(reach: f64, alpha: f64) -> f64 {
+    (reach * DISK_MARGIN).powf(1.0 / alpha) * DISK_MARGIN + UNDERFLOW_SLACK
+}
 
 impl BackendSpec {
     /// Builds the backend realizing `topology`'s decay space. The point
     /// deployment is generated once and shared (behind an `Arc`) with
-    /// the decay closure, so construction stays `O(n)` even for seeded
-    /// random deployments.
+    /// the decay closure (and, on a lazy backend, bucketed once into the
+    /// neighbor hint's index), so construction stays `O(n)` even for
+    /// seeded random deployments.
     pub fn build(&self, topology: &TopologySpec) -> Box<dyn DecayBackend> {
         self.build_with_points(topology, Arc::new(topology.points()))
     }
@@ -144,49 +147,9 @@ impl BackendSpec {
                 geometric_space(&points, alpha).expect("named topologies have distinct points"),
             )),
             BackendSpec::Lazy => {
-                let lazy = LazyBackend::from_fn(n, f);
-                match *topology {
-                    TopologySpec::Line { spacing, .. } => {
-                        let last = n - 1;
-                        Box::new(lazy.with_neighbor_hint(move |i, reach| {
-                            let w = axis_window(reach.powf(1.0 / alpha), spacing, n);
-                            (i.saturating_sub(w)..=i.saturating_add(w).min(last)).collect()
-                        }))
-                    }
-                    TopologySpec::Grid { side, spacing, .. } => {
-                        Box::new(lazy.with_neighbor_hint(move |i, reach| {
-                            let d = reach.powf(1.0 / alpha);
-                            let w = axis_window(d, spacing, side);
-                            // The in-reach set is a disk of radius `r`
-                            // lattice steps: each window row keeps the
-                            // columns `|dx| ≤ ⌊√(r² − dy²)⌋ + 1`, and rows
-                            // past `r` keep none. The margin and the `+ 1`
-                            // absorb rounding in `r` and in the decay.
-                            let r = d / spacing * DISK_MARGIN;
-                            let (x, y) = (i % side, i / side);
-                            let mut out = Vec::new();
-                            for yy in y.saturating_sub(w)..=(y + w).min(side - 1) {
-                                let h = if r.is_finite() {
-                                    let dy = yy.abs_diff(y) as f64;
-                                    let room = r * r - dy * dy;
-                                    if room < 0.0 {
-                                        continue;
-                                    }
-                                    (room.sqrt() as usize + 1).min(w)
-                                } else {
-                                    w
-                                };
-                                for xx in x.saturating_sub(h)..=(x + h).min(side - 1) {
-                                    out.push(yy * side + xx);
-                                }
-                            }
-                            out
-                        }))
-                    }
-                    // Rings and random deployments keep the exact row
-                    // scan: no index structure to exploit.
-                    _ => Box::new(lazy),
-                }
+                let index = CellIndex::new(&points);
+                let hint = move |i: usize, reach| index.disk(points[i], reach_radius(reach, alpha));
+                Box::new(LazyBackend::from_fn(n, f).with_neighbor_hint(hint))
             }
             BackendSpec::Tiled {
                 tile_size,
@@ -286,8 +249,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hints_match_exhaustive_scans() {
+    /// Lazy `reach_at` equals dense bit for bit, and so do the
+    /// receiver ids, at `reaches` from each node in `from`.
+    fn assert_hint_matches_dense(
+        topology: &TopologySpec,
+        points: Vec<Point>,
+        from: &[usize],
+        reaches: &[f64],
+    ) {
+        let points = Arc::new(points);
+        let dense = BackendSpec::Dense.build_with_points(topology, Arc::clone(&points));
+        let lazy = BackendSpec::Lazy.build_with_points(topology, points);
         let reach_of = |b: &dyn DecayBackend, i: usize, reach: f64| {
             let mut out = Vec::new();
             b.reach_at(0, NodeId::new(i), Some(reach), &mut out);
@@ -295,6 +267,25 @@ mod tests {
                 .map(|(v, d)| (v, d.to_bits()))
                 .collect::<Vec<_>>()
         };
+        for &reach in reaches {
+            for &i in from {
+                let want = reach_of(&*dense, i, reach);
+                assert_eq!(
+                    want,
+                    reach_of(&*lazy, i, reach),
+                    "{topology:?}: node {i}, reach {reach}"
+                );
+                assert_eq!(
+                    dense.potential_receivers(NodeId::new(i), Some(reach)),
+                    lazy.potential_receivers(NodeId::new(i), Some(reach)),
+                    "{topology:?}: node {i}, reach {reach}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hints_match_exhaustive_scans() {
         let mut topologies = vec![
             TopologySpec::Line {
                 n: 30,
@@ -305,6 +296,70 @@ mod tests {
                 side: 6,
                 spacing: 1.3,
                 alpha: 2.8,
+            },
+            TopologySpec::Ring {
+                n: 50,
+                radius: 10.0,
+                alpha: 2.5,
+            },
+            TopologySpec::Random {
+                n: 60,
+                size: 40.0,
+                alpha: 2.0,
+                seed: 3,
+            },
+            // Squared distances underflow, so candidates are rejected
+            // and computed distances carry the underflow's error.
+            TopologySpec::Random {
+                n: 60,
+                size: 1e-160,
+                alpha: 1.0,
+                seed: 4,
+            },
+            TopologySpec::Clustered {
+                clusters: 4,
+                per_cluster: 15,
+                size: 50.0,
+                alpha: 3.0,
+                seed: 5,
+            },
+            // Every point starts within 1e-9 of the others and is
+            // nudged apart along x.
+            TopologySpec::Clustered {
+                clusters: 2,
+                per_cluster: 6,
+                size: 1e-10,
+                alpha: 2.0,
+                seed: 6,
+            },
+            // Degenerate deployments.
+            TopologySpec::Line {
+                n: 2,
+                spacing: 3.0,
+                alpha: 2.0,
+            },
+            TopologySpec::Ring {
+                n: 2,
+                radius: 1.0,
+                alpha: 2.0,
+            },
+            TopologySpec::Random {
+                n: 2,
+                size: 5.0,
+                alpha: 3.0,
+                seed: 7,
+            },
+            TopologySpec::Clustered {
+                clusters: 2,
+                per_cluster: 1,
+                size: 5.0,
+                alpha: 2.0,
+                seed: 8,
+            },
+            TopologySpec::Grid {
+                side: 1,
+                spacing: 1.0,
+                alpha: 2.0,
             },
         ];
         // Grids where the disk clip binds.
@@ -318,35 +373,120 @@ mod tests {
             }
         }
         for topology in topologies {
+            let points = topology.points();
+            let n = points.len();
             let dense = BackendSpec::Dense.build(&topology);
-            let lazy = BackendSpec::Lazy.build(&topology);
-            let n = topology.points().len();
-            let (alpha, spacing) = match topology {
-                TopologySpec::Line { alpha, spacing, .. }
-                | TopologySpec::Grid { alpha, spacing, .. } => (alpha, spacing),
-                _ => unreachable!(),
+            let from: Vec<usize> = if n <= 60 {
+                (0..n).collect()
+            } else {
+                vec![0, 1, n / 2, n / 2 + 7, n - 1]
             };
-            // Off-lattice reaches, reaches exactly on the lattice
-            // distances `(k·spacing)^α` and on the decays of actual
-            // (diagonal) pairs, and one wider than the whole grid.
-            let mut reaches = vec![1.0, 4.0, 25.0, 1e9];
-            reaches.extend((1..=8).map(|k| (k as f64 * spacing).powf(alpha)));
+            // Reaches on the decays of actual pairs, off-pair ones, one
+            // wider than the whole deployment and the largest float.
+            let mut reaches = vec![1.0, 4.0, 25.0, 1e9, f64::MAX];
+            // On lines and grids, also reaches exactly on the lattice
+            // distances `(k·spacing)^α`, where rounding sits on the rim.
+            if let TopologySpec::Line { alpha, spacing, .. }
+            | TopologySpec::Grid { alpha, spacing, .. } = topology
+            {
+                reaches.extend((1..=8).map(|k| (k as f64 * spacing).powf(alpha)));
+            }
             reaches.extend(
                 (1..n)
                     .step_by(23)
                     .map(|j| dense.decay(NodeId::new(0), NodeId::new(j))),
             );
-            for reach in reaches {
-                for i in [0, 1, n / 2, n / 2 + 7, n - 1] {
-                    let want = reach_of(&*dense, i, reach);
-                    assert_eq!(want, reach_of(&*lazy, i, reach), "node {i}, reach {reach}");
-                    assert_eq!(
-                        dense.potential_receivers(NodeId::new(i), Some(reach)),
-                        lazy.potential_receivers(NodeId::new(i), Some(reach)),
-                        "node {i}, reach {reach}"
-                    );
-                }
+            for &i in from.iter().step_by(3) {
+                reaches.extend(
+                    (0..n)
+                        .filter(|&j| j != i)
+                        .step_by(n / 40 + 1)
+                        .map(|j| dense.decay(NodeId::new(i), NodeId::new(j))),
+                );
             }
+            assert_hint_matches_dense(&topology, points, &from, &reaches);
+        }
+    }
+
+    #[test]
+    fn hints_cover_points_on_cell_boundaries() {
+        // A 6 × 6 integer lattice with its far corner moved out to
+        // (6, 6): 36 points over a 6 × 6 box make unit cells, so every
+        // point sits on a cell edge and every pair decay puts one on
+        // the disk's rim.
+        let m = 6;
+        let mut points: Vec<Point> = (0..m * m)
+            .map(|i| ((i % m) as f64, (i / m) as f64))
+            .collect();
+        points[m * m - 1] = (m as f64, m as f64);
+        assert_eq!(CellIndex::new(&points).cells(), m * m);
+        // The backends read only α from the topology; the points are
+        // these.
+        let all: Vec<usize> = (0..m * m).collect();
+        for alpha in [0.3, 1.0, 1.7, 2.0, 2.5, 3.0, 4.0] {
+            let topology = TopologySpec::Random {
+                n: m * m,
+                size: m as f64,
+                alpha,
+                seed: 0,
+            };
+            let reaches: Vec<f64> = points
+                .iter()
+                .flat_map(|&p| points.iter().map(move |&q| distance(p, q).powf(alpha)))
+                .filter(|&d| d > 0.0)
+                .collect();
+            assert_hint_matches_dense(&topology, points.clone(), &all, &reaches);
+        }
+    }
+
+    #[test]
+    fn index_cells_stay_linear_in_the_node_count() {
+        for topology in [
+            TopologySpec::Random {
+                n: 500,
+                size: 1e-6,
+                alpha: 2.0,
+                seed: 1,
+            },
+            TopologySpec::Random {
+                n: 500,
+                size: 1e12,
+                alpha: 2.0,
+                seed: 2,
+            },
+            // Two tight clusters across a huge box.
+            TopologySpec::Clustered {
+                clusters: 2,
+                per_cluster: 250,
+                size: 1e15,
+                alpha: 2.0,
+                seed: 3,
+            },
+            // Nudged onto a thin horizontal strip.
+            TopologySpec::Clustered {
+                clusters: 3,
+                per_cluster: 100,
+                size: 1e-12,
+                alpha: 2.0,
+                seed: 4,
+            },
+            TopologySpec::Line {
+                n: 500,
+                spacing: 1e-100,
+                alpha: 2.0,
+            },
+            TopologySpec::Ring {
+                n: 3,
+                radius: 1e100,
+                alpha: 2.0,
+            },
+        ] {
+            let n = topology.points().len();
+            let cells = CellIndex::new(&topology.points()).cells();
+            assert!(
+                cells <= 2 * n + 2,
+                "{topology:?}: {cells} cells for {n} nodes"
+            );
         }
     }
 }

@@ -42,7 +42,7 @@ fn spec_from_knobs(knobs: Knobs) -> ScenarioSpec {
         pruned,
         channel,
     } = knobs;
-    let topology = match topo % 4 {
+    let topology = match topo % 5 {
         0 => TopologySpec::Line {
             n,
             spacing: 1.0,
@@ -61,12 +61,22 @@ fn spec_from_knobs(knobs: Knobs) -> ScenarioSpec {
             radius: n as f64 / 2.0,
             alpha: 2.0,
         },
-        _ => TopologySpec::Random {
+        3 => TopologySpec::Random {
             n,
             size: 25.0,
             alpha: 2.2,
             seed: 11,
         },
+        _ => {
+            let clusters = 2 + n % 3;
+            TopologySpec::Clustered {
+                clusters,
+                per_cluster: n / clusters,
+                size: 25.0,
+                alpha: 2.4,
+                seed: 13,
+            }
+        }
     };
     let protocol = match protocol % 3 {
         0 => ProtocolSpec::Announce {
@@ -182,7 +192,7 @@ proptest! {
     /// backend-invariant too.
     #[test]
     fn backends_yield_identical_digests(
-        topo in 0u8..4,
+        topo in 0u8..5,
         n in 8usize..26,
         seed in 0u64..10_000,
         protocol in 0u8..3,
@@ -203,34 +213,66 @@ proptest! {
             pruned: pruned == 1,
             channel,
         });
-        let runner = ScenarioRunner::new(spec).unwrap();
-        let run_on = |backend| {
-            runner
-                .run(RunOptions {
-                    backend: Some(backend),
-                    ..RunOptions::default()
-                })
-                .unwrap()
-        };
-        let dense = run_on(BackendSpec::Dense);
-        let lazy = run_on(BackendSpec::Lazy);
-        let tiled = run_on(BackendSpec::Tiled { tile_size: 5, max_tiles: 3 });
-        prop_assert_eq!(&dense.digest, &lazy.digest, "dense vs lazy");
-        prop_assert_eq!(&dense.digest, &tiled.digest, "dense vs tiled");
-        prop_assert_eq!(&dense.metrics.zeta_series, &lazy.metrics.zeta_series);
-        prop_assert_eq!(&dense.metrics.zeta_series, &tiled.metrics.zeta_series);
-        if channel % 4 != 0 {
-            prop_assert!(
-                !dense.metrics.zeta_series.is_empty(),
-                "monitored channel produced no ζ(t) samples"
-            );
+        assert_backends_agree(spec);
+    }
+}
+
+/// Dense, lazy, and tiled backends produce bit-identical digests (and
+/// ζ(t) series) for `spec`.
+fn assert_backends_agree(spec: ScenarioSpec) {
+    let monitored = spec.channel.as_ref().is_some_and(|c| c.monitor.is_some());
+    let runner = ScenarioRunner::new(spec).unwrap();
+    let run_on = |backend| {
+        runner
+            .run(RunOptions {
+                backend: Some(backend),
+                ..RunOptions::default()
+            })
+            .unwrap()
+    };
+    let dense = run_on(BackendSpec::Dense);
+    let lazy = run_on(BackendSpec::Lazy);
+    let tiled = run_on(BackendSpec::Tiled {
+        tile_size: 5,
+        max_tiles: 3,
+    });
+    assert_eq!(&dense.digest, &lazy.digest, "dense vs lazy");
+    assert_eq!(&dense.digest, &tiled.digest, "dense vs tiled");
+    assert_eq!(&dense.metrics.zeta_series, &lazy.metrics.zeta_series);
+    assert_eq!(&dense.metrics.zeta_series, &tiled.metrics.zeta_series);
+    if monitored {
+        assert!(
+            !dense.metrics.zeta_series.is_empty(),
+            "monitored channel produced no ζ(t) samples"
+        );
+    }
+    // Deterministic in the spec: a second run reproduces exactly.
+    let again = run_on(BackendSpec::Dense);
+    assert_eq!(&dense.digest, &again.digest, "rerun");
+    // And the digest survives its own canonical text form.
+    let parsed = decay_scenario::TraceDigest::parse(&dense.digest.canonical()).unwrap();
+    assert_eq!(parsed, dense.digest);
+}
+
+/// Clustered deployments get every channel variant, static included,
+/// whatever the proptest draws.
+#[test]
+fn clustered_backends_yield_identical_digests() {
+    for channel in 0..4 {
+        for (n, protocol) in [(13, 0), (22, 1)] {
+            let spec = spec_from_knobs(Knobs {
+                topo: 4,
+                n,
+                seed: 5 + channel as u64,
+                protocol,
+                churn: false,
+                jam: 0,
+                latency: 1,
+                pruned: channel % 2 == 1,
+                channel,
+            });
+            assert_backends_agree(spec);
         }
-        // Deterministic in the spec: a second run reproduces exactly.
-        let again = run_on(BackendSpec::Dense);
-        prop_assert_eq!(&dense.digest, &again.digest, "rerun");
-        // And the digest survives its own canonical text form.
-        let parsed = decay_scenario::TraceDigest::parse(&dense.digest.canonical()).unwrap();
-        prop_assert_eq!(parsed, dense.digest);
     }
 }
 

@@ -63,13 +63,46 @@ pub fn grid_points(k: usize, spacing: f64) -> Vec<Point> {
 /// `n` points uniformly random in a `size × size` box, deterministically
 /// from `seed`, rejection-sampled to keep all pairwise distances at least
 /// `size / (100 n)` (so decays stay positive and well-conditioned).
+///
+/// Accepted points sit in a bucket grid of about `n` cells, each side at
+/// least twice the separation, so a candidate is tested only against
+/// the 3×3 cells around its own: every point closer than the separation
+/// lies there. The draws and the comparison are those of the all-pairs
+/// test, so the points are too.
 pub fn random_points(n: usize, size: f64, seed: u64) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
     let min_sep = size / (100.0 * n.max(1) as f64);
+    // About `√n` cells per axis, each wider than the farthest a pair
+    // can be apart and still compute closer than `min_sep`: twice that
+    // (rounding), plus `1e-161` for boxes so small that squared
+    // distances underflow.
+    let side = (n as f64)
+        .sqrt()
+        .ceil()
+        .min(size / (2.0 * min_sep + 1e-161))
+        .max(1.0) as usize;
+    let inv = side as f64 / size;
+    let cell = |c: f64| ((c * inv) as usize).min(side - 1);
+    // Per cell, the newest point in it; per point, the one before it in
+    // its cell (`usize::MAX` ends a chain).
+    let mut head = vec![usize::MAX; side * side];
+    let mut next = Vec::with_capacity(n);
     let mut pts: Vec<Point> = Vec::with_capacity(n);
     while pts.len() < n {
         let cand = (rng.gen_range(0.0..size), rng.gen_range(0.0..size));
-        if pts.iter().all(|&p| distance(p, cand) >= min_sep) {
+        let (cx, cy) = (cell(cand.0), cell(cand.1));
+        let clear = (cy.saturating_sub(1)..=(cy + 1).min(side - 1)).all(|y| {
+            (cx.saturating_sub(1)..=(cx + 1).min(side - 1)).all(|x| {
+                let mut i = head[y * side + x];
+                while i != usize::MAX && distance(pts[i], cand) >= min_sep {
+                    i = next[i];
+                }
+                i == usize::MAX
+            })
+        });
+        if clear {
+            next.push(head[cy * side + cx]);
+            head[cy * side + cx] = pts.len();
             pts.push(cand);
         }
     }
@@ -197,6 +230,62 @@ mod tests {
                 assert!(distance(a[i], a[j]) > 0.0);
             }
         }
+    }
+
+    /// The all-pairs rejection sampler `random_points` replaced, and how
+    /// many candidates it rejected.
+    fn random_points_reference(n: usize, size: f64, seed: u64) -> (Vec<Point>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let min_sep = size / (100.0 * n.max(1) as f64);
+        let mut pts: Vec<Point> = Vec::with_capacity(n);
+        let mut rejected = 0;
+        while pts.len() < n {
+            let cand = (rng.gen_range(0.0..size), rng.gen_range(0.0..size));
+            if pts.iter().all(|&p| distance(p, cand) >= min_sep) {
+                pts.push(cand);
+            } else {
+                rejected += 1;
+            }
+        }
+        (pts, rejected)
+    }
+
+    #[test]
+    fn random_points_match_the_all_pairs_sampler() {
+        let bits = |pts: &[Point]| {
+            pts.iter()
+                .map(|p| (p.0.to_bits(), p.1.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let mut rejections = 0;
+        for (n, size) in [
+            (0, 1.0),
+            (1, 1.0),
+            (2, 1e-6),
+            (37, 100.0),
+            (500, 1e12),
+            (900, 3.0),
+            // Squared distances underflow here, so the computed
+            // separation of close pairs is 0 and candidates get
+            // rejected.
+            (40, 3e-161),
+            (60, 1e-160),
+            (12, 1e-161),
+            // Pairs two buckets apart can compute 0 apart here (seed 16
+            // has one), so the buckets must cover the underflow.
+            (10, 6e-162),
+        ] {
+            for seed in [0, 1, 7, 16, 42] {
+                let (want, rejected) = random_points_reference(n, size, seed);
+                assert_eq!(
+                    bits(&random_points(n, size, seed)),
+                    bits(&want),
+                    "{n} {size} {seed}"
+                );
+                rejections += rejected;
+            }
+        }
+        assert!(rejections > 0, "no case exercised a rejection");
     }
 
     #[test]
