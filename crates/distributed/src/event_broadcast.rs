@@ -11,8 +11,6 @@
 //! 100k+-node broadcast runs practical — with churn, jamming, latency
 //! and checkpointing available for free from the engine.
 
-use std::collections::BTreeSet;
-
 use decay_core::NodeId;
 use decay_engine::{
     ChurnConfig, Codec, CodecError, DecayBackend, Engine, EngineConfig, EngineError, EngineStats,
@@ -115,8 +113,8 @@ pub struct EventBroadcastReport {
 pub struct EventBroadcaster {
     p: f64,
     power: f64,
-    /// Messages (sender indices) heard so far.
-    heard: BTreeSet<u64>,
+    /// Messages (sender indices) heard so far, ascending and distinct.
+    heard: Vec<u64>,
 }
 
 impl EventBroadcaster {
@@ -125,13 +123,20 @@ impl EventBroadcaster {
         EventBroadcaster {
             p,
             power,
-            heard: BTreeSet::new(),
+            heard: Vec::new(),
         }
     }
 
     /// Whether this node has heard `sender`'s message.
     pub fn has_heard(&self, sender: NodeId) -> bool {
-        self.heard.contains(&(sender.index() as u64))
+        self.heard.binary_search(&(sender.index() as u64)).is_ok()
+    }
+
+    /// Records `message` as heard, keeping `heard` ascending and distinct.
+    fn hear(&mut self, message: u64) {
+        if let Err(at) = self.heard.binary_search(&message) {
+            self.heard.insert(at, message);
+        }
     }
 
     /// Next transmission gap drawn from `Geom(p)` (support `1, 2, ...`).
@@ -155,7 +160,7 @@ impl EventBehavior for EventBroadcaster {
     }
 
     fn on_receive(&mut self, _ctx: &mut NodeCtx<'_>, _from: NodeId, message: u64, _power: f64) {
-        self.heard.insert(message);
+        self.hear(message);
     }
 }
 
@@ -176,13 +181,15 @@ impl Codec for EventBroadcaster {
     fn encode(&self, out: &mut Vec<u8>) {
         self.p.encode(out);
         self.power.encode(out);
-        self.heard.iter().copied().collect::<Vec<u64>>().encode(out);
+        self.heard.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let p = f64::decode(input)?;
         let power = f64::decode(input)?;
-        let heard = Vec::<u64>::decode(input)?.into_iter().collect();
+        let mut heard = Vec::<u64>::decode(input)?;
+        heard.sort_unstable();
+        heard.dedup();
         Ok(EventBroadcaster { p, power, heard })
     }
 }
@@ -473,5 +480,52 @@ mod tests {
         .map(|(engine, required)| (engine.len(), required.len()))
         .expect_err("reach below neighborhood must be rejected");
         assert!(err.to_string().contains("reach_decay"));
+    }
+
+    /// The checkpoint bytes of a broadcaster whose heard set is `heard`,
+    /// as the `BTreeSet` representation encoded them.
+    fn set_encoding(heard: &std::collections::BTreeSet<u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        0.5f64.encode(&mut out);
+        1.0f64.encode(&mut out);
+        heard.iter().copied().collect::<Vec<u64>>().encode(&mut out);
+        out
+    }
+
+    #[test]
+    fn heard_encoding_matches_the_set_encoding() {
+        use rand::Rng;
+        let mut rng = decay_engine::EngineRng::for_stream(11, 0);
+        let mut node = EventBroadcaster::new(0.5, 1.0);
+        let mut set = std::collections::BTreeSet::new();
+        for _ in 0..400 {
+            let message = rng.gen_range(0..96u64);
+            node.hear(message);
+            set.insert(message);
+            let mut bytes = Vec::new();
+            node.encode(&mut bytes);
+            assert_eq!(bytes, set_encoding(&set));
+        }
+        for sender in 0..96 {
+            assert_eq!(
+                node.has_heard(NodeId::new(sender)),
+                set.contains(&(sender as u64))
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_normalizes_unsorted_and_repeated_messages() {
+        let mut bytes = Vec::new();
+        0.5f64.encode(&mut bytes);
+        1.0f64.encode(&mut bytes);
+        vec![9u64, 3, 9, 0, 3, 7].encode(&mut bytes);
+        let node = EventBroadcaster::decode(&mut bytes.as_slice()).expect("decodes");
+        let set = [0u64, 3, 7, 9].into_iter().collect();
+        let mut normalized = Vec::new();
+        node.encode(&mut normalized);
+        assert_eq!(normalized, set_encoding(&set));
+        assert!(node.has_heard(NodeId::new(7)));
+        assert!(!node.has_heard(NodeId::new(8)));
     }
 }

@@ -7,19 +7,23 @@
 //! wake-ups (scheduled by the node's own behavior), reception resolution
 //! (scheduled lazily, once per tick with transmissions), message
 //! deliveries (scheduled by resolution, possibly delayed by the latency
-//! model), and churn steps. Within a tick events fire in that fixed
-//! class order, with insertion order breaking ties — the total ordering
-//! that makes runs bit-reproducible from a seed.
+//! model), and churn steps. Within a tick events fire in a fixed class
+//! order — churn, wakes, resolution, deliveries — with insertion order
+//! breaking ties: the total ordering that makes runs bit-reproducible
+//! from a seed. The [`EventQueue`] keeps that order with one FIFO lane
+//! per class for the tick being drained and a heap for later ticks.
 //!
 //! Transmissions within one tick contend exactly as slot-synchronous
 //! `decay-netsim` slots do: a listener captures the strongest incoming
 //! signal iff its SINR against the other transmissions (plus noise)
 //! clears `β`. The difference is cost: a tick costs `O(active)` work, not
-//! `O(n)`, and the decay matrix behind it may be lazy.
+//! `O(n)`, and the decay matrix behind it may be lazy. (A resolution
+//! round also clears and sums `n + 1` prefix counts to group its pairs
+//! by listener, see [`Engine::resolve_pairs`]: one linear pass over a
+//! `u32` array, small next to the round's pairs at the densities the
+//! benchmarks run.)
 
 use std::cmp::Ordering as CmpOrdering;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,7 +35,7 @@ use rand::Rng;
 
 use crate::backend::DecayBackend;
 use crate::codec::{Codec, CodecError};
-use crate::event::{Event, QueuedEvent, Tick};
+use crate::event::{Event, EventQueue, QueuedEvent, Tick};
 use crate::rng::EngineRng;
 
 /// Reserved RNG stream ids; per-node streams start after these.
@@ -510,8 +514,10 @@ pub struct Checkpoint<B> {
 impl<B> Checkpoint<B> {
     /// Checks what a restore would otherwise trust blindly: the config
     /// ranges [`Engine::new`] enforces, one incarnation, behavior and
-    /// RNG stream per node, and every node id in the queue and the
-    /// pending transmissions.
+    /// RNG stream per node, every node id in the queue and the pending
+    /// transmissions, and the queue order [`EventQueue`] relies on — no
+    /// queued event before `now`, and distinct sequence numbers below
+    /// the next one to be issued.
     fn validate(&self) -> Result<(), EngineError> {
         let bad = |reason: String| Err(EngineError::InvalidCheckpoint { reason });
         if let Err(e) = self.config.validate() {
@@ -539,6 +545,18 @@ impl<B> Checkpoint<B> {
         let pending = self.pending_tx.iter().map(|&(node, _, _)| node);
         if let Some(node) = queued.chain(pending).find(|v| v.index() >= n) {
             return bad(format!("node {} out of range for {n} nodes", node.index()));
+        }
+        let (now, next) = (self.now, self.seq);
+        if let Some(qe) = self.queue.iter().find(|qe| qe.tick < now || qe.seq >= next) {
+            return bad(format!(
+                "queued event (tick {}, seq {}) outside tick >= {now}, seq < {next}",
+                qe.tick, qe.seq
+            ));
+        }
+        let mut seqs: Vec<u64> = self.queue.iter().map(|qe| qe.seq).collect();
+        seqs.sort_unstable();
+        if let Some(pair) = seqs.windows(2).find(|pair| pair[0] == pair[1]) {
+            return bad(format!("queued seq {} repeated", pair[0]));
         }
         Ok(())
     }
@@ -833,7 +851,7 @@ pub struct Engine<B> {
     config: EngineConfig,
     now: Tick,
     seq: u64,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    queue: EventQueue,
     /// Transmissions of the current tick, awaiting resolution.
     pending_tx: Vec<(NodeId, f64, u64)>,
     resolve_scheduled: bool,
@@ -863,11 +881,15 @@ pub struct Engine<B> {
     /// Resolve scratch, reused across ticks and never checkpointed:
     /// per-node "transmits this tick" flags (set and cleared within one
     /// resolution round), one reach query's `(receiver, decay)` list,
-    /// the sorted `(pair key, decay)` list (see [`Self::resolve_pairs`]),
-    /// and one listener group's received powers.
+    /// the `(pair key, decay)` list in scan order, its indices grouped
+    /// by listener and the grouping's `n + 1` prefix counts (see
+    /// [`Self::resolve_pairs`]), and one listener group's received
+    /// powers.
     transmitting: Vec<bool>,
     reach_buf: Vec<(NodeId, f64)>,
     pairs: Vec<(u64, f64)>,
+    order: Vec<u32>,
+    starts: Vec<u32>,
     rx: Vec<(usize, f64)>,
 }
 
@@ -937,7 +959,7 @@ impl<B: EventBehavior> Engine<B> {
             params,
             now: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             pending_tx: Vec::new(),
             resolve_scheduled: false,
             modes: vec![NodeMode::Sleeping; n],
@@ -959,6 +981,8 @@ impl<B: EventBehavior> Engine<B> {
             transmitting: vec![false; n],
             reach_buf: Vec::new(),
             pairs: Vec::new(),
+            order: Vec::new(),
+            starts: Vec::new(),
             rx: Vec::new(),
             config,
         };
@@ -1012,7 +1036,7 @@ impl<B: EventBehavior> Engine<B> {
             config: checkpoint.config,
             now: checkpoint.now,
             seq: checkpoint.seq,
-            queue: checkpoint.queue.into_iter().map(Reverse).collect(),
+            queue: checkpoint.queue.into_iter().collect(),
             pending_tx: checkpoint.pending_tx,
             resolve_scheduled: checkpoint.resolve_scheduled,
             modes: checkpoint.modes,
@@ -1037,6 +1061,8 @@ impl<B: EventBehavior> Engine<B> {
             transmitting: vec![false; n],
             reach_buf: Vec::new(),
             pairs: Vec::new(),
+            order: Vec::new(),
+            starts: Vec::new(),
             rx: Vec::new(),
         };
         engine.stats.queue_high_water =
@@ -1074,15 +1100,13 @@ impl<B: EventBehavior> Engine<B> {
     where
         B: Clone,
     {
-        let mut queue: Vec<QueuedEvent> = self.queue.iter().map(|Reverse(qe)| qe.clone()).collect();
-        queue.sort();
         Checkpoint {
             version: CHECKPOINT_VERSION,
             channel: self.backend.channel_signature(),
             controller: self.controller,
             now: self.now,
             seq: self.seq,
-            queue,
+            queue: self.queue.to_sorted_vec(),
             pending_tx: self.pending_tx.clone(),
             resolve_scheduled: self.resolve_scheduled,
             modes: self.modes.clone(),
@@ -1112,11 +1136,7 @@ impl<B: EventBehavior> Engine<B> {
         // event kind and keeps the enabled-timing overhead within the
         // CI budget.
         let drive = self.telemetry.timer_start();
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.tick > end {
-                break;
-            }
-            let Reverse(qe) = self.queue.pop().expect("peeked");
+        while let Some(qe) = self.queue.pop_through(end) {
             self.now = qe.tick;
             self.stats.events += 1;
             dispatched += 1;
@@ -1311,7 +1331,7 @@ impl<B: EventBehavior> Engine<B> {
     fn push_event(&mut self, tick: Tick, event: Event) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent::new(tick, seq, event)));
+        self.queue.push(QueuedEvent::new(tick, seq, event));
         let depth = self.queue.len() as u64;
         if depth > self.stats.queue_high_water {
             self.stats.queue_high_water = depth;
@@ -1489,10 +1509,11 @@ impl<B: EventBehavior> Engine<B> {
     /// 1. **Reach scans**, in transmission order: each
     ///    [`DecayBackend::reach_at`] query yields its receivers with the
     ///    decays they were filtered on, collected as `(key, decay)`
-    ///    pairs and sorted by key — listener id in the high 32 bits, tx
-    ///    index in the low 32 — so each listener's candidates form one
-    ///    group in tx order. (16-byte entries sort measurably faster
-    ///    than `(NodeId, usize, f64)` triples on 100k-node runs.)
+    ///    pairs — listener id in the high 32 bits, tx index in the low
+    ///    32 — and grouped by listener with a stable counting sort
+    ///    ([`group_by_listener`]). The scan appends in tx order, so each
+    ///    listener's candidates form one group in tx order: the order a
+    ///    sort by key would give, without comparisons.
     /// 2. **Per listener group**, ascending listener id: a listener that
     ///    is not listening, is inside an outage, or transmits this tick
     ///    is skipped. Otherwise each pair draws its Rayleigh fade (before
@@ -1504,6 +1525,7 @@ impl<B: EventBehavior> Engine<B> {
     fn resolve_pairs(&mut self, txs: &[(NodeId, f64, u64)], per_tx_receivers: &mut [Vec<NodeId>]) {
         let mut reach = std::mem::take(&mut self.reach_buf);
         let mut pairs = std::mem::take(&mut self.pairs);
+        let mut order = std::mem::take(&mut self.order);
         let mut rx = std::mem::take(&mut self.rx);
         pairs.clear();
         assert!(
@@ -1524,13 +1546,12 @@ impl<B: EventBehavior> Engine<B> {
         }
         self.telemetry.add(Counter::ReachScans, txs.len() as u64);
         self.telemetry.add(Counter::SinrPairs, pairs.len() as u64);
-        // A reach query lists each receiver once, so keys are unique
-        // and the unstable sort is deterministic.
-        pairs.sort_unstable_by_key(|&(key, _)| key);
+        group_by_listener(&pairs, self.modes.len(), &mut self.starts, &mut order);
 
+        let listener = |i: u32| pairs[i as usize].0 >> 32;
         let mut decay_calls = 0u64;
-        for group in pairs.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
-            let v = NodeId::new((group[0].0 >> 32) as usize);
+        for group in order.chunk_by(|&a, &b| listener(a) == listener(b)) {
+            let v = NodeId::new(listener(group[0]) as usize);
             if self.modes[v.index()] != NodeMode::Listening
                 || self.transmitting[v.index()]
                 || self.fault_until(v, self.now).is_some()
@@ -1542,7 +1563,8 @@ impl<B: EventBehavior> Engine<B> {
             // construction).
             rx.clear();
             decay_calls += group.len() as u64;
-            for &(key, decay) in group {
+            for &i in group {
+                let (key, decay) = pairs[i as usize];
                 let k = (key & u64::from(u32::MAX)) as usize;
                 let (_, power, _) = txs[k];
                 let fade = match self.config.reception {
@@ -1611,7 +1633,40 @@ impl<B: EventBehavior> Engine<B> {
         self.telemetry.add(Counter::DecayCalls, decay_calls);
         self.reach_buf = reach;
         self.pairs = pairs;
+        self.order = order;
         self.rx = rx;
+    }
+}
+
+/// Fills `order` with the indices of `pairs` grouped by listener (the
+/// key's high 32 bits, below `n`), ascending listener id, each
+/// listener's pairs in input order: a stable counting sort with
+/// `starts` as scratch for its `n + 1` prefix counts. Indices keep the
+/// scatter buffer at 4 bytes a pair.
+///
+/// # Panics
+///
+/// Panics if there are `u32::MAX` pairs or more.
+fn group_by_listener(pairs: &[(u64, f64)], n: usize, starts: &mut Vec<u32>, order: &mut Vec<u32>) {
+    assert!(pairs.len() < u32::MAX as usize, "32-bit pair offsets");
+    starts.clear();
+    starts.resize(n + 1, 0);
+    for &(key, _) in pairs {
+        starts[(key >> 32) as usize + 1] += 1;
+    }
+    // Inclusive sums of the shifted counts: `starts[v]` becomes where
+    // listener `v`'s group begins.
+    let mut sum = 0;
+    for start in starts.iter_mut() {
+        sum += *start;
+        *start = sum;
+    }
+    order.clear();
+    order.resize(pairs.len(), 0);
+    for (i, &(key, _)) in pairs.iter().enumerate() {
+        let slot = &mut starts[(key >> 32) as usize];
+        order[*slot as usize] = i as u32;
+        *slot += 1;
     }
 }
 
@@ -1725,6 +1780,81 @@ mod tests {
             *from = NodeId::new(N);
         }
         assert!(refusal(cp).contains("out of range"));
+    }
+
+    #[test]
+    fn restore_rejects_a_queued_event_before_now() {
+        let mut cp = checkpoint();
+        cp.queue[0].tick = cp.now - 1;
+        assert!(refusal(cp).contains("outside tick"));
+    }
+
+    #[test]
+    fn restore_rejects_a_queued_seq_past_the_next_seq() {
+        let mut cp = checkpoint();
+        cp.queue[0].seq = cp.seq;
+        assert!(refusal(cp).contains("outside tick"));
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_queued_seq() {
+        let mut cp = checkpoint();
+        cp.queue[1].seq = cp.queue[0].seq;
+        assert!(refusal(cp).contains("repeated"));
+    }
+
+    #[test]
+    fn restore_accepts_a_queued_event_at_now() {
+        let mut cp = checkpoint();
+        cp.queue[0].tick = cp.now;
+        assert!(Engine::restore(line(), cp).is_ok());
+    }
+
+    /// `group_by_listener` against the sort it replaced, on random pairs
+    /// from `txs` transmitters to `n` listeners, appended per
+    /// transmitter as a reach scan appends them: each listener at most
+    /// once per transmitter.
+    fn grouping_matches_the_sort(seed: u64, n: usize, txs: usize) {
+        let mut rng = EngineRng::for_stream(seed, 0);
+        let mut pairs = Vec::new();
+        for k in 0..txs as u64 {
+            for v in 0..n as u64 {
+                if rng.gen_range(0..4) == 0 {
+                    pairs.push(((v << 32) | k, rng.gen::<f64>()));
+                }
+            }
+        }
+        let mut sorted = pairs.clone();
+        sorted.sort_unstable_by_key(|&(key, _)| key);
+        let (mut starts, mut order) = (Vec::new(), vec![7]);
+        group_by_listener(&pairs, n, &mut starts, &mut order);
+        let grouped: Vec<(u64, f64)> = order.iter().map(|&i| pairs[i as usize]).collect();
+        assert_eq!(grouped, sorted, "seed {seed}, {n} listeners, {txs} txs");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn grouping_matches_the_sort_on_random_pairs(
+            seed in 0u64..u64::MAX,
+            n in 1usize..40,
+            txs in 0usize..12,
+        ) {
+            grouping_matches_the_sort(seed, n, txs);
+        }
+    }
+
+    #[test]
+    fn grouping_handles_empty_single_and_last_listener_sets() {
+        let (mut starts, mut order) = (Vec::new(), Vec::new());
+        group_by_listener(&[], 5, &mut starts, &mut order);
+        assert!(order.is_empty());
+        group_by_listener(&[((4 << 32) | 2, 1.5)], 5, &mut starts, &mut order);
+        assert_eq!(order, [0]);
+        // Listener n − 1 ahead of listener 0 in scan order, twice over.
+        let pairs = [(4 << 32, 1.0), (0, 2.0), ((4 << 32) | 1, 3.0), (1, 4.0)];
+        group_by_listener(&pairs, 5, &mut starts, &mut order);
+        assert_eq!(order, [1, 3, 0, 2]);
+        grouping_matches_the_sort(3, 1, 6);
     }
 
     #[test]
