@@ -1,10 +1,12 @@
 //! The engine throughput bench behind CI's `BENCH_engine.json` artifact:
 //! events/sec at 10k nodes on the static lazy backend versus the full
 //! temporal channel (mobility + shadowing + block fading), plus the
-//! same static workload at 100k nodes and on 10k uniform random points
+//! same static workload at 100k nodes, on 10k uniform random points
 //! (the `random` row: a scenario topology's lazy backend, whose
-//! neighbor hint is the bucket-grid index over the points) — one JSON
-//! document per run so the perf trajectory accumulates across commits.
+//! neighbor hint is the bucket-grid index over the points) and on a
+//! 100 × 100 scenario grid at α 2.5 (the `grid` row, the only one whose
+//! decays take a fractional power) — one JSON document per run so the
+//! perf trajectory accumulates across commits.
 //!
 //! ```text
 //! cargo run --release -p decay-bench --bin engine_bench -- --quick --out BENCH_engine.json
@@ -85,6 +87,17 @@ fn random(n: usize) -> Box<dyn DecayBackend> {
         size: 400.0,
         alpha: 2.0,
         seed: 3,
+    })
+}
+
+/// A `side × side` unit-spacing grid as a scenario topology builds it,
+/// at α 2.5: its lattice decays `dist^2.5` are the scenario path's
+/// fractional powers.
+fn grid(side: usize) -> Box<dyn DecayBackend> {
+    BackendSpec::Lazy.build(&TopologySpec::Grid {
+        side,
+        spacing: 1.0,
+        alpha: 2.5,
     })
 }
 
@@ -338,6 +351,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "random",
         None,
         measure_best(|| random(n), n, horizon, best_of, record_spans),
+    );
+
+    // The static workload on a lattice with a fractional path-loss
+    // exponent.
+    push(
+        "grid",
+        None,
+        measure_best(|| grid(100), n, horizon, best_of, record_spans),
     );
 
     let doc = obj(vec![
