@@ -33,8 +33,9 @@
 //! `decay_at` reads (monitors, probes) are served from the same row:
 //! the backend evaluates at most once per (block, pair) of the view.
 
+use std::cell::OnceCell;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use decay_core::telemetry::{Counter, Counters, Timer};
 use decay_core::NodeId;
@@ -51,7 +52,7 @@ use crate::draw::mix;
 /// checkpoints carry only a [`Self::signature`] instead of channel
 /// state: a rebuilt channel with the same parameters replays the same
 /// field.
-pub trait TemporalBackend: Send + Sync {
+pub trait TemporalBackend: Send {
     /// Number of nodes.
     fn len(&self) -> usize;
 
@@ -171,18 +172,18 @@ impl SourceRow {
 }
 
 /// The per-block snapshot: one lazily built [`SourceRow`] per touched
-/// source. Rows fill in exactly once through their `OnceLock`, so a
+/// source. Rows fill in exactly once through their `OnceCell`, so a
 /// snapshot only grows through `&self` and a built row never changes.
 struct BlockSnapshot {
     block: u64,
-    rows: Box<[OnceLock<Box<SourceRow>>]>,
+    rows: Box<[OnceCell<Box<SourceRow>>]>,
 }
 
 impl BlockSnapshot {
     fn empty(block: u64, n: usize) -> Self {
         BlockSnapshot {
             block,
-            rows: (0..n).map(|_| OnceLock::new()).collect(),
+            rows: (0..n).map(|_| OnceCell::new()).collect(),
         }
     }
 }
@@ -211,7 +212,7 @@ pub struct TemporalAdapter {
     /// (`reach: None`) queries and unhinted scans (trace replay, say)
     /// evaluate their full rows over it. It is block-independent, so it
     /// lives beside the snapshots.
-    all_nodes: OnceLock<Vec<NodeId>>,
+    all_nodes: OnceCell<Vec<NodeId>>,
     /// Channel-side telemetry sink (row builds/hits, window widths,
     /// view traffic), surfaced through [`DecayBackend::telemetry`].
     /// Disjoint from the engine's counter set, so merged snapshots
@@ -220,15 +221,14 @@ pub struct TemporalAdapter {
     telemetry: Arc<Counters>,
 }
 
-/// Compile-time `Send + Sync` audit: the adapter is a `DecayBackend`
-/// (`Send + Sync`) and moves between worker threads when a run session
-/// is parked and resumed, so its cache (`OnceLock` rows, telemetry
-/// sink) must be thread-safe. If a field regresses, this stops
-/// compiling.
+/// Compile-time `Send` audit: the adapter is a `DecayBackend`, owned
+/// by one run session at a time, and moves with that session when it
+/// is parked and resumed on another thread. If a field regresses (an
+/// `Rc` creeping in), this stops compiling.
 #[allow(dead_code)]
-fn _assert_adapter_is_send_sync() {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TemporalAdapter>();
+fn _assert_adapter_is_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<TemporalAdapter>();
 }
 
 impl TemporalAdapter {
@@ -247,7 +247,7 @@ impl TemporalAdapter {
             n,
             block0: BlockSnapshot::empty(0, n),
             current: BlockSnapshot::empty(0, 0),
-            all_nodes: OnceLock::new(),
+            all_nodes: OnceCell::new(),
             telemetry,
         }
     }

@@ -17,11 +17,23 @@
 //! `decay-scenario`'s bucket grid behind every named topology —
 //! answering in `O(k)`: the difference between `O(n)` and `O(k)` work
 //! per transmission at 100k+ nodes.
+//!
+//! # Ownership
+//!
+//! A backend is owned by one engine, and so by one run at a time: the
+//! traits ask for `Send` (a parked session may resume on another
+//! thread) but not `Sync`, since nothing shares a backend across
+//! threads. A backend may therefore keep interior state in plain
+//! `Cell`s — `decay-scenario`'s lazy point backend memoizes its powers
+//! that way — provided its values stay a pure function of the pair, as
+//! the trait contract below demands. The decay closure and neighbor
+//! hint of a [`LazyBackend`] are boxed `Send` closures for the same
+//! reason, so a lazy backend cannot be cloned; build another one.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use decay_core::{DecaySpace, NodeId};
 
@@ -44,7 +56,7 @@ use crate::event::Tick;
 /// (mobility, shadowing, fading, trace replay) that override them.
 /// Temporal implementations must still be deterministic *per tick*:
 /// `decay_at(t, p, q)` is a pure function of `(t, p, q)`.
-pub trait DecayBackend: Send + Sync {
+pub trait DecayBackend: Send {
     /// Number of nodes in the space.
     fn len(&self) -> usize;
 
@@ -248,18 +260,20 @@ impl DecayBackend for DenseBackend {
     }
 }
 
-/// The decay generator used by lazy and tiled backends.
-pub type DecayFn = Arc<dyn Fn(usize, usize) -> f64 + Send + Sync>;
+/// The decay generator used by lazy and tiled backends. It is owned by
+/// one backend and only needs `Send`, so it may keep private interior
+/// state (a [`std::cell::Cell`] memo, say) as long as its values stay a
+/// pure function of the pair.
+pub type DecayFn = Box<dyn Fn(usize, usize) -> f64 + Send>;
 
 /// A neighbor hint: given a node index and a reach, return the candidate
 /// receiver indices (superset allowed; the engine re-filters by decay).
-pub type NeighborFn = Arc<dyn Fn(usize, f64) -> Vec<usize> + Send + Sync>;
+pub type NeighborFn = Box<dyn Fn(usize, f64) -> Vec<usize> + Send>;
 
 /// A lazy backend: decays are computed on demand from a function and
 /// never stored. Zero bytes per pair — the backend of choice for
 /// million-node spaces whose decay has a formula (geometric deployments,
 /// stochastic urban models, synthetic hardness families).
-#[derive(Clone)]
 pub struct LazyBackend {
     n: usize,
     f: DecayFn,
@@ -278,12 +292,12 @@ impl LazyBackend {
     /// the point of never materializing the matrix).
     pub fn from_fn<F>(n: usize, f: F) -> Self
     where
-        F: Fn(usize, usize) -> f64 + Send + Sync + 'static,
+        F: Fn(usize, usize) -> f64 + Send + 'static,
     {
         assert!(n > 0, "a decay space needs at least one node");
         LazyBackend {
             n,
-            f: Arc::new(f),
+            f: Box::new(f),
             neighbors: None,
         }
     }
@@ -302,9 +316,9 @@ impl LazyBackend {
     #[must_use]
     pub fn with_neighbor_hint<F>(mut self, hint: F) -> Self
     where
-        F: Fn(usize, f64) -> Vec<usize> + Send + Sync + 'static,
+        F: Fn(usize, f64) -> Vec<usize> + Send + 'static,
     {
-        self.neighbors = Some(Arc::new(hint));
+        self.neighbors = Some(Box::new(hint));
         self
     }
 }
@@ -409,7 +423,7 @@ impl TiledBackend {
     /// Panics if `n`, `tile_size` or `max_tiles` is zero.
     pub fn from_fn<F>(n: usize, tile_size: usize, max_tiles: usize, f: F) -> Self
     where
-        F: Fn(usize, usize) -> f64 + Send + Sync + 'static,
+        F: Fn(usize, usize) -> f64 + Send + 'static,
     {
         assert!(n > 0, "a decay space needs at least one node");
         assert!(tile_size > 0, "tile size must be positive");
@@ -418,7 +432,7 @@ impl TiledBackend {
             n,
             tile_size,
             max_tiles,
-            f: Arc::new(f),
+            f: Box::new(f),
             cache: Mutex::new(TileCache {
                 tiles: HashMap::new(),
                 order: VecDeque::new(),

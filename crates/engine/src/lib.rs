@@ -106,6 +106,7 @@
 //! into a fresh process continues exactly where the original would have
 //! gone.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

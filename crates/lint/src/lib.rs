@@ -14,6 +14,8 @@
 //! "Static analysis & the determinism contract" for how each rule maps
 //! onto the bit-identical-trace guarantees.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod report;
 pub mod rules;

@@ -107,6 +107,7 @@
 //! println!("{}", report.digest.canonical());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -2,8 +2,9 @@
 //! [`DecayBackend`].
 //!
 //! Every named topology is a point deployment (built by the constructors
-//! in `decay-spaces`) with geometric decay `dist^alpha`. The same closure
-//! feeds all three backends, so dense, lazy, and tiled runs evaluate
+//! in `decay-spaces`) with geometric decay `dist^alpha`. All three
+//! backends evaluate that same expression (the lazy one through the
+//! exact memo below), so dense, lazy, and tiled runs evaluate
 //! *bit-identical* decays — the invariant the cross-backend conformance
 //! suite rests on. Lazy backends also get a neighbor hint from the point
 //! set itself, whatever its shape: a bucket-grid index
@@ -13,7 +14,19 @@
 //! under strong clustering, where one uniform cell holds many points.
 //! Hints over-approximate and the backend re-filters by decay, so they
 //! can never change results, only cost.
+//!
+//! The lazy backend's closure also memoizes its powers. It owns a
+//! direct-mapped table keyed by the bits of the squared distance
+//! `dx·dx + dy·dy`; a hit returns the stored `sqrt(d²)^α`, a miss
+//! computes and stores it. `dist` is exactly that square root, so the
+//! memo returns `dist^α` bit for bit on any deployment and can never
+//! change a result. On a lattice a reach disk holds a few dozen
+//! distinct distances, so nearly every lookup skips libm's `pow`; on
+//! random points nearly every lookup misses and pays only the probe.
+//! The table lives in `Cell`s, which the `Send`-only backend contract
+//! allows: a backend is owned by one run at a time.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use decay_core::DecaySpace;
@@ -116,6 +129,45 @@ fn reach_radius(reach: f64, alpha: f64) -> f64 {
     (reach * DISK_MARGIN).powf(1.0 / alpha) * DISK_MARGIN + UNDERFLOW_SLACK
 }
 
+/// `log2` of the decay memo's slot count: 2,048 slots of 16 bytes,
+/// 32 KiB per lazy backend.
+const MEMO_BITS: u32 = 11;
+
+/// A direct-mapped memo of `sqrt(d²)^α`, keyed by the bits of `d²`
+/// and indexed by their Fibonacci hash. Every slot holds a true entry
+/// from the start (`d² = 0`), so no key needs to mean "empty".
+struct DecayMemo {
+    alpha: f64,
+    slots: Box<[Cell<(u64, f64)>]>,
+}
+
+impl DecayMemo {
+    fn new(alpha: f64) -> Self {
+        let zero = (0.0_f64.to_bits(), 0.0_f64.sqrt().powf(alpha));
+        DecayMemo {
+            alpha,
+            slots: (0..1 << MEMO_BITS).map(|_| Cell::new(zero)).collect(),
+        }
+    }
+
+    fn slot(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize
+    }
+
+    /// `d2.sqrt().powf(alpha)`, bit for bit.
+    fn decay(&self, d2: f64) -> f64 {
+        let key = d2.to_bits();
+        let slot = &self.slots[Self::slot(key)];
+        let (stored, value) = slot.get();
+        if stored == key {
+            return value;
+        }
+        let value = d2.sqrt().powf(self.alpha);
+        slot.set((key, value));
+        value
+    }
+}
+
 impl BackendSpec {
     /// Builds the backend realizing `topology`'s decay space. The point
     /// deployment is generated once and shared (behind an `Arc`) with
@@ -138,23 +190,29 @@ impl BackendSpec {
     ) -> Box<dyn DecayBackend> {
         let n = points.len();
         let alpha = topology.alpha();
-        let f = {
-            let points = Arc::clone(&points);
-            move |i: usize, j: usize| distance(points[i], points[j]).powf(alpha)
-        };
         match *self {
             BackendSpec::Dense => Box::new(DenseBackend::new(
                 geometric_space(&points, alpha).expect("named topologies have distinct points"),
             )),
             BackendSpec::Lazy => {
                 let index = CellIndex::new(&points);
+                let memo = DecayMemo::new(alpha);
+                let decay_points = Arc::clone(&points);
+                let f = move |i: usize, j: usize| {
+                    let (p, q) = (decay_points[i], decay_points[j]);
+                    let (dx, dy) = (p.0 - q.0, p.1 - q.1);
+                    memo.decay(dx * dx + dy * dy)
+                };
                 let hint = move |i: usize, reach| index.disk(points[i], reach_radius(reach, alpha));
                 Box::new(LazyBackend::from_fn(n, f).with_neighbor_hint(hint))
             }
             BackendSpec::Tiled {
                 tile_size,
                 max_tiles,
-            } => Box::new(TiledBackend::from_fn(n, tile_size, max_tiles, f)),
+            } => {
+                let f = move |i: usize, j: usize| distance(points[i], points[j]).powf(alpha);
+                Box::new(TiledBackend::from_fn(n, tile_size, max_tiles, f))
+            }
         }
     }
 }
@@ -437,6 +495,99 @@ mod tests {
                 .collect();
             assert_hint_matches_dense(&topology, points.clone(), &all, &reaches);
         }
+    }
+
+    /// The lazy backend's `decay` and `reach_at` decays equal
+    /// `dist^α` bit for bit on `points`, asked twice per pair in both
+    /// directions, so the second and reverse lookups come from the memo.
+    fn assert_lazy_decays_are_exact(alpha: f64, points: Vec<Point>) {
+        let n = points.len();
+        let topology = TopologySpec::Random {
+            n,
+            size: 1.0,
+            alpha,
+            seed: 0,
+        };
+        let lazy = BackendSpec::Lazy.build_with_points(&topology, Arc::new(points.clone()));
+        let exact = |i: usize, j: usize| distance(points[i], points[j]).powf(alpha).to_bits();
+        for _ in 0..2 {
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    let d = lazy.decay(NodeId::new(i), NodeId::new(j));
+                    assert_eq!(d.to_bits(), exact(i, j), "α {alpha}: ({i},{j})");
+                }
+                for reach in [None, Some(median_decay(&points, i, alpha))] {
+                    let mut out = Vec::new();
+                    lazy.reach_at(0, NodeId::new(i), reach, &mut out);
+                    assert!(!out.is_empty(), "α {alpha}: node {i} reaches nobody");
+                    for (v, d) in out {
+                        assert_eq!(d.to_bits(), exact(i, v.index()), "α {alpha}: ({i},{v:?})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The median decay from `i`: a reach that cuts through the
+    /// deployment.
+    fn median_decay(points: &[Point], i: usize, alpha: f64) -> f64 {
+        let mut decays: Vec<f64> = (0..points.len())
+            .filter(|&j| j != i)
+            .map(|j| distance(points[i], points[j]).powf(alpha))
+            .collect();
+        decays.sort_by(f64::total_cmp);
+        decays[decays.len() / 2]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn memo_decays_are_exact_on_random_points(
+            points in proptest::prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 24),
+            n in 2usize..24,
+            alpha in 0.3f64..4.5,
+        ) {
+            assert_lazy_decays_are_exact(alpha, points[..n].to_vec());
+        }
+
+        #[test]
+        fn memo_decays_are_exact_on_non_dyadic_grids(
+            side in 2usize..12,
+            pick in 0usize..2,
+            alpha in 0.3f64..4.5,
+        ) {
+            // Neither spacing is a binary fraction, so `col·spacing`
+            // differences round differently across pairs at the same
+            // lattice offset.
+            let spacing = [0.1, 0.3][pick];
+            assert_lazy_decays_are_exact(alpha, grid_points(side, spacing));
+        }
+    }
+
+    #[test]
+    fn memo_keeps_colliding_keys_apart() {
+        // Two squared distances that hash to the same slot, looked up
+        // alternately: each lookup evicts the other's entry.
+        let mut first_in_slot = vec![None; 1 << MEMO_BITS];
+        let (a, b) = (1..)
+            .map(|k| k as f64)
+            .find_map(|d2: f64| {
+                let slot = DecayMemo::slot(d2.to_bits());
+                first_in_slot[slot].replace(d2).map(|a| (a, d2))
+            })
+            .expect("pigeonhole");
+        assert_eq!(DecayMemo::slot(a.to_bits()), DecayMemo::slot(b.to_bits()));
+        let memo = DecayMemo::new(2.5);
+        for _ in 0..3 {
+            for d2 in [a, b, b, a] {
+                assert_eq!(
+                    memo.decay(d2).to_bits(),
+                    d2.sqrt().powf(2.5).to_bits(),
+                    "{d2}"
+                );
+            }
+        }
+        // The prefilled key answers without a write.
+        assert_eq!(memo.decay(0.0), 0.0);
     }
 
     #[test]

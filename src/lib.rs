@@ -34,6 +34,8 @@
 //! assert!(zeta > 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use decay_capacity as capacity;
 pub use decay_channel as channel;
 pub use decay_core as core;
