@@ -556,7 +556,7 @@ mod tests {
             alpha in 0.3f64..4.5,
         ) {
             // Neither spacing is a binary fraction, so `col·spacing`
-            // differences round differently across pairs at the same
+            // differences can round differently across pairs at the same
             // lattice offset.
             let spacing = [0.1, 0.3][pick];
             assert_lazy_decays_are_exact(alpha, grid_points(side, spacing));
