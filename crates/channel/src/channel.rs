@@ -26,22 +26,43 @@
 //! which is how checkpoint restore replays without serialized channel
 //! state.
 //!
-//! # Reach candidates
+//! # Geometric channels
 //!
 //! Over a geometric base (see [`TemporalChannel::with_geometric_hints`])
-//! the composite is, up to rounding, `db^α · s_i · s_j · F_b(i, j)`:
+//! the product above is, up to rounding, `db^α · s_i · s_j · F_b(i, j)`:
 //! `db` the current-block distance, `s_k` node `k`'s share of the
-//! separable shadowing factor, `F_b` the block fade. A reach scan first
+//! separable shadowing factor, `F_b` the block fade. Such a channel
+//! evaluates that closed form instead of the layered product:
+//!
+//! ```text
+//! f_b(i, j) = max(db², d0² · 10^-12)^(α/2) · s_i · s_j / g_b(i, j)
+//! ```
+//!
+//! with `d0` the deployment distance (the `max` is the mobility layer's
+//! clamp `db ≥ d0 · 10^-6`), `s_k = exp(ℓ_k)` cached per node and block
+//! next to its reach scale, and `g_b = 1 / F_b` the fade's power gain.
+//! That is one `powf` and one `ln` per pair, with no base call and no
+//! `sqrt`; the per-pair and batched-row paths share the one kernel, so
+//! they stay bit-equal. The base then only answers hint windows. The
+//! closed form agrees with the layered product to a relative `10^-12`,
+//! not bit for bit, so the kernel's version is part of the channel
+//! signature. A channel without the declaration keeps the layered
+//! product: the paper's non-geometric decay spaces need it.
+//!
+//! # Reach candidates
+//!
+//! A reach scan over a geometric channel first
 //! takes the base's hint window around the deployment (a dense or tiled
 //! base, which has no hint, filters its whole static row), then drops every
-//! candidate this product provably puts above the reach in two
+//! candidate the closed form provably puts above the reach in two
 //! branch-free compaction passes — a multiply-only test with the fade
-//! at its clamp, then the pair's exact fade draw for the survivors — so
-//! rows evaluate the full composite only for pairs that can be in
-//! reach. Fade draws hash the block's key prefix once per row or window
-//! ([`FadingConfig::block_key`]), not once per pair. The window query
-//! and both passes are timed as `reach_window`. The caller re-filters
-//! against the exact field, so the bound changes cost, never values.
+//! at its clamp, then the bucket of the pair's fade draw for the
+//! survivors — so rows evaluate the composite only for pairs that can
+//! be in reach. Fade draws hash the block's key prefix once per row or
+//! window ([`FadingConfig::block_key`]), not once per pair. The window
+//! query and both passes are timed as `reach_window`. The caller
+//! re-filters against the exact field, so the bound changes cost, never
+//! values.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -61,9 +82,15 @@ use crate::temporal::{signature_of, TemporalBackend};
 const MIN_DECAY: f64 = 1e-300;
 const MAX_DECAY: f64 = 1e300;
 
+/// Version of the closed-form kernel geometric channels evaluate (see
+/// the module docs), folded into their signature: bump it whenever the
+/// kernel's bits change, so checkpoints taken under the old kernel fail
+/// to resume instead of silently replaying a different field.
+const KERNEL_VERSION: u64 = 1;
+
 /// Safety margin applied to hint-widening thresholds, absorbing the
-/// floating-point slop between `f0 · (db/d0)^α` and the exact `db^α`
-/// (and any `pow` monotonicity wobble). Hints may over-approximate
+/// floating-point slop between the bounds' arithmetic and the closed
+/// form's `(db²)^(α/2) · s_i · s_j` (and any `pow` monotonicity wobble). Hints may over-approximate
 /// freely — candidates are re-filtered against the exact field — so the
 /// margin costs a few extra candidates, never correctness.
 const HINT_MARGIN: f64 = 1.05;
@@ -75,6 +102,10 @@ struct Epoch {
     mob: Option<MobilityState>,
     /// Per-node shadowing field values (empty when shadowing is off).
     shadow: Vec<f64>,
+    /// Per-node share `s_k = exp(ℓ_k)` of the separable shadowing
+    /// factor, the closed form's per-node term (empty when shadowing is
+    /// off).
+    share: Vec<f64>,
     /// Per-node reach scale `t_k = s_k^(-2/α)`, with `s_k` the node's
     /// share of the shadowing factor (empty when shadowing is off): a
     /// pair can be in reach only if its squared distance is at most
@@ -108,8 +139,11 @@ pub struct TemporalChannel {
     /// deployment (see [`TemporalChannel::with_geometric_hints`]).
     geometric: bool,
     /// `gain^(2/α)` at the upper edge of each fade-draw bucket, the
-    /// fade's share of the per-pair reach bound (empty without fading).
-    gain_powers: Box<[f64]>,
+    /// fade's share of the per-pair reach bound (all 1 without fading).
+    gain_powers: Box<[f64; DRAW_BUCKETS]>,
+    /// One 1 per node: the shares and reach scales of a block without
+    /// shadowing.
+    ones: Box<[f64]>,
     epoch: Mutex<Epoch>,
     /// Sink for the epoch-solve timer: the adapter's, once attached
     /// (see [`TemporalBackend::attach_telemetry`]).
@@ -143,6 +177,7 @@ impl TemporalChannel {
             "alpha must be positive and finite"
         );
         assert!(block_len >= 1, "coherence block must be >= 1 tick");
+        let n = points.len();
         TemporalChannel {
             base: Box::new(base),
             initial: points,
@@ -154,12 +189,14 @@ impl TemporalChannel {
             mobility: None,
             shadowing: None,
             geometric: false,
-            gain_powers: Box::new([]),
+            gain_powers: Box::new([1.0; DRAW_BUCKETS]),
+            ones: vec![1.0; n].into(),
             epoch: Mutex::new(Epoch {
                 block: 0,
                 ready: false,
                 mob: None,
                 shadow: Vec::new(),
+                share: Vec::new(),
                 reach_scale: Vec::new(),
                 max_disp: 0.0,
                 shadow_min: f64::INFINITY,
@@ -169,20 +206,30 @@ impl TemporalChannel {
     }
 
     /// Declares that the base backend realizes the *geometric* field of
-    /// the deployment — `base.decay(i, j) = dist(points[i], points[j])^alpha`
-    /// — enabling structured reach hints: instead of scanning all `n`
-    /// nodes per (block, source), the per-block reach scan queries the
-    /// base backend's hint window (see
-    /// [`DecayBackend::hint_candidates`]), widened conservatively for every
-    /// attached layer (mobility displacement, the block's shadowing
-    /// floor, the fading clamp), and then prunes that window pair by
-    /// pair with a lower bound on the composite decay built from the
-    /// current-block positions, per-node shadowing and the block fade
-    /// (see the [module docs](self)). Only the survivors are evaluated
-    /// exactly, so a row's `row_pairs` count is its exact evaluations,
-    /// not the window width. Both steps over-approximate and the
-    /// candidates are re-filtered against the exact instantaneous field,
-    /// so they change cost, never values.
+    /// the deployment — `base.decay(i, j) = dist(points[i], points[j])^alpha`.
+    ///
+    /// The declaration fixes how values are evaluated, not just which
+    /// pairs are: every decay of the channel comes from the closed form
+    /// `max(db², d0² · 10^-12)^(α/2) · s_i · s_j / g`, with `db` and `d0`
+    /// the current-block and deployment distances (the `max` is the
+    /// mobility clamp), `s_k` node `k`'s share of the separable
+    /// shadowing factor and `g` the fade's power gain — one `powf` and
+    /// one `ln` per pair — never from the base. The closed form agrees
+    /// with the layered product to a relative `10^-12` but not bit for
+    /// bit, so the kernel's version joins the channel signature and
+    /// checkpoints taken under another kernel are refused.
+    ///
+    /// It also enables structured reach hints: instead of scanning all
+    /// `n` nodes per (block, source), the per-block reach scan queries
+    /// the base backend's hint window (see
+    /// [`DecayBackend::hint_candidates`]), widened conservatively for
+    /// every attached layer (mobility displacement, the block's
+    /// shadowing floor, the fading clamp), and then prunes that window
+    /// pair by pair with a lower bound on the closed form. Only the
+    /// survivors are evaluated exactly, so a row's `row_pairs` count is
+    /// its exact evaluations, not the window width. Both steps
+    /// over-approximate and the candidates are re-filtered against the
+    /// exact instantaneous field, so they change cost, never values.
     ///
     /// # Panics
     ///
@@ -282,6 +329,8 @@ impl TemporalChannel {
             epoch
                 .reach_scale
                 .extend(values.iter().map(|&f| field.reach_scale(f, self.alpha)));
+            epoch.share.clear();
+            epoch.share.extend(values.iter().map(|&f| field.share(f)));
             epoch.shadow = values;
         }
         epoch.max_disp = epoch.mob.as_ref().map_or(0.0, |s| {
@@ -303,11 +352,65 @@ impl TemporalChannel {
         self.fading.map(|fade| fade.block_key(block))
     }
 
+    /// The per-node inputs the closed form and the reach prune read for
+    /// the block of `epoch` (`None` when neither mobility nor shadowing
+    /// is attached).
+    fn view<'a>(&'a self, epoch: Option<&'a Epoch>) -> View<'a> {
+        let pos = epoch
+            .and_then(|e| e.mob.as_ref())
+            .map_or(&self.initial[..], |s| &s.pos[..]);
+        match epoch {
+            Some(e) if self.shadowing.is_some() => View {
+                pos,
+                share: &e.share,
+                scale: &e.reach_scale,
+            },
+            _ => View {
+                pos,
+                share: &self.ones,
+                scale: &self.ones,
+            },
+        }
+    }
+
     /// One composite decay evaluation under an already-locked epoch
     /// (`None` when neither mobility nor shadowing is attached) and the
-    /// block's fade key. Shared by the per-pair and batched-row paths
-    /// so both produce identical bits: same factors, same order.
+    /// block's fade key: the closed form on a geometric channel, the
+    /// layered product otherwise.
     fn decay_with(
+        &self,
+        epoch: Option<&Epoch>,
+        fade: Option<FadeKey>,
+        from: NodeId,
+        to: NodeId,
+    ) -> f64 {
+        if self.geometric {
+            self.closed_form(&self.view(epoch), fade, from, to)
+        } else {
+            self.layered(epoch, fade, from, to)
+        }
+    }
+
+    /// The geometric channel's kernel (see the module docs):
+    /// `max(db², d0² · 10^-12)^(α/2) · s_i · s_j / g`, clamped into the
+    /// decay-space range. The per-pair and batched-row paths both end
+    /// here, so they produce identical bits.
+    fn closed_form(&self, view: &View<'_>, fade: Option<FadeKey>, from: NodeId, to: NodeId) -> f64 {
+        let (i, j) = (from.index(), to.index());
+        let d0_sq = dist_sq(self.initial[i], self.initial[j]);
+        // Clamp relative to the deployment separation so nodes drifting
+        // onto each other never zero a decay: `db ≥ d0 · 1e-6`.
+        let db_sq = dist_sq(view.pos[i], view.pos[j]).max(d0_sq * 1e-12);
+        let mut d = db_sq.powf(0.5 * self.alpha) * view.share[i] * view.share[j];
+        if let Some(fade) = fade {
+            d /= fade.gain(from, to);
+        }
+        d.clamp(MIN_DECAY, MAX_DECAY)
+    }
+
+    /// The layered product `f · M_b · S_b · F_b` over the base field,
+    /// factor by factor.
+    fn layered(
         &self,
         epoch: Option<&Epoch>,
         fade: Option<FadeKey>,
@@ -336,28 +439,27 @@ impl TemporalChannel {
 
     /// Drops every candidate whose decay from `from` in the block of
     /// `epoch` and `fade` is provably above `reach` (`reach <
-    /// MAX_DECAY`, geometric base), keeping the survivors in order.
+    /// MAX_DECAY`, geometric channel), keeping the survivors in order.
     ///
-    /// With a geometric base the composite is `db^α · s_i · s_j · F`
-    /// up to rounding, so a pair is in reach only if
-    /// `db² ≤ reach^(2/α) · g^(2/α) · t_i · t_j`, with `g = 1 / F` the
-    /// fade's power gain. Two in-place compaction passes apply it
-    /// without a branch per candidate: each writes the candidate at the
-    /// kept count and advances the count by the test's outcome. The
-    /// coarse pass takes `g` at its clamp and costs only multiplies (it
-    /// also drops ids outside the deployment). The fine pass runs on its
-    /// survivors with the pair's exact fade draw, reading `g^(2/α)` at
-    /// the upper edge of the draw's bucket (see
-    /// [`crate::fading::gain_powers`]): one keyed hash and a lookup
-    /// where the exact factor would cost a log and a power.
+    /// Up to its clamps the closed form is `db^α · s_i · s_j / g`, so a
+    /// pair is in reach only if `db² ≤ reach^(2/α) · g^(2/α) · t_i · t_j`,
+    /// with `t_k = s_k^(-2/α)` the per-node reach scale. Ids outside the
+    /// deployment are dropped first; then two in-place compaction
+    /// passes apply the test without a branch per candidate: each
+    /// writes the candidate at the kept count and advances the count by
+    /// the test's outcome. The coarse pass takes `g` at its clamp and
+    /// costs only multiplies. The fine pass runs on its survivors with
+    /// the bucket of the pair's fade draw, reading `g^(2/α)` at the
+    /// bucket's upper edge (see [`crate::fading::gain_powers`]): one
+    /// keyed hash and a lookup where the exact factor would cost a log
+    /// and a power.
     ///
     /// `HINT_MARGIN` on the reach absorbs the rounding between this
-    /// product and the composite's factor-by-factor evaluation. The
-    /// bound stays sound because the composite's adjustments only raise
-    /// a decay: the mobility clamp `db.max(d0 · 1e-6)` replaces `db` by
-    /// something larger, and `MIN_DECAY` lifts tiny decays. Only
-    /// `MAX_DECAY` can lower one, and the caller skips the filter when
-    /// it could matter.
+    /// product and the closed form. The bound stays sound because the
+    /// closed form's clamps only raise a decay: the mobility clamp
+    /// replaces `db²` by something larger, and `MIN_DECAY` lifts tiny
+    /// decays. Only `MAX_DECAY` can lower one, and the caller skips the
+    /// filter when it could matter.
     fn prune(
         &self,
         epoch: Option<&Epoch>,
@@ -366,26 +468,16 @@ impl TemporalChannel {
         reach: f64,
         candidates: &mut Vec<NodeId>,
     ) {
-        let pos = epoch
-            .and_then(|e| e.mob.as_ref())
-            .map_or(&self.initial[..], |s| &s.pos[..]);
-        let scale = epoch.map_or(&[][..], |e| &e.reach_scale[..]);
-        let t = |k: NodeId| scale.get(k.index()).copied().unwrap_or(1.0);
-        let fine = (reach * HINT_MARGIN).powf(2.0 / self.alpha) * t(from);
-        let coarse = fine * self.gain_powers.last().copied().unwrap_or(1.0);
+        let View { pos, scale, .. } = self.view(epoch);
+        candidates.retain(|to| to.index() < pos.len());
+        let fine = (reach * HINT_MARGIN).powf(2.0 / self.alpha) * scale[from.index()];
+        let coarse = fine * self.gain_powers[DRAW_BUCKETS - 1];
         let p = pos[from.index()];
-        let d2 = |q: Point| {
-            let (dx, dy) = (p.0 - q.0, p.1 - q.1);
-            dx * dx + dy * dy
-        };
         let mut kept = 0;
         for i in 0..candidates.len() {
-            let to = candidates[i];
-            let Some(&q) = pos.get(to.index()) else {
-                continue;
-            };
-            candidates[kept] = to;
-            kept += usize::from(d2(q) <= coarse * t(to));
+            let to = candidates[i].index();
+            candidates[kept] = candidates[i];
+            kept += usize::from(dist_sq(p, pos[to]) <= coarse * scale[to]);
         }
         candidates.truncate(kept);
         let Some(fade) = fade else {
@@ -394,12 +486,29 @@ impl TemporalChannel {
         let mut kept = 0;
         for i in 0..candidates.len() {
             let to = candidates[i];
-            let k = (fade.draw(from, to) * DRAW_BUCKETS as f64) as usize;
+            let bound = fine * self.gain_powers[fade.bucket(from, to)] * scale[to.index()];
             candidates[kept] = to;
-            kept += usize::from(d2(pos[to.index()]) <= fine * self.gain_powers[k] * t(to));
+            kept += usize::from(dist_sq(p, pos[to.index()]) <= bound);
         }
         candidates.truncate(kept);
     }
+}
+
+/// One block's per-node inputs to the closed form and the reach prune
+/// (see [`TemporalChannel::view`]).
+struct View<'a> {
+    /// Current-block positions.
+    pos: &'a [Point],
+    /// Shadowing shares `s_k` (all 1 without shadowing).
+    share: &'a [f64],
+    /// Reach scales `t_k = s_k^(-2/α)` (all 1 without shadowing).
+    scale: &'a [f64],
+}
+
+/// Squared Euclidean distance.
+fn dist_sq(p: Point, q: Point) -> f64 {
+    let (dx, dy) = (p.0 - q.0, p.1 - q.1);
+    dx * dx + dy * dy
 }
 
 impl fmt::Debug for TemporalChannel {
@@ -442,15 +551,15 @@ impl TemporalBackend for TemporalChannel {
         // for the whole row, instead of one lock + lookup per pair.
         let epoch =
             (self.mobility.is_some() || self.shadowing.is_some()).then(|| self.epoch_at(block));
+        let epoch = epoch.as_deref();
         let fade = self.fade_key(block);
+        let view = self.geometric.then(|| self.view(epoch));
         targets
             .iter()
-            .map(|&to| {
-                if from == to {
-                    0.0
-                } else {
-                    self.decay_with(epoch.as_deref(), fade, from, to)
-                }
+            .map(|&to| match &view {
+                _ if from == to => 0.0,
+                Some(view) => self.closed_form(view, fade, from, to),
+                None => self.layered(epoch, fade, from, to),
             })
             .collect()
     }
@@ -459,10 +568,10 @@ impl TemporalBackend for TemporalChannel {
         if !self.geometric {
             return None;
         }
-        // Window budget in the decay domain: with a geometric base the base
-        // decay times the mobility modulation is (up to rounding,
-        // absorbed by HINT_MARGIN) the instantaneous distance raised to
-        // α, so a node is in reach only when `db^α · S · F ≤ reach`.
+        // Window budget in the decay domain: the closed form is (up to
+        // its clamps and rounding, absorbed by HINT_MARGIN) the
+        // instantaneous distance raised to α times the shadow and fade
+        // factors, so a node is in reach only when `db^α · S · F ≤ reach`.
         // Bounding the shadow factor below by the block's floor and the
         // fade factor below by the clamp gives
         // `db^α ≤ reach / (S_floor · F_floor)`.
@@ -551,6 +660,9 @@ impl TemporalBackend for TemporalChannel {
         }
         if let Some(f) = &self.fading {
             words.extend([3, f.seed]);
+        }
+        if self.geometric {
+            words.extend([4, KERNEL_VERSION]);
         }
         signature_of(&words)
     }
@@ -717,8 +829,9 @@ mod tests {
 
     /// The two compaction passes keep exactly what one `retain` over
     /// the combined bound keeps, in the same order, for every mix of
-    /// layers. Windows hold the source itself, duplicates, unsorted ids
-    /// and ids outside the deployment.
+    /// layers, and everything they drop has a closed-form decay above
+    /// the reach. Windows hold the source itself, duplicates, unsorted
+    /// ids and ids outside the deployment.
     #[test]
     fn prune_keeps_what_a_retain_keeps() {
         let side = 12;
@@ -767,7 +880,7 @@ mod tests {
                     for from in [0, 7, n / 2 + 5, n - 1] {
                         let src = NodeId::new(from);
                         let fine = (reach * HINT_MARGIN).powf(2.0 / alpha) * t(src);
-                        let coarse = fine * ch.gain_powers.last().copied().unwrap_or(1.0);
+                        let coarse = fine * ch.gain_powers[DRAW_BUCKETS - 1];
                         let p = pos[from];
                         let mut window: Vec<NodeId> =
                             (0..n).rev().step_by(3).map(NodeId::new).collect();
@@ -788,12 +901,20 @@ mod tests {
                                 d2 <= fine * ch.gain_powers[k] * t(to)
                             })
                         });
-                        let mut got = window;
+                        let mut got = window.clone();
                         ch.prune(epoch, fade, src, reach, &mut got);
                         assert_eq!(
                             got, want,
                             "mask {mask} block {block} reach {reach} from {from}"
                         );
+                        for &to in window.iter().filter(|&&to| to != src && to.index() < n) {
+                            let d = ch.closed_form(&ch.view(epoch), fade, src, to);
+                            assert!(
+                                got.contains(&to) || d > reach,
+                                "mask {mask} block {block} reach {reach}: ({from}, {to:?}) \
+                                 at {d} dropped"
+                            );
+                        }
                     }
                 }
             }
@@ -822,6 +943,142 @@ mod tests {
             (2, 9_687_319_280_409_153_735, 15_842_272_315_176_972_517),
             "shadow field bits moved: bump FIELD_VERSION and re-pin"
         );
+    }
+
+    /// Pins the closed-form composite's bits for one storm channel over
+    /// three blocks, next to the channel signature. A change to the
+    /// kernel must bump [`KERNEL_VERSION`], which moves the signature
+    /// and makes old checkpoints fail to resume instead of replaying a
+    /// different field; then both pins are updated together.
+    #[test]
+    fn composite_bits_are_pinned_to_the_signature() {
+        let pts: Vec<Point> = (0..16).map(|k| ((k % 4) as f64, (k / 4) as f64)).collect();
+        let ch = layered_twin(true, 2.5, &pts, 9, 7);
+        let bits: Vec<u64> = (0..3)
+            .flat_map(|block| {
+                let ch = &ch;
+                (0..16).flat_map(move |i| {
+                    (0..16).map(move |j| ch.decay_in_block(block, NodeId::new(i), NodeId::new(j)))
+                })
+            })
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(
+            (KERNEL_VERSION, ch.signature(), crate::draw::mix(&bits)),
+            (1, 11_612_699_182_480_411_602, 10_461_550_440_317_924_435),
+            "composite bits moved: bump KERNEL_VERSION and re-pin"
+        );
+    }
+
+    /// A channel over `pts` with the layer subset `mask` (bit 0
+    /// mobility, bit 1 shadowing, bit 2 fading), with or without the
+    /// geometric declaration.
+    fn layered_twin(
+        geometric: bool,
+        alpha: f64,
+        pts: &[Point],
+        seed: u64,
+        mask: u8,
+    ) -> TemporalChannel {
+        let field = pts.to_vec();
+        let base = LazyBackend::from_fn(pts.len(), move |i, j| {
+            distance(field[i], field[j]).powf(alpha)
+        });
+        let mut ch = TemporalChannel::new(base, pts.to_vec(), alpha, 1);
+        if geometric {
+            ch = ch.with_geometric_hints();
+        }
+        if mask & 1 != 0 {
+            ch = ch.with_mobility(MobilityConfig {
+                model: MobilityModel::RandomWaypoint {
+                    speed: 0.7,
+                    pause: 1,
+                },
+                seed,
+            });
+        }
+        if mask & 2 != 0 {
+            ch = ch.with_shadowing(ShadowingConfig {
+                sigma_db: 8.0,
+                corr_dist: 2.0,
+                time_corr: 0.5,
+                seed: seed ^ 0xA5,
+            });
+        }
+        if mask & 4 != 0 {
+            ch = ch.with_fading(FadingConfig { seed: seed ^ 0x5A });
+        }
+        ch
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The closed form agrees with the layered product to a relative
+        /// `1e-12` for every pair, over α in [1.5, 6], grid and random
+        /// deployments, every layer subset and mobility blocks up to 80
+        /// — and at one pair whose endpoint is moved onto (or next to)
+        /// its partner, where both evaluations take the mobility clamp.
+        #[test]
+        fn closed_form_matches_the_layered_product(
+            alpha in 1.5f64..6.0,
+            random in 0u8..2,
+            n in 4usize..30,
+            spacing in 0.3f64..3.0,
+            seed in 0u64..1000,
+            mask in 0u8..8,
+            blocks in proptest::prop::collection::vec(0u64..80, 3),
+            drift in (0usize..30, 1usize..30, 0usize..4),
+        ) {
+            let pts: Vec<Point> = if random == 1 {
+                (0..n)
+                    .map(|k| {
+                        let u = |w: u64| crate::draw::unit(crate::draw::mix(&[seed, k as u64, w]));
+                        (20.0 * spacing * u(0), 20.0 * spacing * u(1))
+                    })
+                    .collect()
+            } else {
+                let side = (n as f64).sqrt().ceil() as usize;
+                (0..n)
+                    .map(|k| ((k % side) as f64 * spacing, (k / side) as f64 * spacing))
+                    .collect()
+            };
+            let geometric = layered_twin(true, alpha, &pts, seed, mask);
+            let layered = layered_twin(false, alpha, &pts, seed, mask);
+            let close = |got: f64, want: f64| (got - want).abs() <= want * 1e-12;
+            for &block in &blocks {
+                for i in 0..n {
+                    for j in 0..n {
+                        let (p, q) = (NodeId::new(i), NodeId::new(j));
+                        let got = geometric.decay_in_block(block, p, q);
+                        let want = layered.decay_in_block(block, p, q);
+                        proptest::prop_assert!(
+                            close(got, want),
+                            "block {} ({}, {}): {} vs {}", block, i, j, got, want
+                        );
+                    }
+                }
+            }
+            if mask & 1 != 0 {
+                let (i, j) = (drift.0 % n, (drift.0 + drift.1) % n);
+                if i != j {
+                    let block = blocks[0];
+                    let mut epoch = geometric.epoch_at(block);
+                    let offset = [0.0, 1e-12, 1e-7, 1e-3][drift.2] * spacing;
+                    let pos = &mut epoch.mob.as_mut().expect("mobility state present").pos;
+                    pos[j] = (pos[i].0 + offset, pos[i].1 - offset);
+                    let fade = geometric.fade_key(block);
+                    let (p, q) = (NodeId::new(i), NodeId::new(j));
+                    let got = geometric.decay_with(Some(&epoch), fade, p, q);
+                    let want = layered.layered(Some(&epoch), fade, p, q);
+                    epoch.ready = false;
+                    proptest::prop_assert!(
+                        close(got, want),
+                        "drift ({}, {}) by {}: {} vs {}", i, j, offset, got, want
+                    );
+                }
+            }
+        }
     }
 
     #[test]

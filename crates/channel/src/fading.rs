@@ -51,18 +51,33 @@ impl FadeKey {
     /// The uniform draw in `[0, 1)` behind the link's fade; the power
     /// gain is the increasing function [`gain`] of it.
     pub(crate) fn draw(self, from: NodeId, to: NodeId) -> f64 {
-        let (a, b) = if from.index() <= to.index() {
-            (from.index(), to.index())
-        } else {
-            (to.index(), from.index())
-        };
-        unit(scramble(absorb(self.0, &[a as u64, b as u64])))
+        unit(self.hash(from, to))
+    }
+
+    /// The link's scrambled key, endpoints ordered by `min`/`max`
+    /// rather than a branch.
+    fn hash(self, from: NodeId, to: NodeId) -> u64 {
+        let (a, b) = (from.index(), to.index());
+        scramble(absorb(self.0, &[a.min(b) as u64, a.max(b) as u64]))
+    }
+
+    /// The draw's bucket in [`gain_powers`]: the top bits of the link's
+    /// hash, which equal `⌊draw · DRAW_BUCKETS⌋` exactly because the
+    /// draw is `(hash >> 11) / 2^53`. Always below `DRAW_BUCKETS`.
+    pub(crate) fn bucket(self, from: NodeId, to: NodeId) -> usize {
+        (self.hash(from, to) >> (64 - DRAW_BUCKETS.trailing_zeros())) as usize
+    }
+
+    /// The link's clamped power gain; a geometric channel divides its
+    /// decay by it.
+    pub(crate) fn gain(self, from: NodeId, to: NodeId) -> f64 {
+        gain(self.draw(from, to))
     }
 
     /// The multiplicative *decay* factor (`1 / power gain`) for the
     /// link.
     pub(crate) fn decay_factor(self, from: NodeId, to: NodeId) -> f64 {
-        1.0 / gain(self.draw(from, to))
+        1.0 / self.gain(from, to)
     }
 }
 
@@ -82,10 +97,10 @@ pub(crate) const DRAW_BUCKETS: usize = 1024;
 /// increases with the draw, entry `⌊u · DRAW_BUCKETS⌋` bounds
 /// `gain(u)^exp` from above for `exp > 0` — a pair-by-pair fade bound
 /// that costs one hash and a lookup instead of a log and a power.
-pub(crate) fn gain_powers(exp: f64) -> Box<[f64]> {
-    (1..=DRAW_BUCKETS)
-        .map(|k| gain(k as f64 / DRAW_BUCKETS as f64).powf(exp))
-        .collect()
+pub(crate) fn gain_powers(exp: f64) -> Box<[f64; DRAW_BUCKETS]> {
+    Box::new(std::array::from_fn(|k| {
+        gain((k + 1) as f64 / DRAW_BUCKETS as f64).powf(exp)
+    }))
 }
 
 #[cfg(test)]
@@ -165,5 +180,19 @@ mod tests {
             assert!(gain(u).powf(exp) <= table[bucket], "draw {u}");
         }
         assert_eq!(table[DRAW_BUCKETS - 1], MAX_GAIN.powf(exp), "top bucket");
+    }
+
+    /// The integer bucket is the float bucket of the draw, for random
+    /// keys and endpoints in either order.
+    #[test]
+    fn bucket_is_the_scaled_draw() {
+        for k in 0..20_000u64 {
+            let key = FadingConfig { seed: mix(&[k, 1]) }.block_key(mix(&[k, 2]) % 1_000_000);
+            let i = NodeId::new((mix(&[k, 3]) % 100_000) as usize);
+            let j = NodeId::new((mix(&[k, 4]) % 100_000) as usize);
+            let want = (key.draw(i, j) * DRAW_BUCKETS as f64) as usize;
+            assert_eq!(key.bucket(i, j), want, "key {k}");
+            assert_eq!(key.bucket(j, i), want, "key {k} reversed");
+        }
     }
 }

@@ -29,7 +29,8 @@
 //!   `decay-spaces` point sets), Gudmundson-style spatially correlated
 //!   log-normal shadowing ([`ShadowingConfig`]), and block Rayleigh
 //!   fading ([`FadingConfig`]) layered multiplicatively on the base
-//!   field.
+//!   field; over a declared geometric base the product is evaluated in
+//!   closed form from positions and per-node shadowing shares.
 //! * [`GainTrace`] / [`TraceChannel`] — a hand-rolled JSON
 //!   importer/exporter so externally measured gain matrices replay
 //!   bit-identically (same decays, same engine trace hash).

@@ -213,17 +213,28 @@ impl ShadowField {
         10f64.powf(x_db / 10.0)
     }
 
-    /// A node's reach scale `s^(-2/α)` for the path-loss exponent
-    /// `alpha`, with `s = 10^(sigma_db · f / (√2 · 10))` the node's share
-    /// of [`Self::link_factor`]. The link factor is separable,
+    /// `ln s` for a node with field value `f`, where
+    /// `s = 10^(sigma_db · f / (√2 · 10))` is the node's share of
+    /// [`Self::link_factor`]. The link factor is separable,
     /// `link_factor(fi, fj) = s_i · s_j` up to rounding, which is what
-    /// lets per-pair reach bounds precompute one scale per node instead
-    /// of one per link. One `exp` per node: the bound it feeds carries
-    /// its own rounding margin.
+    /// lets geometric channels evaluate a link from two per-node shares
+    /// and per-pair reach bounds precompute one scale per node instead
+    /// of one per link.
+    fn ln_share(&self, f: f64) -> f64 {
+        self.config.sigma_db * f * std::f64::consts::FRAC_1_SQRT_2 / 10.0 * std::f64::consts::LN_10
+    }
+
+    /// A node's share `s = exp(ln s)` of the link factor (see
+    /// [`Self::ln_share`]): one `exp` per node and block.
+    pub(crate) fn share(&self, f: f64) -> f64 {
+        self.ln_share(f).exp()
+    }
+
+    /// A node's reach scale `s^(-2/α)` for the path-loss exponent
+    /// `alpha` (see [`Self::ln_share`]). One `exp` per node: the bound
+    /// it feeds carries its own rounding margin.
     pub(crate) fn reach_scale(&self, f: f64, alpha: f64) -> f64 {
-        let ln_share = self.config.sigma_db * f * std::f64::consts::FRAC_1_SQRT_2 / 10.0
-            * std::f64::consts::LN_10;
-        (-2.0 / alpha * ln_share).exp()
+        (-2.0 / alpha * self.ln_share(f)).exp()
     }
 
     /// A sound lower bound on [`Self::link_factor`] between a node with

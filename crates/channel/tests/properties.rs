@@ -60,24 +60,27 @@ fn base() -> LazyBackend {
 
 /// A channel with every generative layer on, parameterized by seed.
 fn stormy_channel(seed: u64, block_len: u64) -> TemporalAdapter {
-    TemporalAdapter::new(
-        TemporalChannel::new(base(), line_points(N, 1.0), 2.0, block_len)
-            .with_geometric_hints()
-            .with_mobility(MobilityConfig {
-                model: MobilityModel::RandomWaypoint {
-                    speed: 0.5,
-                    pause: 1,
-                },
-                seed,
-            })
-            .with_shadowing(ShadowingConfig {
-                sigma_db: 4.0,
-                corr_dist: 3.0,
-                time_corr: 0.7,
-                seed: seed ^ 0xA5,
-            })
-            .with_fading(FadingConfig { seed: seed ^ 0x5A }),
-    )
+    let channel = TemporalChannel::new(base(), line_points(N, 1.0), 2.0, block_len);
+    TemporalAdapter::new(storm_layers(channel.with_geometric_hints(), seed))
+}
+
+/// Every generative layer, parameterized by seed.
+fn storm_layers(channel: TemporalChannel, seed: u64) -> TemporalChannel {
+    channel
+        .with_mobility(MobilityConfig {
+            model: MobilityModel::RandomWaypoint {
+                speed: 0.5,
+                pause: 1,
+            },
+            seed,
+        })
+        .with_shadowing(ShadowingConfig {
+            sigma_db: 4.0,
+            corr_dist: 3.0,
+            time_corr: 0.7,
+            seed: seed ^ 0xA5,
+        })
+        .with_fading(FadingConfig { seed: seed ^ 0x5A })
 }
 
 fn engine_over(backend: impl DecayBackend + 'static, seed: u64) -> Engine<Gossiper> {
@@ -165,6 +168,31 @@ fn restore_rejects_a_different_channel() {
     assert!(Engine::restore(base(), snap.clone()).is_err());
     // The right channel: accepted.
     assert!(Engine::restore(stormy_channel(1, 8), snap).is_ok());
+}
+
+/// Before the closed-form kernel a geometric channel's signature was
+/// its undeclared (layered) twin's: the kernel version word is the only
+/// difference. A checkpoint carrying that old signature is refused, so
+/// it can never replay under the new kernel's bits — and vice versa.
+#[test]
+fn restore_rejects_a_checkpoint_from_the_layered_kernel() {
+    let layered = || {
+        let channel = TemporalChannel::new(base(), line_points(N, 1.0), 2.0, 8);
+        TemporalAdapter::new(storm_layers(channel, 1))
+    };
+    let mut old = engine_over(layered(), 7);
+    old.run_until(100);
+    let snap: Checkpoint<Gossiper> =
+        Checkpoint::from_bytes(&old.checkpoint().to_bytes()).expect("decodes");
+    let err = Engine::restore(stormy_channel(1, 8), snap.clone()).unwrap_err();
+    assert!(matches!(err, EngineError::ChannelMismatch { .. }), "{err}");
+    assert!(Engine::restore(layered(), snap).is_ok());
+
+    let mut new = engine_over(stormy_channel(1, 8), 7);
+    new.run_until(100);
+    let snap: Checkpoint<Gossiper> =
+        Checkpoint::from_bytes(&new.checkpoint().to_bytes()).expect("decodes");
+    assert!(Engine::restore(layered(), snap).is_err());
 }
 
 #[test]

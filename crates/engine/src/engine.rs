@@ -842,8 +842,8 @@ impl<B: Codec> Checkpoint<B> {
 
 /// The deterministic discrete-event simulation engine.
 ///
-/// See the [module docs](self) for the execution model and the crate
-/// docs for a quickstart.
+/// The [crate docs](crate) outline the execution model and give a
+/// quickstart.
 pub struct Engine<B> {
     backend: Box<dyn DecayBackend>,
     behaviors: Vec<B>,

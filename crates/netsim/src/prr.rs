@@ -133,7 +133,7 @@ pub fn run_probe_campaign(
 /// Streaming per-pair reception statistics over *arbitrary* traffic.
 ///
 /// [`PrrMatrix`] comes from the dedicated interference-free probe
-/// campaign; this tracker instead folds the [`SlotReport`]s of any
+/// campaign; this tracker instead folds the [`SlotReport`](crate::SlotReport)s of any
 /// running protocol into per-ordered-pair attempt/success counts, so
 /// harness-side code can read PRR out of real traffic without
 /// re-instrumenting behaviors. (The event-driven scenario runner in

@@ -59,8 +59,8 @@ use crate::json::{self, int, num, obj, s, JsonValue};
 /// The format tag every runlog's `run_start` record carries.
 pub const RUNLOG_FORMAT: &str = "decay-runlog-v1";
 
-/// The spec fingerprint the `run_start` header carries — defined in
-/// [`crate::spec`] (it doubles as the compiled-scenario cache key) and
+/// The spec fingerprint the `run_start` header carries — defined next
+/// to the spec types (it doubles as the compiled-scenario cache key) and
 /// re-exported here because the runlog is where the signature first
 /// shipped.
 pub use crate::spec::spec_signature;
