@@ -8,7 +8,7 @@ use decay_scenario::{golden, BackendSpec, RunOptions, ScenarioRunner};
 use crate::table::{fmt_f, fmt_ok, Table};
 
 /// E37 — scenario sweep: every shipped JSON spec compiles, runs, and
-/// produces the same trace digest on dense, lazy, and tiled backends.
+/// produces the same trace digest on the dense and lazy backends.
 pub fn e37_scenario_sweep() -> Table {
     let mut t = Table::new(
         "E37",
@@ -52,25 +52,18 @@ pub fn e37_scenario_sweep() -> Table {
         let report = runner
             .run(RunOptions::default())
             .expect("declared-backend run");
-        let agree = [
-            BackendSpec::Dense,
-            BackendSpec::Lazy,
-            BackendSpec::Tiled {
-                tile_size: 16,
-                max_tiles: 8,
-            },
-        ]
-        .into_iter()
-        .filter(|&b| b != runner.spec().backend)
-        .all(|b| {
-            runner
-                .run(RunOptions {
-                    backend: Some(b),
-                    ..RunOptions::default()
-                })
-                .map(|r| r.digest == report.digest)
-                .unwrap_or(false)
-        });
+        let agree = [BackendSpec::Dense, BackendSpec::Lazy]
+            .into_iter()
+            .filter(|&b| b != runner.spec().backend)
+            .all(|b| {
+                runner
+                    .run(RunOptions {
+                        backend: Some(b),
+                        ..RunOptions::default()
+                    })
+                    .map(|r| r.digest == report.digest)
+                    .unwrap_or(false)
+            });
         all_agree &= agree;
         t.push_row(vec![
             name,
@@ -87,7 +80,7 @@ pub fn e37_scenario_sweep() -> Table {
         ]);
     }
     t.set_verdict(if all_agree {
-        format!("digests agree across all three backends on {count}/{count} specs")
+        format!("digests agree across both backends on {count}/{count} specs")
     } else {
         "VIOLATED: backend digest divergence".to_string()
     });

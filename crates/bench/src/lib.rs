@@ -14,7 +14,6 @@
 //! or a selection: `run_experiments E4 E9`. Criterion benchmarks for the
 //! algorithmic kernels live under `benches/`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

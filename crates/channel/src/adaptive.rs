@@ -138,7 +138,6 @@ mod tests {
     }
 
     fn ctx_at<'a>(tick: Tick, backend: &'a dyn DecayBackend) -> PauseCtx<'a> {
-        static SINK: decay_core::telemetry::Counters = decay_core::telemetry::Counters::new();
         PauseCtx {
             tick,
             horizon: 1_000,
@@ -146,7 +145,7 @@ mod tests {
             backend,
             stats: EngineStats::default(),
             trace_hash: 0,
-            counters: &SINK,
+            counters: Box::leak(Box::default()),
         }
     }
 

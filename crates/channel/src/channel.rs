@@ -11,7 +11,7 @@
 //! `(dist_b(i, j) / dist_0(i, j))^α` induced by the moving deployment,
 //! `S_b` correlated log-normal shadowing, and `F_b` block Rayleigh
 //! fading (each factor 1 when its layer is absent). Because the base
-//! term is the *same bit pattern* on dense, lazy, and tiled backends
+//! term is the *same bit pattern* on dense and lazy backends
 //! (the existing cross-backend invariant) and every modulation is a pure
 //! function of the block, the composite field — and therefore every
 //! engine trace over it — is bit-identical across base backends too.
@@ -52,8 +52,8 @@
 //! # Reach candidates
 //!
 //! A reach scan over a geometric channel first
-//! takes the base's hint window around the deployment (a dense or tiled
-//! base, which has no hint, filters its whole static row), then drops every
+//! takes the base's hint window around the deployment (a dense base,
+//! which has no hint, filters its whole static row), then drops every
 //! candidate the closed form provably puts above the reach in two
 //! branch-free compaction passes — a multiply-only test with the fade
 //! at its clamp, then the bucket of the pair's fade draw for the
@@ -64,8 +64,8 @@
 //! re-filters against the exact field, so the bound changes cost, never
 //! values.
 
+use std::cell::{RefCell, RefMut};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 use decay_core::telemetry::{Counters, Timer};
 use decay_core::NodeId;
@@ -144,10 +144,10 @@ pub struct TemporalChannel {
     /// One 1 per node: the shares and reach scales of a block without
     /// shadowing.
     ones: Box<[f64]>,
-    epoch: Mutex<Epoch>,
-    /// Sink for the epoch-solve timer: the adapter's, once attached
-    /// (see [`TemporalBackend::attach_telemetry`]).
-    telemetry: Arc<Counters>,
+    /// The one-slot epoch cache: the last block solved.
+    epoch: RefCell<Epoch>,
+    /// The channel-side sink (see [`TemporalBackend::telemetry`]).
+    telemetry: Counters,
 }
 
 impl TemporalChannel {
@@ -191,7 +191,7 @@ impl TemporalChannel {
             geometric: false,
             gain_powers: Box::new([1.0; DRAW_BUCKETS]),
             ones: vec![1.0; n].into(),
-            epoch: Mutex::new(Epoch {
+            epoch: RefCell::new(Epoch {
                 block: 0,
                 ready: false,
                 mob: None,
@@ -201,7 +201,7 @@ impl TemporalChannel {
                 max_disp: 0.0,
                 shadow_min: f64::INFINITY,
             }),
-            telemetry: Arc::new(Counters::new()),
+            telemetry: Counters::new(),
         }
     }
 
@@ -302,9 +302,10 @@ impl TemporalChannel {
             .clone()
     }
 
-    /// Ensures the epoch cache describes `block` and returns it.
-    fn epoch_at(&self, block: u64) -> MutexGuard<'_, Epoch> {
-        let mut epoch = self.epoch.lock().expect("epoch cache poisoned");
+    /// Ensures the epoch cache describes `block` and returns it. The
+    /// borrow must end before the next call.
+    fn epoch_at(&self, block: u64) -> RefMut<'_, Epoch> {
+        let mut epoch = self.epoch.borrow_mut();
         if epoch.ready && epoch.block == block {
             return epoch;
         }
@@ -373,7 +374,7 @@ impl TemporalChannel {
         }
     }
 
-    /// One composite decay evaluation under an already-locked epoch
+    /// One composite decay evaluation under an already-solved epoch
     /// (`None` when neither mobility nor shadowing is attached) and the
     /// block's fade key: the closed form on a geometric channel, the
     /// layered product otherwise.
@@ -548,7 +549,7 @@ impl TemporalBackend for TemporalChannel {
 
     fn decay_row_in_block(&self, block: u64, from: NodeId, targets: &[NodeId]) -> Vec<f64> {
         // One epoch solve (mobility positions, shadowing node values)
-        // for the whole row, instead of one lock + lookup per pair.
+        // for the whole row, instead of one cache check per pair.
         let epoch =
             (self.mobility.is_some() || self.shadowing.is_some()).then(|| self.epoch_at(block));
         let epoch = epoch.as_deref();
@@ -603,8 +604,8 @@ impl TemporalBackend for TemporalChannel {
         // Timed after the epoch solve, so `reach_window` and
         // `epoch_solve` stay disjoint.
         let timer = self.telemetry.timer_start();
-        // A base without a hint (dense and tiled backends) filters its
-        // whole static row instead.
+        // A base without a hint (a dense backend) filters its whole
+        // static row instead.
         let mut candidates = self
             .base
             .hint_candidates(from, widened)
@@ -619,8 +620,8 @@ impl TemporalBackend for TemporalChannel {
         Some(candidates)
     }
 
-    fn attach_telemetry(&mut self, sink: Arc<Counters>) {
-        self.telemetry = sink;
+    fn telemetry(&self) -> &Counters {
+        &self.telemetry
     }
 
     fn signature(&self) -> u64 {

@@ -80,7 +80,6 @@
 //! assert!(monitor.samples().len() > 5);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

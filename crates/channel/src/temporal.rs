@@ -35,7 +35,6 @@
 
 use std::cell::OnceCell;
 use std::fmt;
-use std::sync::Arc;
 
 use decay_core::telemetry::{Counter, Counters, Timer};
 use decay_core::NodeId;
@@ -92,13 +91,11 @@ pub trait TemporalBackend: Send {
         None
     }
 
-    /// Hands the backend its adapter's telemetry sink, so layers the
-    /// adapter cannot see (the per-block epoch solve) time themselves
-    /// into the same counters. Called once by [`TemporalAdapter::new`];
-    /// the default ignores it.
-    fn attach_telemetry(&mut self, sink: Arc<Counters>) {
-        let _ = sink;
-    }
+    /// The channel-side telemetry sink the backend owns. The adapter
+    /// counts row builds, row hits and block-view traffic here, and the
+    /// backend times its own layers (the per-block epoch solve) into
+    /// the same counters.
+    fn telemetry(&self) -> &Counters;
 
     /// A non-zero fingerprint of the channel's configuration, recorded in
     /// engine checkpoints (format v3) and verified on restore.
@@ -213,12 +210,6 @@ pub struct TemporalAdapter {
     /// evaluate their full rows over it. It is block-independent, so it
     /// lives beside the snapshots.
     all_nodes: OnceCell<Vec<NodeId>>,
-    /// Channel-side telemetry sink (row builds/hits, window widths,
-    /// view traffic), surfaced through [`DecayBackend::telemetry`].
-    /// Disjoint from the engine's counter set, so merged snapshots
-    /// never double-count. Shared with the backend, which times its
-    /// epoch solves into it.
-    telemetry: Arc<Counters>,
 }
 
 /// Compile-time `Send` audit: the adapter is a `DecayBackend`, owned
@@ -237,18 +228,15 @@ impl TemporalAdapter {
     /// # Panics
     ///
     /// Panics if the backend declares a zero block length.
-    pub fn new(mut inner: impl TemporalBackend + 'static) -> Self {
+    pub fn new(inner: impl TemporalBackend + 'static) -> Self {
         assert!(inner.block_len() >= 1, "coherence block must be >= 1 tick");
         let n = inner.len();
-        let telemetry = Arc::new(Counters::new());
-        inner.attach_telemetry(Arc::clone(&telemetry));
         TemporalAdapter {
             inner: Box::new(inner),
             n,
             block0: BlockSnapshot::empty(0, n),
             current: BlockSnapshot::empty(0, 0),
             all_nodes: OnceCell::new(),
-            telemetry,
         }
     }
 
@@ -263,12 +251,12 @@ impl TemporalAdapter {
     }
 
     /// Cumulative reach-scan counters (diagnostic; see E39). A view
-    /// over the adapter's telemetry sink: `scans` is rows built,
+    /// over the backend's telemetry sink: `scans` is rows built,
     /// `pairs` the summed row lengths (exact evaluations).
     pub fn scan_stats(&self) -> ScanStats {
         ScanStats {
-            scans: self.telemetry.get(Counter::RowsBuilt),
-            pairs: self.telemetry.get(Counter::RowPairs),
+            scans: self.inner.telemetry().get(Counter::RowsBuilt),
+            pairs: self.inner.telemetry().get(Counter::RowPairs),
         }
     }
 
@@ -285,7 +273,7 @@ impl TemporalAdapter {
         if block == 0 {
             return Some(&self.block0);
         }
-        self.telemetry.add(Counter::EpochLoads, 1);
+        self.inner.telemetry().add(Counter::EpochLoads, 1);
         (self.current.block == block).then_some(&self.current)
     }
 
@@ -295,7 +283,7 @@ impl TemporalAdapter {
     fn cached_decay(&self, snapshot: &BlockSnapshot, from: NodeId, to: NodeId) -> f64 {
         let row = snapshot.rows[from.index()].get();
         if let Some(d) = row.and_then(|row| row.lookup(from, to)) {
-            self.telemetry.add(Counter::RowHits, 1);
+            self.inner.telemetry().add(Counter::RowHits, 1);
             return d;
         }
         self.inner.decay_in_block(snapshot.block, from, to)
@@ -312,12 +300,13 @@ impl TemporalAdapter {
                 (Some(c), reach)
             }
         };
-        let timer = self.telemetry.timer_start();
+        let sink = self.inner.telemetry();
+        let timer = sink.timer_start();
         let targets = candidates.as_deref().unwrap_or_else(|| self.all_nodes());
         let decays = self.inner.decay_row_in_block(block, from, targets);
-        self.telemetry.timer_stop(Timer::RowBuild, timer);
-        self.telemetry.add(Counter::RowsBuilt, 1);
-        self.telemetry.add(Counter::RowPairs, decays.len() as u64);
+        sink.timer_stop(Timer::RowBuild, timer);
+        sink.add(Counter::RowsBuilt, 1);
+        sink.add(Counter::RowPairs, decays.len() as u64);
         SourceRow {
             candidates,
             window_reach,
@@ -335,18 +324,16 @@ impl TemporalAdapter {
         reach: f64,
     ) -> Option<&'a SourceRow> {
         let cell = &snapshot.rows[from.index()];
-        // A *hit* is defined as "this lookup did not run the build"
-        // (hits = lookups − builds) rather than "the row existed when we
-        // first peeked". `get_or_init` runs the closure exactly once per
-        // cell even when concurrent readers race, so both terms are
-        // fixed by the access pattern alone.
+        // A *hit* is a lookup that did not run the build (hits =
+        // lookups − builds), so both terms are fixed by the access
+        // pattern alone.
         let mut built = false;
         let row = cell.get_or_init(|| {
             built = true;
             Box::new(self.scan(snapshot.block, from, reach))
         });
         if !built {
-            self.telemetry.add(Counter::RowHits, 1);
+            self.inner.telemetry().add(Counter::RowHits, 1);
         }
         (reach <= row.window_reach).then_some(&**row)
     }
@@ -419,7 +406,7 @@ impl DecayBackend for TemporalAdapter {
         let block = self.block_of(tick);
         if block != 0 && block != self.current.block {
             self.current = BlockSnapshot::empty(block, self.n);
-            self.telemetry.add(Counter::EpochSwaps, 1);
+            self.inner.telemetry().add(Counter::EpochSwaps, 1);
         }
     }
 
@@ -428,7 +415,7 @@ impl DecayBackend for TemporalAdapter {
     }
 
     fn telemetry(&self) -> Option<&Counters> {
-        Some(&self.telemetry)
+        Some(self.inner.telemetry())
     }
 }
 
@@ -441,6 +428,14 @@ mod tests {
     /// A toy field: decay |i - j|² scaled by (1 + block).
     struct Pulse {
         n: usize,
+        sink: Counters,
+    }
+
+    fn pulse(n: usize) -> Pulse {
+        Pulse {
+            n,
+            sink: Counters::new(),
+        }
     }
 
     impl TemporalBackend for Pulse {
@@ -456,6 +451,9 @@ mod tests {
             }
             let d = (from.index() as f64 - to.index() as f64).abs();
             d * d * (1.0 + block as f64)
+        }
+        fn telemetry(&self) -> &Counters {
+            &self.sink
         }
         fn signature(&self) -> u64 {
             signature_of(&[0xD0, self.n as u64])
@@ -485,7 +483,7 @@ mod tests {
             let calls = Arc::new(Mutex::new(HashMap::new()));
             (
                 CountingPulse {
-                    inner: Pulse { n },
+                    inner: pulse(n),
                     calls: Arc::clone(&calls),
                 },
                 calls,
@@ -509,6 +507,9 @@ mod tests {
                 .or_insert(0) += 1;
             self.inner.decay_in_block(block, from, to)
         }
+        fn telemetry(&self) -> &Counters {
+            self.inner.telemetry()
+        }
         fn signature(&self) -> u64 {
             self.inner.signature()
         }
@@ -516,19 +517,19 @@ mod tests {
 
     #[test]
     fn adapter_maps_ticks_to_blocks() {
-        let a = TemporalAdapter::new(Pulse { n: 8 });
+        let a = TemporalAdapter::new(pulse(8));
         let (x, y) = (NodeId::new(1), NodeId::new(3));
         assert_eq!(a.decay_at(0, x, y), 4.0);
         assert_eq!(a.decay_at(3, x, y), 4.0, "same block");
         assert_eq!(a.decay_at(4, x, y), 8.0, "next block");
         assert_eq!(a.decay(x, y), 4.0, "static view is block 0");
-        assert_eq!(a.channel_signature(), Pulse { n: 8 }.signature());
+        assert_eq!(a.channel_signature(), pulse(8).signature());
         assert_ne!(a.channel_signature(), 0);
     }
 
     #[test]
     fn reach_sets_track_the_block() {
-        let a = TemporalAdapter::new(Pulse { n: 10 });
+        let a = TemporalAdapter::new(pulse(10));
         let at0 = reach_ids(&a, 0, NodeId::new(5), Some(4.0));
         // Block 0: d² ≤ 4 ⇒ distance ≤ 2.
         assert_eq!(
@@ -595,7 +596,11 @@ mod tests {
         let blocks: std::collections::HashSet<u64> = calls.keys().map(|&(b, _, _)| b).collect();
         assert!(blocks.contains(&0), "static view evaluated block 0");
         assert!(blocks.len() >= 4, "tick-aware queries spanned blocks");
-        assert_eq!(a.telemetry.get(Counter::EpochSwaps), 4, "one per block");
+        assert_eq!(
+            a.inner().telemetry().get(Counter::EpochSwaps),
+            4,
+            "one per block"
+        );
     }
 
     /// A query for a block other than the current view is answered
@@ -605,12 +610,12 @@ mod tests {
     fn off_view_queries_are_exact_and_leave_the_view_alone() {
         let (backend, ledger) = CountingPulse::new(12);
         let mut a = TemporalAdapter::new(backend);
-        let field = Pulse { n: 12 };
+        let field = pulse(12);
         let (from, other, reach) = (NodeId::new(5), NodeId::new(2), 9.0);
         a.advance_to(8); // block 2
         let in_view = reach_ids(&a, 8, from, Some(reach));
         let in_view_decay = a.decay_at(9, from, NodeId::new(6));
-        let swaps = a.telemetry.get(Counter::EpochSwaps);
+        let swaps = a.inner().telemetry().get(Counter::EpochSwaps);
         // A later block (5) and an earlier one (1).
         for tick in [20, 4] {
             let block = a.block_of(tick);
@@ -631,7 +636,7 @@ mod tests {
         assert_eq!(built(&a.current), 1, "only the in-view row is cached");
         assert_eq!(built(&a.block0), 0);
         assert_eq!(a.current.block, 2, "the view did not move");
-        assert_eq!(a.telemetry.get(Counter::EpochSwaps), swaps);
+        assert_eq!(a.inner().telemetry().get(Counter::EpochSwaps), swaps);
         // The view's row still answers from cache, evaluating nothing.
         let evaluated = ledger.lock().unwrap().clone();
         assert_eq!(reach_ids(&a, 9, from, Some(reach)), in_view);
@@ -643,7 +648,7 @@ mod tests {
     /// with its block's decay, without building a row.
     #[test]
     fn unbounded_reach_lists_every_node_without_a_row() {
-        let a = TemporalAdapter::new(Pulse { n: 64 });
+        let a = TemporalAdapter::new(pulse(64));
         let from = NodeId::new(9);
         for tick in [0, 400] {
             let mut out = Vec::new();
@@ -661,7 +666,7 @@ mod tests {
     /// without evicting the narrow row.
     #[test]
     fn wider_reach_bypasses_but_keeps_the_row() {
-        struct Windowed;
+        struct Windowed(Counters);
         impl TemporalBackend for Windowed {
             fn len(&self) -> usize {
                 10
@@ -670,7 +675,7 @@ mod tests {
                 1
             }
             fn decay_in_block(&self, block: u64, from: NodeId, to: NodeId) -> f64 {
-                Pulse { n: 10 }.decay_in_block(block, from, to)
+                pulse(10).decay_in_block(block, from, to)
             }
             fn reach_candidates(&self, _b: u64, from: NodeId, reach: f64) -> Option<Vec<NodeId>> {
                 let w = reach.sqrt().ceil() as usize + 1;
@@ -680,11 +685,14 @@ mod tests {
                         .collect(),
                 )
             }
+            fn telemetry(&self) -> &Counters {
+                &self.0
+            }
             fn signature(&self) -> u64 {
                 signature_of(&[0xF1])
             }
         }
-        let mut a = TemporalAdapter::new(Windowed);
+        let mut a = TemporalAdapter::new(Windowed(Counters::new()));
         a.advance_to(2);
         let from = NodeId::new(5);
         // Block 2 scales decays by 3: reach 3 ⇒ distance ≤ 1.

@@ -18,6 +18,7 @@
 use std::fmt;
 
 use decay_core::json::{self, int, num, obj, s, JsonValue};
+use decay_core::telemetry::Counters;
 use decay_core::NodeId;
 use decay_engine::Tick;
 
@@ -312,15 +313,19 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Replays a [`GainTrace`] as a temporal backend.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct TraceChannel {
     trace: GainTrace,
+    telemetry: Counters,
 }
 
 impl TraceChannel {
     /// Wraps a trace for replay.
     pub fn new(trace: GainTrace) -> Self {
-        TraceChannel { trace }
+        TraceChannel {
+            trace,
+            telemetry: Counters::new(),
+        }
     }
 
     /// The replayed trace.
@@ -340,6 +345,10 @@ impl TemporalBackend for TraceChannel {
 
     fn decay_in_block(&self, block: u64, from: NodeId, to: NodeId) -> f64 {
         self.trace.frame_at(block).gains[from.index() * self.trace.n + to.index()]
+    }
+
+    fn telemetry(&self) -> &Counters {
+        &self.telemetry
     }
 
     fn signature(&self) -> u64 {

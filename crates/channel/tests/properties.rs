@@ -11,7 +11,7 @@ use decay_channel::{
 use decay_core::NodeId;
 use decay_engine::{
     Checkpoint, DecayBackend, DenseBackend, Engine, EngineConfig, EngineError, EventBehavior,
-    LazyBackend, NodeCtx, TiledBackend,
+    LazyBackend, NodeCtx,
 };
 use decay_sinr::SinrParams;
 use decay_spaces::{distance, geometric_space, line_points, Point};
@@ -224,9 +224,9 @@ fn grid_points() -> Vec<Point> {
 }
 
 /// The deployment and path-loss exponent behind base `kind`: the line
-/// at α = 2 for kinds 0–2, the grid at α = 2.5 for kind 3.
+/// at α = 2 for kinds 0–1, the grid at α = 2.5 for kind 2.
 fn deployment(kind: usize) -> (Vec<Point>, f64) {
-    if kind == 3 {
+    if kind == 2 {
         (grid_points(), 2.5)
     } else {
         (line_points(N, 1.0), 2.0)
@@ -234,9 +234,9 @@ fn deployment(kind: usize) -> (Vec<Point>, f64) {
 }
 
 /// One of the static bases realizing a geometric field: the line on
-/// dense, lazy (with a neighbor hint) and tiled backends —
-/// bit-identical across the three, the standing cross-backend
-/// invariant — or the 2-D grid on a lazy backend.
+/// dense and lazy (with a neighbor hint) backends — bit-identical
+/// across the two, the standing cross-backend invariant — or the 2-D
+/// grid on a lazy backend.
 fn geometric_base(kind: usize) -> Box<dyn DecayBackend> {
     let (pts, alpha) = deployment(kind);
     let f = move |i: usize, j: usize| distance(pts[i], pts[j]).powf(alpha);
@@ -253,7 +253,6 @@ fn geometric_base(kind: usize) -> Box<dyn DecayBackend> {
                 }),
             )
         }
-        2 => Box::new(TiledBackend::from_fn(N, 4, 3, f)),
         _ => Box::new(LazyBackend::from_fn(N, f)),
     }
 }
@@ -298,7 +297,7 @@ proptest! {
     /// random interleavings of blocks up to 64 (so mobility drifts far
     /// from the deployment), sources, and reach values (including `None`
     /// and the exact decay of a random pair, which sits on the boundary
-    /// and must be kept), under every layer subset, on the line's three
+    /// and must be kept), under every layer subset, on the line's two
     /// static bases and a 2-D grid at α = 2.5. The view advances before
     /// every other query, so both cached view rows and uncached off-view
     /// scans are checked.
@@ -313,7 +312,7 @@ proptest! {
         queries in prop::collection::vec((0u64..65, 0usize..N, 0usize..6, 1usize..N), 24),
     ) {
         let reaches = [4.0, 9.0, 36.0, 1e6];
-        for kind in 0..4 {
+        for kind in 0..3 {
             let mut adapter = hinted_channel(kind, seed, mask, block_len);
             for (i, &(block, src, reach_idx, off)) in queries.iter().enumerate() {
                 if i % 2 == 0 {
@@ -363,7 +362,7 @@ proptest! {
         block_len in 1u64..6,
         queries in prop::collection::vec((0u64..200, 0usize..N), 12),
     ) {
-        for kind in 0..4 {
+        for kind in 0..3 {
             let base = geometric_base(kind);
             let mut adapter = hinted_channel(kind, seed, mask, block_len);
             for &(tick, src) in &queries {

@@ -12,13 +12,12 @@
 //! Design constraints, in order:
 //!
 //! 1. **Strictly observational.** Nothing in here feeds back into the
-//!    trace. Counters are plain relaxed atomics; reading them cannot
-//!    perturb a run (enforced by the probe-transparency proptest in
-//!    the scenario crate).
-//! 2. **Cheap enough to leave on.** Counter updates are
-//!    `fetch_add(Relaxed)` on uncontended cache lines, batched at call
-//!    sites so the static fast path pays a handful of adds per
-//!    resolution round, not per pair.
+//!    trace. Counters are plain [`Cell`]s owned by the component they
+//!    count; reading them cannot perturb a run (enforced by the
+//!    probe-transparency proptest in the scenario crate).
+//! 2. **Cheap enough to leave on.** A counter update is a plain load
+//!    and store, batched at call sites so the static fast path pays a
+//!    handful of adds per resolution round, not per pair.
 //! 3. **Timers are opt-in.** Wall-clock phase timing costs two
 //!    `Instant::now()` calls per phase, so it compiles out entirely
 //!    unless the `telemetry-timing` feature is enabled ([`TimerStart`]
@@ -26,8 +25,8 @@
 //! 4. **Dependency-free.** No serde, no external crates; JSON
 //!    rendering lives with the report types in the scenario layer.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One hot-path quantity tracked by a [`Counters`] sink.
 ///
@@ -223,7 +222,7 @@ fn span_epoch() -> std::time::Instant {
 
 #[cfg(feature = "telemetry-timing")]
 fn current_tid() -> u32 {
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
     static NEXT: AtomicU32 = AtomicU32::new(1);
     thread_local! {
         static TID: u32 = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -231,24 +230,25 @@ fn current_tid() -> u32 {
     TID.with(|t| *t)
 }
 
-/// A set of relaxed atomic counters (and, behind `telemetry-timing`,
-/// nanosecond phase accumulators) owned by one instrumented component.
+/// A set of counters (and, behind `telemetry-timing`, nanosecond
+/// phase accumulators) owned by one instrumented component.
 ///
-/// Per-instance by design: a process-global sink would be
-/// cross-contaminated by parallel test threads and concurrent runs.
-/// The engine hands probes a reference via `PauseCtx`; backends expose
-/// theirs through `DecayBackend::telemetry`.
+/// Per-instance and single-owner: the sink lives inside the engine or
+/// backend it counts and moves with it, so plain [`Cell`]s suffice
+/// (the type is `Send` but not `Sync`). The engine hands probes a
+/// reference via `PauseCtx`; backends expose theirs through
+/// `DecayBackend::telemetry`.
 #[derive(Debug)]
 pub struct Counters {
-    counts: [AtomicU64; COUNTER_COUNT],
+    counts: [Cell<u64>; COUNTER_COUNT],
     #[cfg(feature = "telemetry-timing")]
-    timer_ns: [AtomicU64; TIMER_COUNT],
+    timer_ns: [Cell<u64>; TIMER_COUNT],
     #[cfg(feature = "telemetry-timing")]
-    timer_calls: [AtomicU64; TIMER_COUNT],
+    timer_calls: [Cell<u64>; TIMER_COUNT],
     #[cfg(feature = "telemetry-timing")]
-    spans_armed: std::sync::atomic::AtomicBool,
+    spans_armed: Cell<bool>,
     #[cfg(feature = "telemetry-timing")]
-    spans: std::sync::Mutex<Vec<SpanEvent>>,
+    spans: std::cell::RefCell<Vec<SpanEvent>>,
 }
 
 impl Default for Counters {
@@ -257,20 +257,25 @@ impl Default for Counters {
     }
 }
 
+/// Adds `n` to one cell.
+#[inline]
+fn bump(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get().wrapping_add(n));
+}
+
 impl Counters {
-    /// A zeroed sink (`const`, so tests and fixtures can keep one in a
-    /// `static`).
+    /// A zeroed sink.
     pub const fn new() -> Self {
         Counters {
-            counts: [const { AtomicU64::new(0) }; COUNTER_COUNT],
+            counts: [const { Cell::new(0) }; COUNTER_COUNT],
             #[cfg(feature = "telemetry-timing")]
-            timer_ns: [const { AtomicU64::new(0) }; TIMER_COUNT],
+            timer_ns: [const { Cell::new(0) }; TIMER_COUNT],
             #[cfg(feature = "telemetry-timing")]
-            timer_calls: [const { AtomicU64::new(0) }; TIMER_COUNT],
+            timer_calls: [const { Cell::new(0) }; TIMER_COUNT],
             #[cfg(feature = "telemetry-timing")]
-            spans_armed: std::sync::atomic::AtomicBool::new(false),
+            spans_armed: Cell::new(false),
             #[cfg(feature = "telemetry-timing")]
-            spans: std::sync::Mutex::new(Vec::new()),
+            spans: std::cell::RefCell::new(Vec::new()),
         }
     }
 
@@ -279,25 +284,16 @@ impl Counters {
         cfg!(feature = "telemetry-timing")
     }
 
-    /// Adds `n` to `counter`. Relaxed: telemetry orders nothing.
+    /// Adds `n` to `counter`.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
-        self.counts[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `value` into `counter` if it exceeds the current value
-    /// (a relaxed high-water mark). A single atomic `fetch_max` — not a
-    /// check-then-store, which would lose updates when concurrent
-    /// recorders race each other past the check.
-    #[inline]
-    pub fn record_max(&self, counter: Counter, value: u64) {
-        self.counts[counter as usize].fetch_max(value, Ordering::Relaxed);
+        bump(&self.counts[counter as usize], n);
     }
 
     /// Current value of one counter.
     #[inline]
     pub fn get(&self, counter: Counter) -> u64 {
-        self.counts[counter as usize].load(Ordering::Relaxed)
+        self.counts[counter as usize].get()
     }
 
     /// Starts a phase timer. Free when timing is compiled out.
@@ -313,16 +309,16 @@ impl Counters {
     /// Stops a phase timer started with [`Counters::timer_start`],
     /// accumulating elapsed nanoseconds — and, when span recording is
     /// armed, capturing the interval as a timeline [`SpanEvent`] under
-    /// the timer's name. Free when timing is compiled out; one relaxed
-    /// boolean load when compiled in but unarmed.
+    /// the timer's name. Free when timing is compiled out; one boolean
+    /// load when compiled in but unarmed.
     #[inline]
     pub fn timer_stop(&self, timer: Timer, start: TimerStart) {
         #[cfg(feature = "telemetry-timing")]
         {
             let ns = start.at.elapsed().as_nanos() as u64;
-            self.timer_ns[timer as usize].fetch_add(ns, Ordering::Relaxed);
-            self.timer_calls[timer as usize].fetch_add(1, Ordering::Relaxed);
-            if self.spans_armed.load(Ordering::Relaxed) {
+            bump(&self.timer_ns[timer as usize], ns);
+            bump(&self.timer_calls[timer as usize], 1);
+            if self.spans_armed.get() {
                 self.push_span(timer.name(), start, ns);
             }
         }
@@ -337,7 +333,7 @@ impl Counters {
     /// the enabled-timing overhead gate never pays the span path.
     pub fn arm_spans(&self) {
         #[cfg(feature = "telemetry-timing")]
-        self.spans_armed.store(true, Ordering::Relaxed);
+        self.spans_armed.set(true);
     }
 
     /// Drains every recorded span (oldest first). Always empty when
@@ -345,7 +341,7 @@ impl Counters {
     pub fn take_spans(&self) -> Vec<SpanEvent> {
         #[cfg(feature = "telemetry-timing")]
         {
-            std::mem::take(&mut *self.spans.lock().expect("span buffer poisoned"))
+            self.spans.take()
         }
         #[cfg(not(feature = "telemetry-timing"))]
         {
@@ -364,17 +360,17 @@ impl Counters {
             start_ns,
             dur_ns,
         };
-        self.spans.lock().expect("span buffer poisoned").push(event);
+        self.spans.borrow_mut().push(event);
     }
 
     /// A point-in-time copy of every counter (and timer, when enabled).
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
-            counts: std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
+            counts: std::array::from_fn(|i| self.counts[i].get()),
             #[cfg(feature = "telemetry-timing")]
-            timer_ns: std::array::from_fn(|i| self.timer_ns[i].load(Ordering::Relaxed)),
+            timer_ns: std::array::from_fn(|i| self.timer_ns[i].get()),
             #[cfg(feature = "telemetry-timing")]
-            timer_calls: std::array::from_fn(|i| self.timer_calls[i].load(Ordering::Relaxed)),
+            timer_calls: std::array::from_fn(|i| self.timer_calls[i].get()),
         }
     }
 }
@@ -581,46 +577,6 @@ mod tests {
         assert_eq!(merged.get(Counter::RowsBuilt), 3);
         assert!(!merged.is_zero());
         assert!(CounterSnapshot::default().is_zero());
-    }
-
-    #[test]
-    fn record_max_keeps_high_water() {
-        let c = Counters::new();
-        c.record_max(Counter::Events, 4);
-        c.record_max(Counter::Events, 2);
-        c.record_max(Counter::Events, 9);
-        assert_eq!(c.get(Counter::Events), 9);
-    }
-
-    #[test]
-    fn record_max_survives_concurrent_recorders() {
-        // Regression: the old check-then-store raced — a thread could
-        // observe a small value, get preempted, and overwrite a larger
-        // one. With fetch_max the global maximum always survives.
-        let c = std::sync::Arc::new(Counters::new());
-        let threads = 8;
-        let per_thread = 10_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        // Interleave ascending and descending streams so
-                        // late small writes race early large ones.
-                        let v = if t % 2 == 0 {
-                            t * per_thread + i
-                        } else {
-                            (t + 1) * per_thread - i
-                        };
-                        c.record_max(Counter::Events, v);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(Counter::Events), threads * per_thread);
     }
 
     #[test]

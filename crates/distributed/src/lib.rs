@@ -28,7 +28,6 @@
 //! [`decay_netsim::Simulator`], [`decay_engine::Engine`], or directly on
 //! affectance matrices.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -4,9 +4,8 @@
 //! [`DecaySpace`] — a dense row-major `n × n` matrix, which caps
 //! experiments at a few thousand nodes (a million-node space would need
 //! 8 TB). The engine instead talks to a [`DecayBackend`]: dense for
-//! small spaces, [`LazyBackend`] (evaluate on demand, zero storage) and
-//! [`TiledBackend`] (evaluate on demand, cache a bounded working set of
-//! matrix tiles) for large ones.
+//! small spaces (a stored matrix), [`LazyBackend`] (a formula evaluated
+//! on demand, zero storage) for large ones.
 //!
 //! Backends also answer the *reachability* query that makes event-driven
 //! reception resolution cheap: [`DecayBackend::reach_at`] enumerates the
@@ -30,10 +29,7 @@
 //! hint of a [`LazyBackend`] are boxed `Send` closures for the same
 //! reason, so a lazy backend cannot be cloned; build another one.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
 
 use decay_core::{DecaySpace, NodeId};
 
@@ -88,7 +84,7 @@ pub trait DecayBackend: Send {
     /// SINR resolve evaluates it once per pair this way.
     ///
     /// The default scans the whole row (`O(n)` [`Self::decay_at`]
-    /// evaluations), which suits dense and tiled backends. Structured
+    /// evaluations), which suits dense backends. Structured
     /// backends override it — see [`LazyBackend::with_neighbor_hint`] —
     /// and temporal backends answer from per-block caches.
     fn reach_at(&self, tick: Tick, from: NodeId, reach: Option<f64>, out: &mut Vec<(NodeId, f64)>) {
@@ -260,7 +256,7 @@ impl DecayBackend for DenseBackend {
     }
 }
 
-/// The decay generator used by lazy and tiled backends. It is owned by
+/// The decay generator of a lazy backend. It is owned by
 /// one backend and only needs `Send`, so it may keep private interior
 /// state (a [`std::cell::Cell`] memo, say) as long as its values stay a
 /// pure function of the pair.
@@ -381,144 +377,6 @@ impl DecayBackend for LazyBackend {
     }
 }
 
-/// One cached square tile of the decay matrix.
-struct Tile {
-    values: Vec<f64>,
-}
-
-/// Cache bookkeeping shared behind a mutex.
-struct TileCache {
-    // decay-lint: allow(hash-iteration) — lookup-only: tiles are read
-    // and evicted by key; iteration order never reaches a computation.
-    tiles: HashMap<(usize, usize), Tile>,
-    /// FIFO order for eviction.
-    order: VecDeque<(usize, usize)>,
-    /// Total tiles ever computed (the bench's memory-pressure proxy).
-    computed: u64,
-}
-
-/// A tiled/sharded backend: decays are computed on demand in square
-/// tiles which are cached up to a bounded working set.
-///
-/// Sits between [`DenseBackend`] (all `n²` entries resident) and
-/// [`LazyBackend`] (nothing resident): repeated lookups within a hot
-/// region hit the cache, while total memory stays
-/// `O(max_tiles · tile_size²)` no matter how large the space is. Useful
-/// when decay evaluation is expensive (e.g. ray-traced indoor
-/// propagation) but access patterns are localized.
-pub struct TiledBackend {
-    n: usize,
-    tile_size: usize,
-    max_tiles: usize,
-    f: DecayFn,
-    cache: Mutex<TileCache>,
-}
-
-impl TiledBackend {
-    /// Creates a tiled backend over `n` nodes with `tile_size × tile_size`
-    /// tiles and at most `max_tiles` tiles resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n`, `tile_size` or `max_tiles` is zero.
-    pub fn from_fn<F>(n: usize, tile_size: usize, max_tiles: usize, f: F) -> Self
-    where
-        F: Fn(usize, usize) -> f64 + Send + 'static,
-    {
-        assert!(n > 0, "a decay space needs at least one node");
-        assert!(tile_size > 0, "tile size must be positive");
-        assert!(max_tiles > 0, "need at least one resident tile");
-        TiledBackend {
-            n,
-            tile_size,
-            max_tiles,
-            f: Box::new(f),
-            cache: Mutex::new(TileCache {
-                tiles: HashMap::new(),
-                order: VecDeque::new(),
-                computed: 0,
-            }),
-        }
-    }
-
-    /// Number of tiles currently resident.
-    pub fn resident_tiles(&self) -> usize {
-        self.cache.lock().expect("tile cache poisoned").tiles.len()
-    }
-
-    /// Total tiles computed over the backend's lifetime (recomputation
-    /// after eviction counts again) — a proxy for evaluation cost and
-    /// memory pressure.
-    pub fn tiles_computed(&self) -> u64 {
-        self.cache.lock().expect("tile cache poisoned").computed
-    }
-
-    /// Peak resident bytes of tile storage.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident_tiles() * self.tile_size * self.tile_size * std::mem::size_of::<f64>()
-    }
-}
-
-impl fmt::Debug for TiledBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TiledBackend")
-            .field("n", &self.n)
-            .field("tile_size", &self.tile_size)
-            .field("max_tiles", &self.max_tiles)
-            .field("resident_tiles", &self.resident_tiles())
-            .finish_non_exhaustive()
-    }
-}
-
-impl DecayBackend for TiledBackend {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn decay(&self, from: NodeId, to: NodeId) -> f64 {
-        assert!(from.index() < self.n && to.index() < self.n);
-        if from == to {
-            return 0.0;
-        }
-        let ts = self.tile_size;
-        let key = (from.index() / ts, to.index() / ts);
-        let mut cache = self.cache.lock().expect("tile cache poisoned");
-        if !cache.tiles.contains_key(&key) {
-            let row0 = key.0 * ts;
-            let col0 = key.1 * ts;
-            let rows = ts.min(self.n - row0);
-            let cols = ts.min(self.n - col0);
-            let mut values = vec![0.0; rows * cols];
-            for r in 0..rows {
-                for c in 0..cols {
-                    if row0 + r != col0 + c {
-                        let v = (self.f)(row0 + r, col0 + c);
-                        debug_assert!(
-                            v.is_finite() && v > 0.0,
-                            "tiled decay f({}, {}) = {v} violates the decay-space contract",
-                            row0 + r,
-                            col0 + c
-                        );
-                        values[r * cols + c] = v;
-                    }
-                }
-            }
-            if cache.tiles.len() >= self.max_tiles {
-                if let Some(old) = cache.order.pop_front() {
-                    cache.tiles.remove(&old);
-                }
-            }
-            cache.tiles.insert(key, Tile { values });
-            cache.order.push_back(key);
-            cache.computed += 1;
-        }
-        let tile = &cache.tiles[&key];
-        let col0 = key.1 * ts;
-        let cols = ts.min(self.n - col0);
-        tile.values[(from.index() % ts) * cols + (to.index() % ts)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,25 +466,6 @@ mod tests {
             assert_eq!(want, reach_of(&hinted, i), "node {i}");
             assert_eq!(want, reach_of(&messy, i), "node {i}");
         }
-    }
-
-    #[test]
-    fn tiled_matches_lazy_and_caches() {
-        let lazy = LazyBackend::from_fn(37, line_fn);
-        let tiled = TiledBackend::from_fn(37, 8, 4, line_fn);
-        for i in 0..37 {
-            for j in 0..37 {
-                assert_eq!(
-                    tiled.decay(NodeId::new(i), NodeId::new(j)),
-                    lazy.decay(NodeId::new(i), NodeId::new(j)),
-                    "({i}, {j})"
-                );
-            }
-        }
-        // Bounded residency despite touching every tile.
-        assert!(tiled.resident_tiles() <= 4);
-        assert!(tiled.tiles_computed() >= 25);
-        assert!(tiled.resident_bytes() > 0);
     }
 
     /// A backend overriding every default-overridable method, to pin the
@@ -727,15 +566,5 @@ mod tests {
             assert!(at.iter().all(|&(v, d)| d == b.decay(NodeId::new(5), v)));
         }
         assert_eq!(b.channel_signature(), 0, "static backends have sig 0");
-    }
-
-    #[test]
-    fn tiled_eviction_recomputes_consistently() {
-        let tiled = TiledBackend::from_fn(64, 16, 1, line_fn);
-        let a = tiled.decay(NodeId::new(0), NodeId::new(1));
-        let _ = tiled.decay(NodeId::new(60), NodeId::new(63)); // evicts
-        let b = tiled.decay(NodeId::new(0), NodeId::new(1)); // recompute
-        assert_eq!(a, b);
-        assert_eq!(tiled.resident_tiles(), 1);
     }
 }

@@ -25,7 +25,6 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
-use std::sync::Arc;
 
 use decay_core::telemetry::{Counter, Counters, Ring, SpanEvent, Timer};
 use decay_core::NodeId;
@@ -870,9 +869,9 @@ pub struct Engine<B> {
     controller: u64,
     /// Scratch command buffer, reused across callbacks.
     scratch: Vec<Command>,
-    /// Hot-path telemetry sink (always-on relaxed counters; strictly
+    /// Hot-path telemetry sink (always-on counters; strictly
     /// observational, never checkpointed — see [`crate::telemetry`]).
-    telemetry: Arc<Counters>,
+    telemetry: Counters,
     /// Flight-recorder event ring (off by default; see
     /// [`Self::enable_event_log`]). Runtime state, not configuration:
     /// deliberately outside [`EngineConfig`] so checkpoint format v4
@@ -976,7 +975,7 @@ impl<B: EventBehavior> Engine<B> {
             trace: Vec::new(),
             controller: 0,
             scratch: Vec::new(),
-            telemetry: Arc::new(Counters::new()),
+            telemetry: Counters::new(),
             event_log: None,
             transmitting: vec![false; n],
             reach_buf: Vec::new(),
@@ -1056,7 +1055,7 @@ impl<B: EventBehavior> Engine<B> {
             // keeps whatever the checkpoint carried (zero after a byte
             // round-trip — the codec drops it) but never reads below
             // the rebuilt queue's current depth.
-            telemetry: Arc::new(Counters::new()),
+            telemetry: Counters::new(),
             event_log: None,
             transmitting: vec![false; n],
             reach_buf: Vec::new(),
@@ -1276,11 +1275,11 @@ impl<B: EventBehavior> Engine<B> {
         self.queue.len()
     }
 
-    /// The engine's hot-path telemetry sink. Per-instance (parallel
-    /// runs never share counters) and strictly observational: nothing
+    /// The engine's hot-path telemetry sink. Owned by the engine (no
+    /// two runs share counters) and strictly observational: nothing
     /// here feeds back into the trace. Backend-side counters live in
     /// the backend's own sink (see [`DecayBackend::telemetry`]).
-    pub fn telemetry(&self) -> &Arc<Counters> {
+    pub fn telemetry(&self) -> &Counters {
         &self.telemetry
     }
 

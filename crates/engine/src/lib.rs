@@ -15,8 +15,7 @@
 //!   scheduled event cost work; idle listeners are free.
 //! * **Backends instead of matrices** ([`DecayBackend`]) — dense for
 //!   small spaces, [`LazyBackend`] (compute on demand, store nothing)
-//!   and [`TiledBackend`] (bounded tile cache) for 100k–1M+ node
-//!   spaces, plus [top-k affectance pruning](EngineConfig::top_k) and
+//!   for large ones, plus [top-k affectance pruning](EngineConfig::top_k) and
 //!   [reach cutoffs](EngineConfig::reach_decay) for `O(active · k)`
 //!   reception resolution.
 //! * **Dynamics** — node churn ([`ChurnConfig`]), scheduled outages
@@ -106,7 +105,6 @@
 //! into a fresh process continues exactly where the original would have
 //! gone.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -120,7 +118,7 @@ mod rng;
 pub mod telemetry;
 
 pub use adapter::SlotAdapter;
-pub use backend::{DecayBackend, DecayFn, DenseBackend, LazyBackend, NeighborFn, TiledBackend};
+pub use backend::{DecayBackend, DecayFn, DenseBackend, LazyBackend, NeighborFn};
 pub use codec::{Codec, CodecError};
 pub use engine::{
     Checkpoint, ChurnConfig, DeliveryRecord, Engine, EngineConfig, EngineError, EngineStats,

@@ -30,7 +30,6 @@
 //! assert!(metricity(&scenario.truth).zeta > 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

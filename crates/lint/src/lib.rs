@@ -1,5 +1,4 @@
-//! `decay-lint`: the workspace determinism & concurrency static-
-//! analysis pass.
+//! `decay-lint`: the workspace determinism static-analysis pass.
 //!
 //! Every claim this reproduction makes — ζ(t) trajectories, PRR
 //! series, golden trace digests — rests on runs being bit-identical
@@ -9,12 +8,10 @@
 //! `Instant::now` is caught at lint time instead of after a fuzz
 //! divergence is minimized.
 //!
-//! See [`rules`] for the rule glossary (D1–D6), [`lexer`] for the
+//! See [`rules`] for the rule glossary (D1–D3), [`lexer`] for the
 //! lightweight Rust lexer feeding them, and the README section
 //! "Static analysis & the determinism contract" for how each rule maps
 //! onto the bit-identical-trace guarantees.
-
-#![forbid(unsafe_code)]
 
 pub mod lexer;
 pub mod report;

@@ -107,10 +107,6 @@ fn rule_glossary() -> String {
         "                     code or annotated report-only sites",
         "D3 ambient-entropy   no thread_rng/rand::random/from_entropy/OsRng anywhere;",
         "                     all randomness flows from explicit seeds",
-        "D4 atomic-ordering   Ordering::Relaxed only in the telemetry sink",
-        "D5 unsafe-safety     every `unsafe` carries a `// SAFETY:` comment",
-        "D6 unordered-reduce  iterator reductions in resolve/merge paths must be",
-        "                     annotated order-deterministic",
         "",
         "allow syntax: // decay-lint: allow(<rule>[, <rule>]) — <mandatory justification>",
     ]

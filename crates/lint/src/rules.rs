@@ -1,14 +1,11 @@
-//! The decay-lint rule engine: six determinism/concurrency rules over
-//! lexed files, with per-site allow annotations.
+//! The decay-lint rule engine: three determinism rules over lexed
+//! files, with per-site allow annotations.
 //!
 //! | rule | guards |
 //! |------|--------|
 //! | D1 `hash-iteration`   | no `HashMap`/`HashSet` in trace-affecting crates without an attested keyed-lookup-only annotation; iteration over them is always flagged |
 //! | D2 `wall-clock`       | no `Instant::now` / `SystemTime` outside `telemetry-timing`-gated code or annotated report-only sites |
 //! | D3 `ambient-entropy`  | no `thread_rng` / `rand::random` / `from_entropy` / `OsRng` anywhere — randomness flows from seeds |
-//! | D4 `atomic-ordering`  | `Ordering::Relaxed` only in the telemetry sink |
-//! | D5 `unsafe-safety`    | every `unsafe` carries a `// SAFETY:` comment |
-//! | D6 `unordered-reduce` | iterator reductions in resolve/merge paths must be annotated order-deterministic |
 //!
 //! Suppression: `// decay-lint: allow(<rule>) — <justification>` on the
 //! violating line or the line above. The justification is mandatory; a
@@ -19,20 +16,14 @@ use crate::lexer::FileModel;
 pub const RULE_HASH_ITERATION: &str = "hash-iteration";
 pub const RULE_WALL_CLOCK: &str = "wall-clock";
 pub const RULE_AMBIENT_ENTROPY: &str = "ambient-entropy";
-pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
-pub const RULE_UNSAFE_SAFETY: &str = "unsafe-safety";
-pub const RULE_UNORDERED_REDUCE: &str = "unordered-reduce";
 /// Meta-rule: malformed / unjustified / unknown-rule annotations.
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
 
 /// Every rule an `allow(...)` may name.
-pub const ALL_RULES: [&str; 7] = [
+pub const ALL_RULES: [&str; 4] = [
     RULE_HASH_ITERATION,
     RULE_WALL_CLOCK,
     RULE_AMBIENT_ENTROPY,
-    RULE_ATOMIC_ORDERING,
-    RULE_UNSAFE_SAFETY,
-    RULE_UNORDERED_REDUCE,
     RULE_ALLOW_SYNTAX,
 ];
 
@@ -71,10 +62,6 @@ pub struct Config {
     pub d1_crates: Vec<String>,
     /// Crates exempt from D2 (report-only harnesses and this linter).
     pub d2_excluded_crates: Vec<String>,
-    /// Files where `Ordering::Relaxed` is legitimate (telemetry sink).
-    pub d4_relaxed_files: Vec<String>,
-    /// Resolve/merge-path files for D6.
-    pub d6_files: Vec<String>,
 }
 
 impl Config {
@@ -85,15 +72,6 @@ impl Config {
                 .map(String::from)
                 .to_vec(),
             d2_excluded_crates: ["bench", "lint"].map(String::from).to_vec(),
-            d4_relaxed_files: vec!["crates/core/src/telemetry.rs".to_string()],
-            d6_files: [
-                "crates/engine/src/engine.rs",
-                "crates/channel/src/temporal.rs",
-                "crates/channel/src/channel.rs",
-                "crates/sinr/src/affectance.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
         }
     }
 }
@@ -156,11 +134,6 @@ pub fn check_file(model: &FileModel, cfg: &Config) -> CheckResult {
         }
         if !cfg.d2_excluded_crates.iter().any(|c| c == krate) {
             rule_wall_clock(model, &mut raw);
-        }
-        rule_atomic_ordering(model, cfg, &mut raw);
-        rule_unsafe_safety(model, &mut raw);
-        if cfg.d6_files.iter().any(|f| f == &model.rel_path) {
-            rule_unordered_reduce(model, &mut raw);
         }
     }
 
@@ -433,123 +406,6 @@ fn rule_ambient_entropy(model: &FileModel, out: &mut Vec<Violation>) {
                 idx + 1,
                 "`rand::random`: ambient entropy is forbidden — thread the run seed".to_string(),
             ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- D4
-
-/// D4: `Ordering::Relaxed` is reserved for the telemetry counter sink
-/// (`Config::d4_relaxed_files`) — telemetry orders nothing, but a
-/// relaxed atomic anywhere else is a correctness smell.
-fn rule_atomic_ordering(model: &FileModel, cfg: &Config, out: &mut Vec<Violation>) {
-    if cfg.d4_relaxed_files.iter().any(|f| f == &model.rel_path) {
-        return;
-    }
-    for (idx, line) in model.lines.iter().enumerate() {
-        if line.in_test || token_positions(&line.code, "Ordering::Relaxed").is_empty() {
-            continue;
-        }
-        out.push(violation(
-            RULE_ATOMIC_ORDERING,
-            model,
-            idx + 1,
-            "`Ordering::Relaxed` outside the telemetry sink: relaxed atomics are \
-             reserved for order-free counters"
-                .to_string(),
-        ));
-    }
-}
-
-// ---------------------------------------------------------------- D5
-
-/// D5: every `unsafe` (block, fn, impl) carries a `// SAFETY:` comment
-/// on the same line or immediately above (attributes and blank lines
-/// may intervene).
-fn rule_unsafe_safety(model: &FileModel, out: &mut Vec<Violation>) {
-    for (idx, line) in model.lines.iter().enumerate() {
-        if line.in_test || token_positions(&line.code, "unsafe").is_empty() {
-            continue;
-        }
-        if has_safety_comment(model, idx) {
-            continue;
-        }
-        out.push(violation(
-            RULE_UNSAFE_SAFETY,
-            model,
-            idx + 1,
-            "`unsafe` without a `// SAFETY:` comment stating the invariant that makes it sound"
-                .to_string(),
-        ));
-    }
-}
-
-fn has_safety_comment(model: &FileModel, idx: usize) -> bool {
-    if model.lines[idx].comment.contains("SAFETY:") {
-        return true;
-    }
-    // Walk up over the comment block / attributes directly above.
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let l = &model.lines[j];
-        let code = l.code.trim();
-        let is_attr_only = code.starts_with("#[") && code.ends_with(']');
-        if code.is_empty() || is_attr_only {
-            if l.comment.contains("SAFETY:") {
-                return true;
-            }
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
-// ---------------------------------------------------------------- D6
-
-/// D6: iterator reductions (`sum` / `fold` / `product`) in resolve/
-/// merge-path files must be annotated order-deterministic — the
-/// merge contract fixes iteration order, and every float fold must say
-/// which order it relies on. `fold(_, f64::min/max)` is exempt: min/max
-/// are order-commutative.
-fn rule_unordered_reduce(model: &FileModel, out: &mut Vec<Violation>) {
-    for (idx, line) in model.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for pat in [".sum()", ".product()"] {
-            if line.code.contains(pat) {
-                out.push(violation(
-                    RULE_UNORDERED_REDUCE,
-                    model,
-                    idx + 1,
-                    format!(
-                        "`{pat}` in a resolve/merge path: annotate the reduction as \
-                         order-deterministic (who fixes the iteration order?)"
-                    ),
-                ));
-            }
-        }
-        if let Some(pos) = line.code.find(".fold(") {
-            let window: String = {
-                let mut w = line.code[pos..].to_string();
-                if let Some(next) = model.lines.get(idx + 1) {
-                    w.push(' ');
-                    w.push_str(&next.code);
-                }
-                w
-            };
-            if !window.contains("f64::min") && !window.contains("f64::max") {
-                out.push(violation(
-                    RULE_UNORDERED_REDUCE,
-                    model,
-                    idx + 1,
-                    "`.fold(...)` in a resolve/merge path: annotate the reduction as \
-                     order-deterministic (min/max folds are exempt)"
-                        .to_string(),
-                ));
-            }
         }
     }
 }

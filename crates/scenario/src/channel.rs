@@ -5,7 +5,7 @@
 //! replaces everything with an imported gain trace) and wraps the result
 //! in a [`TemporalAdapter`] so the engine drives it through the ordinary
 //! [`DecayBackend`] interface. Because the base decays are bit-identical
-//! across dense/lazy/tiled backends and every layer is a pure function
+//! across dense and lazy backends and every layer is a pure function
 //! of the coherence block, the composite field — and the resulting trace
 //! digest — stays backend-independent, which is exactly what the
 //! conformance suite checks.
@@ -156,20 +156,12 @@ mod tests {
         let spec = full_channel();
         let dense = spec.wrap(&topology, || BackendSpec::Dense.build(&topology));
         let lazy = spec.wrap(&topology, || BackendSpec::Lazy.build(&topology));
-        let tiled = spec.wrap(&topology, || {
-            BackendSpec::Tiled {
-                tile_size: 4,
-                max_tiles: 2,
-            }
-            .build(&topology)
-        });
         for tick in [0u64, 5, 23, 100] {
             for i in 0..10 {
                 for j in 0..10 {
                     let (p, q) = (NodeId::new(i), NodeId::new(j));
                     let d = dense.decay_at(tick, p, q);
                     assert_eq!(d.to_bits(), lazy.decay_at(tick, p, q).to_bits());
-                    assert_eq!(d.to_bits(), tiled.decay_at(tick, p, q).to_bits());
                 }
             }
         }

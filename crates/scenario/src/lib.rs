@@ -12,7 +12,7 @@
 //! Every future workload becomes a config file instead of a code change,
 //! and every shipped spec doubles as a regression test: its digest is
 //! recorded under `tests/golden/` and must stay bit-identical across
-//! dense/lazy/tiled backends and across checkpoint/resume cycles (see
+//! dense and lazy backends and across checkpoint/resume cycles (see
 //! the conformance and golden suites under `tests/`).
 //!
 //! # Spec format
@@ -107,7 +107,6 @@
 //! println!("{}", report.digest.canonical());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

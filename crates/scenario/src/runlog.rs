@@ -24,7 +24,7 @@
 //! The runlog is simultaneously a debugging artifact and a conformance
 //! witness, so its byte stability is pinned by proptests:
 //!
-//! * **Backend-invariant** — dense, lazy, and tiled backends produce
+//! * **Backend-invariant** — dense and lazy backends produce
 //!   byte-identical runlogs: every emitted field (engine stats, the
 //!   five engine-side counters, ζ(t), PRR windows, deliveries,
 //!   directives) is derived from the event trace or the gain values,

@@ -12,8 +12,8 @@
 //! (multiples of `check_interval`), so pausing more often — to
 //! checkpoint, restore, or drain metrics — cannot change what the
 //! engine computes. That is what makes a run with a `resume_at` split
-//! digest-identical to one without, and all three decay backends
-//! digest-identical to each other.
+//! digest-identical to one without, and the dense and lazy decay
+//! backends digest-identical to each other.
 
 use std::fmt;
 use std::io;

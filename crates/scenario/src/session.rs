@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use decay_channel::AdaptiveContention;
-use decay_core::telemetry::{Counter, Counters, SpanEvent};
+use decay_core::telemetry::SpanEvent;
 use decay_core::NodeId;
 use decay_distributed::{build_contention_engine, ContentionNode, EventBroadcaster};
 use decay_engine::probe::{apply_directives, Controller, Directive, PauseCtx, Probe, Tunable};
@@ -109,7 +109,7 @@ impl ProtocolPlan {
             } => {
                 // Probe the composite field once, at compile time. The
                 // lazy backend is the cheapest prober, and conformance
-                // pins its reach queries equal to dense/tiled — so the
+                // pins its reach queries equal to dense — so the
                 // plan cannot depend on the run's backend choice.
                 let probe = realize(spec, points, BackendSpec::Lazy);
                 let n = probe.len();
@@ -275,15 +275,14 @@ impl CompiledScenario {
 ///
 /// Submitting a spec whose signature matches a cached compilation
 /// returns the same `Arc<CompiledScenario>` — the deployment, protocol
-/// plan, and resolved trace are shared, not rebuilt — and bumps the
-/// `compile_hits` telemetry counter. Because the key excludes the
+/// plan, and resolved trace are shared, not rebuilt — and bumps
+/// [`Self::compile_hits`]. Because the key excludes the
 /// `backend`, a hit may return a compilation whose stored spec names a
 /// *different* backend than the submitted one: pass the run's backend
 /// through [`RunOptions::backend`] instead of relying on the cached
 /// spec's.
 pub struct ScenarioCache {
     inner: Mutex<CacheState>,
-    telemetry: Counters,
 }
 
 struct CacheState {
@@ -293,6 +292,8 @@ struct CacheState {
     /// Signatures in recency order, most recently used last.
     order: Vec<u64>,
     capacity: usize,
+    /// Times [`ScenarioCache::compile`] returned a cached compilation.
+    hits: u64,
 }
 
 impl fmt::Debug for ScenarioCache {
@@ -301,7 +302,7 @@ impl fmt::Debug for ScenarioCache {
         f.debug_struct("ScenarioCache")
             .field("len", &state.map.len())
             .field("capacity", &state.capacity)
-            .field("compile_hits", &self.telemetry.get(Counter::CompileHits))
+            .field("compile_hits", &state.hits)
             .finish()
     }
 }
@@ -319,8 +320,8 @@ impl ScenarioCache {
                 map: HashMap::new(),
                 order: Vec::new(),
                 capacity,
+                hits: 0,
             }),
-            telemetry: Counters::new(),
         }
     }
 
@@ -344,7 +345,7 @@ impl ScenarioCache {
         if let Some(hit) = state.map.get(&sig).cloned() {
             state.order.retain(|&k| k != sig);
             state.order.push(sig);
-            self.telemetry.add(Counter::CompileHits, 1);
+            state.hits += 1;
             return Ok(hit);
         }
         let compiled = Arc::new(CompiledScenario::from_resolved(spec, sig));
@@ -373,13 +374,7 @@ impl ScenarioCache {
 
     /// Times [`Self::compile`] returned a cached compilation.
     pub fn compile_hits(&self) -> u64 {
-        self.telemetry.get(Counter::CompileHits)
-    }
-
-    /// The cache's telemetry sink (`compile_hits` lives here, so it
-    /// aggregates with the rest of the counter fleet).
-    pub fn telemetry(&self) -> &Counters {
-        &self.telemetry
+        self.inner.lock().expect("scenario cache poisoned").hits
     }
 }
 
@@ -1126,10 +1121,7 @@ mod tests {
         let cache = ScenarioCache::new(4);
         let spec = announce_spec("knobs", 7);
         let mut re_knobbed = spec.clone();
-        re_knobbed.backend = BackendSpec::Tiled {
-            tile_size: 4,
-            max_tiles: 2,
-        };
+        re_knobbed.backend = BackendSpec::Dense;
         let first = cache.compile(spec).expect("compiles");
         let second = cache.compile(re_knobbed).expect("compiles");
         assert_eq!(cache.compile_hits(), 1);

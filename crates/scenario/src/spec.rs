@@ -85,7 +85,7 @@ pub enum TopologySpec {
 }
 
 /// Which [`decay_engine::DecayBackend`] realizes the topology's decay
-/// space. All three are required to produce bit-identical traces for the
+/// space. Both are required to produce bit-identical traces for the
 /// same spec — the cross-backend conformance suite enforces it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSpec {
@@ -94,13 +94,6 @@ pub enum BackendSpec {
     /// Compute on demand, store nothing ([`decay_engine::LazyBackend`]),
     /// with a structured neighbor hint where the topology admits one.
     Lazy,
-    /// Bounded tile cache ([`decay_engine::TiledBackend`]).
-    Tiled {
-        /// Tile side length.
-        tile_size: usize,
-        /// Maximum resident tiles.
-        max_tiles: usize,
-    },
 }
 
 /// SINR physics: capture threshold and ambient noise (see
@@ -561,14 +554,6 @@ impl BackendSpec {
         match self {
             BackendSpec::Dense => obj(vec![("kind", s("dense"))]),
             BackendSpec::Lazy => obj(vec![("kind", s("lazy"))]),
-            BackendSpec::Tiled {
-                tile_size,
-                max_tiles,
-            } => obj(vec![
-                ("kind", s("tiled")),
-                ("tile_size", int(tile_size as u64)),
-                ("max_tiles", int(max_tiles as u64)),
-            ]),
         }
     }
 
@@ -582,16 +567,9 @@ impl BackendSpec {
                 reject_unknown(v, path, &["kind"])?;
                 Ok(BackendSpec::Lazy)
             }
-            "tiled" => {
-                reject_unknown(v, path, &["kind", "tile_size", "max_tiles"])?;
-                Ok(BackendSpec::Tiled {
-                    tile_size: get_usize(v, path, "tile_size")?,
-                    max_tiles: get_usize(v, path, "max_tiles")?,
-                })
-            }
             other => Err(SpecError::new(
                 join(path, "kind"),
-                format!("unknown backend \"{other}\" (dense|lazy|tiled)"),
+                format!("unknown backend \"{other}\" (dense|lazy)"),
             )),
         }
     }
@@ -1457,15 +1435,6 @@ impl ScenarioSpec {
                 "the closest pair's decay underflows: spread the deployment or lower alpha",
             );
         }
-        if let BackendSpec::Tiled {
-            tile_size,
-            max_tiles,
-        } = self.backend
-        {
-            if tile_size == 0 || max_tiles == 0 {
-                return bad("backend", "tile_size and max_tiles must be positive");
-            }
-        }
         if SinrParams::new(self.sinr.beta, self.sinr.noise).is_err() {
             return bad("sinr", "beta must be >= 1 and noise >= 0, both finite");
         }
@@ -1908,6 +1877,23 @@ mod tests {
         }
         let err = ScenarioSpec::from_json(&v).unwrap_err();
         assert!(err.path.contains("typo_field"), "{err}");
+
+        // `tiled` is not a backend kind.
+        let mut v = base.to_json();
+        if let JsonValue::Object(pairs) = &mut v {
+            for (key, value) in pairs.iter_mut() {
+                if key == "backend" {
+                    *value = obj(vec![
+                        ("kind", s("tiled")),
+                        ("tile_size", int(16)),
+                        ("max_tiles", int(8)),
+                    ]);
+                }
+            }
+        }
+        let err = ScenarioSpec::from_json(&v).unwrap_err();
+        assert_eq!(err.path, "backend.kind");
+        assert_eq!(err.message, r#"unknown backend "tiled" (dense|lazy)"#);
 
         // Out-of-range probability.
         let mut bad = base.clone();

@@ -2,9 +2,9 @@
 //! [`DecayBackend`].
 //!
 //! Every named topology is a point deployment (built by the constructors
-//! in `decay-spaces`) with geometric decay `dist^alpha`. All three
+//! in `decay-spaces`) with geometric decay `dist^alpha`. Both
 //! backends evaluate that same expression (the lazy one through the
-//! exact memo below), so dense, lazy, and tiled runs evaluate
+//! exact memo below), so dense and lazy runs evaluate
 //! *bit-identical* decays — the invariant the cross-backend conformance
 //! suite rests on. Lazy backends also get a neighbor hint from the point
 //! set itself, whatever its shape: a bucket-grid index
@@ -30,10 +30,9 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use decay_core::DecaySpace;
-use decay_engine::{DecayBackend, DenseBackend, LazyBackend, TiledBackend};
+use decay_engine::{DecayBackend, DenseBackend, LazyBackend};
 use decay_spaces::{
-    clustered_points, distance, geometric_space, grid_points, line_points, random_points,
-    ring_points, Point,
+    clustered_points, geometric_space, grid_points, line_points, random_points, ring_points, Point,
 };
 
 use crate::cells::CellIndex;
@@ -206,13 +205,6 @@ impl BackendSpec {
                 let hint = move |i: usize, reach| index.disk(points[i], reach_radius(reach, alpha));
                 Box::new(LazyBackend::from_fn(n, f).with_neighbor_hint(hint))
             }
-            BackendSpec::Tiled {
-                tile_size,
-                max_tiles,
-            } => {
-                let f = move |i: usize, j: usize| distance(points[i], points[j]).powf(alpha);
-                Box::new(TiledBackend::from_fn(n, tile_size, max_tiles, f))
-            }
         }
     }
 }
@@ -225,6 +217,7 @@ mod tests {
     use decay_engine::Tick;
     use decay_engine::{JamSchedule, LatencyModel};
     use decay_netsim::ReceptionModel;
+    use decay_spaces::distance;
 
     fn spec_with(topology: TopologySpec) -> ScenarioSpec {
         ScenarioSpec {
@@ -291,17 +284,11 @@ mod tests {
             let n = spec.node_count();
             let dense = BackendSpec::Dense.build(&spec.topology);
             let lazy = BackendSpec::Lazy.build(&spec.topology);
-            let tiled = BackendSpec::Tiled {
-                tile_size: 4,
-                max_tiles: 2,
-            }
-            .build(&spec.topology);
             for i in 0..n {
                 for j in 0..n {
                     let (a, b) = (NodeId::new(i), NodeId::new(j));
                     let d = dense.decay(a, b);
                     assert_eq!(d.to_bits(), lazy.decay(a, b).to_bits(), "({i},{j})");
-                    assert_eq!(d.to_bits(), tiled.decay(a, b).to_bits(), "({i},{j})");
                 }
             }
         }

@@ -28,17 +28,10 @@ fn shipped_specs_have_stable_cross_backend_digests() {
             .expect("declared-backend run");
 
         // Conformance: the digest must not depend on the backend (the
-        // declared one already ran; only the other two need runs)...
-        for backend in [
-            BackendSpec::Dense,
-            BackendSpec::Lazy,
-            BackendSpec::Tiled {
-                tile_size: 16,
-                max_tiles: 8,
-            },
-        ]
-        .into_iter()
-        .filter(|&b| b != runner.spec().backend)
+        // declared one already ran; only the other one needs a run)...
+        for backend in [BackendSpec::Dense, BackendSpec::Lazy]
+            .into_iter()
+            .filter(|&b| b != runner.spec().backend)
         {
             let other = runner
                 .run(RunOptions {

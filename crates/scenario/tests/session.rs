@@ -97,13 +97,9 @@ fn observed_spec(protocol: u8, seed: u64, adaptive: bool) -> ScenarioSpec {
 }
 
 fn backend_for(which: u8) -> BackendSpec {
-    match which % 3 {
+    match which {
         0 => BackendSpec::Dense,
-        1 => BackendSpec::Lazy,
-        _ => BackendSpec::Tiled {
-            tile_size: 5,
-            max_tiles: 3,
-        },
+        _ => BackendSpec::Lazy,
     }
 }
 
@@ -213,8 +209,8 @@ proptest! {
         protocol in 0u8..3,
         seed in 0u64..1_000,
         adaptive_knob in 0u8..2,
-        backend_a in 0u8..3,
-        backend_b in 0u8..3,
+        backend_a in 0u8..2,
+        backend_b in 0u8..2,
         split in 1u64..260,
     ) {
         let adaptive = adaptive_knob == 1;

@@ -183,13 +183,9 @@ fn spec_from_knobs(k: [u64; 8]) -> ScenarioSpec {
         horizon: 1 + k[2] % 100_000,
         check_interval,
         topology: topology(k[3], n),
-        backend: match k[4] % 3 {
+        backend: match k[4] % 2 {
             0 => BackendSpec::Dense,
-            1 => BackendSpec::Lazy,
-            _ => BackendSpec::Tiled {
-                tile_size: 1 + (k[4] % 16) as usize,
-                max_tiles: 1 + (k[4] % 7) as usize,
-            },
+            _ => BackendSpec::Lazy,
         },
         sinr: SinrSpec {
             beta: 1.0 + (k[5] % 8) as f64 / 4.0,

@@ -181,9 +181,6 @@ impl AffectanceMatrix {
 
     /// Uncapped in-affectance `Σ_{w ∈ set} raw a_w(v)`.
     pub fn in_affectance_raw(&self, set: &[LinkId], v: LinkId) -> f64 {
-        // decay-lint: allow(unordered-reduce) — deterministic: `set`
-        // is a caller-ordered slice, so the f64 sum order is fixed by the
-        // slice order, identically on every backend.
         set.iter().map(|&w| self.raw_affectance(w, v)).sum()
     }
 
@@ -195,17 +192,11 @@ impl AffectanceMatrix {
 
     /// In-affectance `a_S(v) = Σ_{w ∈ set} a_w(v)`.
     pub fn in_affectance(&self, set: &[LinkId], v: LinkId) -> f64 {
-        // decay-lint: allow(unordered-reduce) — deterministic: `set`
-        // is a caller-ordered slice, so the f64 sum order is fixed by the
-        // slice order, identically on every backend.
         set.iter().map(|&w| self.affectance(w, v)).sum()
     }
 
     /// Out-affectance `a_v(S) = Σ_{w ∈ set} a_v(w)`.
     pub fn out_affectance(&self, v: LinkId, set: &[LinkId]) -> f64 {
-        // decay-lint: allow(unordered-reduce) — deterministic: `set`
-        // is a caller-ordered slice, so the f64 sum order is fixed by the
-        // slice order, identically on every backend.
         set.iter().map(|&w| self.affectance(v, w)).sum()
     }
 

@@ -34,8 +34,6 @@
 //! assert!(zeta > 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use decay_capacity as capacity;
 pub use decay_channel as channel;
 pub use decay_core as core;
@@ -74,8 +72,7 @@ pub mod prelude {
     pub use decay_engine::{
         apply_directives, drive_probed, drive_until, ChurnConfig, Controller, DecayBackend,
         DenseBackend, Directive, Engine, EngineConfig, EventBehavior, JamSchedule, LatencyModel,
-        LazyBackend, NodeCtx, PauseCtx, Probe, PrrWindowSample, SlotAdapter, TiledBackend, Tunable,
-        WindowedPrr,
+        LazyBackend, NodeCtx, PauseCtx, Probe, PrrWindowSample, SlotAdapter, Tunable, WindowedPrr,
     };
     pub use decay_envsim::{Device, FloorPlan, MeasurementModel, OfficeConfig, PropagationModel};
     pub use decay_netsim::{
