@@ -106,7 +106,7 @@ fn load(path: &str) -> Result<Vec<Row>, String> {
 /// Today as `YYYY-MM-DD` (UTC), from the system clock alone — the civil
 /// from-days conversion (Howard Hinnant's algorithm), so no date crate.
 fn today_utc() -> String {
-    #[allow(clippy::disallowed_methods)] // report-only harness timing
+    #[expect(clippy::disallowed_methods, reason = "dates the history entry")]
     let days = (SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())

@@ -198,7 +198,7 @@ fn measure(
     if record_spans {
         engine.arm_spans();
     }
-    #[allow(clippy::disallowed_methods)] // report-only harness timing
+    #[expect(clippy::disallowed_methods, reason = "report-only harness timing")]
     let start = Instant::now();
     engine.run_until(horizon);
     let secs = start.elapsed().as_secs_f64().max(1e-9);

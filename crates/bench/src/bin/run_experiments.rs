@@ -52,10 +52,10 @@ fn main() {
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create json directory");
     }
-    #[allow(clippy::disallowed_methods)] // report-only harness timing
+    #[expect(clippy::disallowed_methods, reason = "report-only harness timing")]
     let total = Instant::now();
     for exp in experiments {
-        #[allow(clippy::disallowed_methods)] // report-only harness timing
+        #[expect(clippy::disallowed_methods, reason = "report-only harness timing")]
         let started = Instant::now();
         let table = (exp.run)();
         println!("{table}");

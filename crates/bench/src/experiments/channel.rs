@@ -134,7 +134,7 @@ pub fn e38_channel_throughput() -> Table {
             }
         };
         let mut engine = engine_over(build(), n);
-        #[allow(clippy::disallowed_methods)] // report-only harness timing
+        #[expect(clippy::disallowed_methods, reason = "report-only harness timing")]
         let start = Instant::now();
         engine.run_until(horizon);
         let secs = start.elapsed().as_secs_f64();

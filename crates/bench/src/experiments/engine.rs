@@ -121,7 +121,7 @@ pub fn e36_event_engine() -> Table {
         let run_once = || {
             let (mut engine, required) =
                 build_broadcast_engine(lazy_line(n), &params, &cfg).expect("valid config");
-            #[allow(clippy::disallowed_methods)] // report-only harness timing
+            #[expect(clippy::disallowed_methods, reason = "report-only harness timing")]
             let start = Instant::now();
             engine.run_until(horizon);
             let secs = start.elapsed().as_secs_f64();

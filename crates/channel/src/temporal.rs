@@ -216,7 +216,6 @@ pub struct TemporalAdapter {
 /// by one run session at a time, and moves with that session when it
 /// is parked and resumed on another thread. If a field regresses (an
 /// `Rc` creeping in), this stops compiling.
-#[allow(dead_code)]
 fn _assert_adapter_is_send() {
     fn assert_send<T: Send>() {}
     assert_send::<TemporalAdapter>();
@@ -422,7 +421,7 @@ impl DecayBackend for TemporalAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::{Arc, Mutex};
 
     /// A toy field: decay |i - j|² scaled by (1 + block).
@@ -468,7 +467,7 @@ mod tests {
     }
 
     /// Evaluation counts per (block, from, to).
-    type CallLedger = Arc<Mutex<HashMap<(u64, usize, usize), u64>>>;
+    type CallLedger = Arc<Mutex<BTreeMap<(u64, usize, usize), u64>>>;
 
     /// `Pulse` with an evaluation ledger: how often each (block, pair)
     /// was evaluated. The ledger is shared so the test keeps a handle
@@ -480,7 +479,7 @@ mod tests {
 
     impl CountingPulse {
         fn new(n: usize) -> (Self, CallLedger) {
-            let calls = Arc::new(Mutex::new(HashMap::new()));
+            let calls = Arc::new(Mutex::new(BTreeMap::new()));
             (
                 CountingPulse {
                     inner: pulse(n),
@@ -593,7 +592,7 @@ mod tests {
         }
         // Block 0 (the static view) plus blocks 1, 2, 3, 10 (ticks 4–41
         // at block_len 4) all appear.
-        let blocks: std::collections::HashSet<u64> = calls.keys().map(|&(b, _, _)| b).collect();
+        let blocks: BTreeSet<u64> = calls.keys().map(|&(b, _, _)| b).collect();
         assert!(blocks.contains(&0), "static view evaluated block 0");
         assert!(blocks.len() >= 4, "tick-aware queries spanned blocks");
         assert_eq!(

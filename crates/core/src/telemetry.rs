@@ -213,7 +213,10 @@ pub struct SpanEvent {
 }
 
 #[cfg(feature = "telemetry-timing")]
-#[allow(clippy::disallowed_methods)] // the telemetry-timing gate IS the sanction
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the telemetry-timing gate is the sanction: spans never reach a trace"
+)]
 fn span_epoch() -> std::time::Instant {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
@@ -298,7 +301,13 @@ impl Counters {
 
     /// Starts a phase timer. Free when timing is compiled out.
     #[inline]
-    #[allow(clippy::disallowed_methods)] // the telemetry-timing gate IS the sanction
+    #[cfg_attr(
+        feature = "telemetry-timing",
+        expect(
+            clippy::disallowed_methods,
+            reason = "the telemetry-timing gate is the sanction: timers never reach a trace"
+        )
+    )]
     pub fn timer_start(&self) -> TimerStart {
         TimerStart {
             #[cfg(feature = "telemetry-timing")]

@@ -908,7 +908,6 @@ impl<B> fmt::Debug for Engine<B> {
 /// threads, so `Engine<B>` must be `Send` whenever its behaviors are.
 /// If a field ever regresses (an `Rc`, a non-`Send` trait object, a
 /// thread-pinned cache), this stops compiling.
-#[allow(dead_code)]
 fn _assert_engine_is_send<B: Send>() {
     fn assert_send<T: Send>() {}
     assert_send::<Engine<B>>();

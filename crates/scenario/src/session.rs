@@ -31,7 +31,6 @@
 //! uninterrupted [`crate::ScenarioRunner::run`]. The session-conformance
 //! proptest under `tests/` pins exactly that.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -286,11 +285,10 @@ pub struct ScenarioCache {
 }
 
 struct CacheState {
-    // decay-lint: allow(hash-iteration) — lookup-only: accessed via
-    // get/insert/remove by signature; eviction order lives in `order`.
-    map: HashMap<u64, Arc<CompiledScenario>>,
-    /// Signatures in recency order, most recently used last.
-    order: Vec<u64>,
+    /// Compilations by signature in recency order, most recently used
+    /// last. Capacities are small (a handful of specs), so a linear
+    /// scan is cheap, and the list is also the eviction order.
+    entries: Vec<(u64, Arc<CompiledScenario>)>,
     capacity: usize,
     /// Times [`ScenarioCache::compile`] returned a cached compilation.
     hits: u64,
@@ -300,7 +298,7 @@ impl fmt::Debug for ScenarioCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = self.inner.lock().expect("scenario cache poisoned");
         f.debug_struct("ScenarioCache")
-            .field("len", &state.map.len())
+            .field("len", &state.entries.len())
             .field("capacity", &state.capacity)
             .field("compile_hits", &state.hits)
             .finish()
@@ -317,8 +315,7 @@ impl ScenarioCache {
         assert!(capacity > 0, "scenario cache capacity must be positive");
         ScenarioCache {
             inner: Mutex::new(CacheState {
-                map: HashMap::new(),
-                order: Vec::new(),
+                entries: Vec::new(),
                 capacity,
                 hits: 0,
             }),
@@ -337,24 +334,23 @@ impl ScenarioCache {
         // Validation and trace resolution are cheap relative to the
         // deployment + plan probe, and the key must be taken over the
         // *resolved* spec — so do that much, once, before consulting
-        // the map.
+        // the cache.
         let mut spec = spec;
         let sig = resolve(&mut spec, &repo_root_or_cwd())?;
 
         let mut state = self.inner.lock().expect("scenario cache poisoned");
-        if let Some(hit) = state.map.get(&sig).cloned() {
-            state.order.retain(|&k| k != sig);
-            state.order.push(sig);
+        if let Some(at) = state.entries.iter().position(|(k, _)| *k == sig) {
+            let entry = state.entries.remove(at);
+            let hit = Arc::clone(&entry.1);
+            state.entries.push(entry);
             state.hits += 1;
             return Ok(hit);
         }
         let compiled = Arc::new(CompiledScenario::from_resolved(spec, sig));
-        state.map.insert(sig, Arc::clone(&compiled));
-        state.order.push(sig);
-        while state.map.len() > state.capacity {
-            let evict = state.order.remove(0);
-            state.map.remove(&evict);
+        if state.entries.len() == state.capacity {
+            state.entries.remove(0);
         }
+        state.entries.push((sig, Arc::clone(&compiled)));
         Ok(compiled)
     }
 
@@ -363,7 +359,7 @@ impl ScenarioCache {
         self.inner
             .lock()
             .expect("scenario cache poisoned")
-            .map
+            .entries
             .len()
     }
 
@@ -643,10 +639,11 @@ pub enum SessionStep {
 /// start instant, reported as `elapsed` in the run summary. Nothing
 /// derived from it ever reaches the trace, the digests, or the
 /// telemetry counters that gate conformance.
-#[allow(clippy::disallowed_methods)] // see comment above — report-only
+#[expect(
+    clippy::disallowed_methods,
+    reason = "report-only: feeds the run summary's elapsed field and never influences a trace"
+)]
 fn wall_clock_start() -> Instant {
-    // decay-lint: allow(wall-clock) — report-only: feeds the run
-    // summary's elapsed field and never influences a trace.
     Instant::now()
 }
 
@@ -1042,7 +1039,6 @@ impl<'a, 'p> RunSession<'a, 'p> {
 /// threads is the point of the park/resume lifecycle; if any layer
 /// regresses (an `Rc` creeping back into the engine, a non-`Send`
 /// probe), this stops compiling.
-#[allow(dead_code)]
 fn _assert_session_stack_is_send() {
     fn assert_send<T: Send>() {}
     fn assert_send_sync<T: Send + Sync>() {}

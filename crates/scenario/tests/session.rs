@@ -106,7 +106,10 @@ fn backend_for(which: u8) -> BackendSpec {
 /// The deterministic slice of a report the conformance checks compare
 /// (wall-clock rates, and the rescans a split inside a coherence block
 /// adds to `scan_stats`, are execution-dependent by design).
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "a flat tuple of borrowed fields compares in one assert"
+)]
 fn deterministic_view(
     r: &ScenarioReport,
 ) -> (
