@@ -41,28 +41,34 @@
 //! with `d0` the deployment distance (the `max` is the mobility layer's
 //! clamp `db ≥ d0 · 10^-6`), `s_k = exp(ℓ_k)` cached per node and block
 //! next to its reach scale, and `g_b = 1 / F_b` the fade's power gain.
-//! That is one `powf` and one `ln` per pair, with no base call and no
-//! `sqrt`; the per-pair and batched-row paths share the one kernel, so
-//! they stay bit-equal. The base then only answers hint windows. The
-//! closed form agrees with the layered product to a relative `10^-12`,
-//! not bit for bit, so the kernel's version is part of the channel
-//! signature. A channel without the declaration keeps the layered
-//! product: the paper's non-geometric decay spaces need it.
+//! That is one power and one `ln` per pair, with no base call. When
+//! `2α` is an integer up to 16 (α = 2, 2.5, 3, …) the power
+//! `(db²)^(α/2)` is an integer power times `√(db²)`, `√√(db²)` or both,
+//! each `sqrt` one correctly rounded instruction; any other α calls
+//! `powf`. The per-pair, batched-row and reach-row paths share the one
+//! kernel, so they stay bit-equal. The base then only answers hint
+//! windows. The closed form agrees with the layered product to a
+//! relative `10^-12`, not bit for bit, so the kernel's version is part
+//! of the channel signature (version 2 added the square roots). A
+//! channel without the declaration keeps the layered product: the
+//! paper's non-geometric decay spaces need it.
 //!
-//! # Reach candidates
+//! # Reach rows
 //!
-//! A reach scan over a geometric channel first
-//! takes the base's hint window around the deployment (a dense base,
-//! which has no hint, filters its whole static row), then drops every
-//! candidate the closed form provably puts above the reach in two
-//! branch-free compaction passes — a multiply-only test with the fade
-//! at its clamp, then the bucket of the pair's fade draw for the
-//! survivors — so rows evaluate the composite only for pairs that can
-//! be in reach. Fade draws hash the block's key prefix once per row or
-//! window ([`FadingConfig::block_key`]), not once per pair. The window
-//! query and both passes are timed as `reach_window`. The caller
-//! re-filters against the exact field, so the bound changes cost, never
-//! values.
+//! A reach scan over a geometric channel builds its row in one call
+//! ([`TemporalBackend::reach_row`]). It takes the base's hint window
+//! around the deployment (a dense base, which has no hint, filters its
+//! whole static row), then drops every candidate the closed form
+//! provably puts above the reach in two branch-free compaction passes:
+//! a multiply-only test with the fade at its clamp, then the bucket of
+//! the pair's fade draw for the survivors. Only the pairs left can be
+//! in reach, and the closed form evaluates them from the squared
+//! distance and fade hash the passes already computed. Fade hashes
+//! absorb the block's key prefix once per block
+//! ([`FadingConfig::block_key`]) and the row's source once per row. The
+//! window query and both passes are timed as `reach_window`, the closed
+//! form as `row_build`. The caller filters the row against the reach,
+//! so the bound changes cost, never values.
 
 use std::cell::{RefCell, RefMut};
 use std::fmt;
@@ -72,9 +78,9 @@ use decay_core::NodeId;
 use decay_engine::{DecayBackend, Tick};
 use decay_spaces::{distance, Point};
 
-use crate::fading::{FadeKey, FadingConfig, DRAW_BUCKETS};
+use crate::fading::{bucket, hash_gain, FadeKey, FadingConfig, DRAW_BUCKETS};
 use crate::mobility::{MobilityConfig, MobilityEngine, MobilityModel, MobilityState};
-use crate::shadowing::{ShadowField, ShadowingConfig, FIELD_VERSION};
+use crate::shadowing::{Innovations, ShadowField, ShadowingConfig, FIELD_VERSION};
 use crate::temporal::{signature_of, TemporalBackend};
 
 /// Decay clamp keeping composite values inside the decay-space contract
@@ -86,13 +92,17 @@ const MAX_DECAY: f64 = 1e300;
 /// the module docs), folded into their signature: bump it whenever the
 /// kernel's bits change, so checkpoints taken under the old kernel fail
 /// to resume instead of silently replaying a different field.
-const KERNEL_VERSION: u64 = 1;
+const KERNEL_VERSION: u64 = 2;
+
+/// Largest `2α` the square-root kernel takes (see [`Power`]).
+const MAX_ROOT_ORDER: f64 = 16.0;
 
 /// Safety margin applied to hint-widening thresholds, absorbing the
 /// floating-point slop between the bounds' arithmetic and the closed
-/// form's `(db²)^(α/2) · s_i · s_j` (and any `pow` monotonicity wobble). Hints may over-approximate
-/// freely — candidates are re-filtered against the exact field — so the
-/// margin costs a few extra candidates, never correctness.
+/// form's `(db²)^(α/2) · s_i · s_j` (`powf` or square roots, a few ulps
+/// either way). Hints may over-approximate freely — rows are filtered
+/// against the exact field — so the margin costs a few extra
+/// candidates, never correctness.
 const HINT_MARGIN: f64 = 1.05;
 
 /// Per-block derived state shared by the layers.
@@ -119,6 +129,9 @@ struct Epoch {
     /// Minimum shadowing field value this block (+∞ when shadowing is
     /// off), anchoring the sound floor on any link's shadow factor.
     shadow_min: f64,
+    /// The shadowing field's innovation draws, carried from block to
+    /// block (see [`Innovations`]).
+    innovations: Innovations,
 }
 
 /// A time-varying gain field over a static base backend. Construct with
@@ -129,6 +142,8 @@ pub struct TemporalChannel {
     base: Box<dyn DecayBackend>,
     initial: Vec<Point>,
     alpha: f64,
+    /// The closed form's `(db²)^(α/2)`.
+    power: Power,
     block_len: Tick,
     mobility_config: Option<MobilityConfig>,
     shadowing_config: Option<ShadowingConfig>,
@@ -146,6 +161,10 @@ pub struct TemporalChannel {
     ones: Box<[f64]>,
     /// The one-slot epoch cache: the last block solved.
     epoch: RefCell<Epoch>,
+    /// A reach row's scratch, kept between rows so a row allocates
+    /// only its result: the coarse survivors' `db²`, then the bucket
+    /// survivors with their `db²` and fade hash.
+    row_scratch: RefCell<(Vec<f64>, Vec<Survivor>)>,
     /// The channel-side sink (see [`TemporalBackend::telemetry`]).
     telemetry: Counters,
 }
@@ -182,6 +201,7 @@ impl TemporalChannel {
             base: Box::new(base),
             initial: points,
             alpha,
+            power: Power::new(alpha),
             block_len,
             mobility_config: None,
             shadowing_config: None,
@@ -200,7 +220,9 @@ impl TemporalChannel {
                 reach_scale: Vec::new(),
                 max_disp: 0.0,
                 shadow_min: f64::INFINITY,
+                innovations: Innovations::default(),
             }),
+            row_scratch: RefCell::new((Vec::new(), Vec::new())),
             telemetry: Counters::new(),
         }
     }
@@ -213,8 +235,9 @@ impl TemporalChannel {
     /// `max(db², d0² · 10^-12)^(α/2) · s_i · s_j / g`, with `db` and `d0`
     /// the current-block and deployment distances (the `max` is the
     /// mobility clamp), `s_k` node `k`'s share of the separable
-    /// shadowing factor and `g` the fade's power gain — one `powf` and
-    /// one `ln` per pair — never from the base. The closed form agrees
+    /// shadowing factor and `g` the fade's power gain — one power (square
+    /// roots when `2α` is a small integer, else `powf`) and one `ln` per
+    /// pair — never from the base. The closed form agrees
     /// with the layered product to a relative `10^-12` but not bit for
     /// bit, so the kernel's version joins the channel signature and
     /// checkpoints taken under another kernel are refused.
@@ -225,11 +248,12 @@ impl TemporalChannel {
     /// [`DecayBackend::hint_candidates`]), widened conservatively for
     /// every attached layer (mobility displacement, the block's
     /// shadowing floor, the fading clamp), and then prunes that window
-    /// pair by pair with a lower bound on the closed form. Only the
-    /// survivors are evaluated exactly, so a row's `row_pairs` count is
-    /// its exact evaluations, not the window width. Both steps
-    /// over-approximate and the candidates are re-filtered against the
-    /// exact instantaneous field, so they change cost, never values.
+    /// pair by pair with a lower bound on the closed form, all in one
+    /// [`TemporalBackend::reach_row`] call. Only the survivors are
+    /// evaluated exactly, so a row's `row_pairs` count is its exact
+    /// evaluations, not the window width. Both steps over-approximate
+    /// and the row is filtered against the exact instantaneous field,
+    /// so they change cost, never values.
     ///
     /// # Panics
     ///
@@ -323,8 +347,9 @@ impl TemporalChannel {
         }
         if let Some(field) = &self.shadowing {
             let values = {
+                let epoch = &mut *epoch;
                 let positions = epoch.mob.as_ref().map_or(&self.initial[..], |s| &s.pos[..]);
-                field.node_values(block, positions)
+                field.node_values(block, positions, &mut epoch.innovations)
             };
             epoch.reach_scale.clear();
             epoch
@@ -392,19 +417,28 @@ impl TemporalChannel {
         }
     }
 
-    /// The geometric channel's kernel (see the module docs):
-    /// `max(db², d0² · 10^-12)^(α/2) · s_i · s_j / g`, clamped into the
-    /// decay-space range. The per-pair and batched-row paths both end
-    /// here, so they produce identical bits.
+    /// The geometric channel's decay of `(from, to)` (see the module
+    /// docs).
     fn closed_form(&self, view: &View<'_>, fade: Option<FadeKey>, from: NodeId, to: NodeId) -> f64 {
         let (i, j) = (from.index(), to.index());
+        let db_sq = dist_sq(view.pos[i], view.pos[j]);
+        self.kernel(view, i, j, db_sq, fade.map(|key| key.hash(from, to)))
+    }
+
+    /// The closed form `max(db², d0² · 10^-12)^(α/2) · s_i · s_j / g`
+    /// for the pair `(i, j)`, given its current squared distance `db_sq`
+    /// and its fade hash, clamped into the decay-space range. The
+    /// per-pair path, batched rows and reach rows all end here, so they
+    /// produce identical bits.
+    #[inline]
+    fn kernel(&self, view: &View<'_>, i: usize, j: usize, db_sq: f64, fade: Option<u64>) -> f64 {
         let d0_sq = dist_sq(self.initial[i], self.initial[j]);
         // Clamp relative to the deployment separation so nodes drifting
         // onto each other never zero a decay: `db ≥ d0 · 1e-6`.
-        let db_sq = dist_sq(view.pos[i], view.pos[j]).max(d0_sq * 1e-12);
-        let mut d = db_sq.powf(0.5 * self.alpha) * view.share[i] * view.share[j];
-        if let Some(fade) = fade {
-            d /= fade.gain(from, to);
+        let db_sq = db_sq.max(d0_sq * 1e-12);
+        let mut d = self.power.eval(db_sq) * view.share[i] * view.share[j];
+        if let Some(hash) = fade {
+            d /= hash_gain(hash);
         }
         d.clamp(MIN_DECAY, MAX_DECAY)
     }
@@ -437,62 +471,6 @@ impl TemporalChannel {
         }
         d.clamp(MIN_DECAY, MAX_DECAY)
     }
-
-    /// Drops every candidate whose decay from `from` in the block of
-    /// `epoch` and `fade` is provably above `reach` (`reach <
-    /// MAX_DECAY`, geometric channel), keeping the survivors in order.
-    ///
-    /// Up to its clamps the closed form is `db^α · s_i · s_j / g`, so a
-    /// pair is in reach only if `db² ≤ reach^(2/α) · g^(2/α) · t_i · t_j`,
-    /// with `t_k = s_k^(-2/α)` the per-node reach scale. Ids outside the
-    /// deployment are dropped first; then two in-place compaction
-    /// passes apply the test without a branch per candidate: each
-    /// writes the candidate at the kept count and advances the count by
-    /// the test's outcome. The coarse pass takes `g` at its clamp and
-    /// costs only multiplies. The fine pass runs on its survivors with
-    /// the bucket of the pair's fade draw, reading `g^(2/α)` at the
-    /// bucket's upper edge (see [`crate::fading::gain_powers`]): one
-    /// keyed hash and a lookup where the exact factor would cost a log
-    /// and a power.
-    ///
-    /// `HINT_MARGIN` on the reach absorbs the rounding between this
-    /// product and the closed form. The bound stays sound because the
-    /// closed form's clamps only raise a decay: the mobility clamp
-    /// replaces `db²` by something larger, and `MIN_DECAY` lifts tiny
-    /// decays. Only `MAX_DECAY` can lower one, and the caller skips the
-    /// filter when it could matter.
-    fn prune(
-        &self,
-        epoch: Option<&Epoch>,
-        fade: Option<FadeKey>,
-        from: NodeId,
-        reach: f64,
-        candidates: &mut Vec<NodeId>,
-    ) {
-        let View { pos, scale, .. } = self.view(epoch);
-        candidates.retain(|to| to.index() < pos.len());
-        let fine = (reach * HINT_MARGIN).powf(2.0 / self.alpha) * scale[from.index()];
-        let coarse = fine * self.gain_powers[DRAW_BUCKETS - 1];
-        let p = pos[from.index()];
-        let mut kept = 0;
-        for i in 0..candidates.len() {
-            let to = candidates[i].index();
-            candidates[kept] = candidates[i];
-            kept += usize::from(dist_sq(p, pos[to]) <= coarse * scale[to]);
-        }
-        candidates.truncate(kept);
-        let Some(fade) = fade else {
-            return;
-        };
-        let mut kept = 0;
-        for i in 0..candidates.len() {
-            let to = candidates[i];
-            let bound = fine * self.gain_powers[fade.bucket(from, to)] * scale[to.index()];
-            candidates[kept] = to;
-            kept += usize::from(dist_sq(p, pos[to.index()]) <= bound);
-        }
-        candidates.truncate(kept);
-    }
 }
 
 /// One block's per-node inputs to the closed form and the reach prune
@@ -506,10 +484,62 @@ struct View<'a> {
     scale: &'a [f64],
 }
 
+/// A reach-row candidate that passed the bucket test: its id, `db²`
+/// and fade hash (0 without fading).
+type Survivor = (NodeId, f64, u64);
+
 /// Squared Euclidean distance.
 fn dist_sq(p: Point, q: Point) -> f64 {
     let (dx, dy) = (p.0 - q.0, p.1 - q.1);
     dx * dx + dy * dy
+}
+
+/// How the closed form raises `db²` to `α/2`.
+#[derive(Debug, Clone, Copy)]
+enum Power {
+    /// `2α = 4 · whole + quarters` is an integer up to
+    /// [`MAX_ROOT_ORDER`]: `x^(α/2)` is `x^whole` by multiplies times
+    /// `√x`, `√√x` or both. `sqrt` is one correctly rounded
+    /// instruction, where `powf` is a libm call several times its cost.
+    Roots { whole: u32, quarters: u32 },
+    /// Any other α: `powf(x, α/2)`.
+    Powf(f64),
+}
+
+impl Power {
+    fn new(alpha: f64) -> Self {
+        let twice = 2.0 * alpha;
+        if twice.fract() == 0.0 && twice <= MAX_ROOT_ORDER {
+            let order = twice as u32;
+            Power::Roots {
+                whole: order / 4,
+                quarters: order % 4,
+            }
+        } else {
+            Power::Powf(0.5 * alpha)
+        }
+    }
+
+    /// `x^(α/2)` for `x > 0`.
+    #[inline]
+    fn eval(self, x: f64) -> f64 {
+        match self {
+            Power::Roots { whole, quarters } => {
+                let mut y = 1.0;
+                for _ in 0..whole {
+                    y *= x;
+                }
+                let half = x.sqrt();
+                match quarters {
+                    0 => y,
+                    1 => y * half.sqrt(),
+                    2 => y * half,
+                    _ => y * (half * half.sqrt()),
+                }
+            }
+            Power::Powf(exp) => x.powf(exp),
+        }
+    }
 }
 
 impl fmt::Debug for TemporalChannel {
@@ -565,7 +595,7 @@ impl TemporalBackend for TemporalChannel {
             .collect()
     }
 
-    fn reach_candidates(&self, block: u64, from: NodeId, reach: f64) -> Option<Vec<NodeId>> {
+    fn reach_row(&self, block: u64, from: NodeId, reach: f64) -> Option<(Vec<NodeId>, Vec<f64>)> {
         if !self.geometric {
             return None;
         }
@@ -606,18 +636,83 @@ impl TemporalBackend for TemporalChannel {
         let timer = self.telemetry.timer_start();
         // A base without a hint (a dense backend) filters its whole
         // static row instead.
-        let mut candidates = self
+        let mut window = self
             .base
             .hint_candidates(from, widened)
             .unwrap_or_else(|| self.base.potential_receivers(from, Some(widened)));
-        // At `MAX_DECAY` and above the clamp can pull a decay *down*
-        // into reach, which the product bound below does not model.
-        if reach < MAX_DECAY {
-            let fade = self.fade_key(block);
-            self.prune(epoch.as_deref(), fade, from, reach, &mut candidates);
+        let view = self.view(epoch.as_deref());
+        let fade = self.fade_key(block).map(|key| key.row(from));
+        // Up to its clamps the closed form is `db^α · s_i · s_j / g`, so
+        // a pair is in reach only if
+        // `db² ≤ reach^(2/α) · g^(2/α) · t_i · t_j`, with
+        // `t_k = s_k^(-2/α)` the per-node reach scale. At `MAX_DECAY` and
+        // above the clamp can pull a decay *down* into reach, which this
+        // bound does not model, so such reaches keep the whole window.
+        let prune = reach < MAX_DECAY;
+        let fine = (reach * HINT_MARGIN).powf(2.0 / self.alpha) * view.scale[from.index()];
+        let coarse = fine * self.gain_powers[DRAW_BUCKETS - 1];
+        let (src, n) = (from.index(), self.initial.len());
+        let p = view.pos[src];
+        let mut scratch = self.row_scratch.borrow_mut();
+        let (d2s, kept) = &mut *scratch;
+        if d2s.len() < window.len() {
+            d2s.resize(window.len(), 0.0);
+            kept.resize(window.len(), (from, 0.0, 0));
+        }
+        // The coarse test takes `g` at its clamp and costs only
+        // multiplies; it also drops the source and ids outside the
+        // deployment. Both tests are branch-free: every candidate is
+        // written at the kept count, which advances by the outcome.
+        let mut len = 0;
+        for i in 0..window.len() {
+            let to = window[i];
+            let k = to.index().min(n - 1);
+            let d2 = dist_sq(p, view.pos[k]);
+            window[len] = to;
+            d2s[len] = d2;
+            let near = !prune | (d2 <= coarse * view.scale[k]);
+            len += usize::from(near & (to.index() < n) & (k != src));
+        }
+        // The bucket test runs on the coarse survivors with the bucket
+        // of the pair's fade draw, reading `g^(2/α)` at the bucket's
+        // upper edge (see `crate::fading::gain_powers`): one keyed hash
+        // and a lookup where the exact factor would cost a log and a
+        // power. The hash is kept for the closed form.
+        let survivors = (window[..len].iter()).zip(&d2s[..len]);
+        if let Some(fade) = fade {
+            len = 0;
+            for (&to, &d2) in survivors {
+                let hash = fade.hash(to);
+                kept[len] = (to, d2, hash);
+                let bound = fine * self.gain_powers[bucket(hash)] * view.scale[to.index()];
+                len += usize::from(!prune | (d2 <= bound));
+            }
+        } else {
+            for (slot, (&to, &d2)) in kept.iter_mut().zip(survivors) {
+                *slot = (to, d2, 0);
+            }
+        }
+        let mut kept = &kept[..len];
+        // Hint windows may repeat or reorder ids.
+        let sorted;
+        if !kept.is_sorted_by(|a, b| a.0 < b.0) {
+            let mut ids = kept.to_vec();
+            ids.sort_unstable_by_key(|e| e.0);
+            ids.dedup_by_key(|e| e.0);
+            sorted = ids;
+            kept = &sorted;
         }
         self.telemetry.timer_stop(Timer::ReachWindow, timer);
-        Some(candidates)
+        let timer = self.telemetry.timer_start();
+        let row = kept
+            .iter()
+            .map(|&(to, d2, hash)| {
+                let d = self.kernel(&view, src, to.index(), d2, fade.map(|_| hash));
+                (to, d)
+            })
+            .unzip();
+        self.telemetry.timer_stop(Timer::RowBuild, timer);
+        Some(row)
     }
 
     fn telemetry(&self) -> &Counters {
@@ -795,46 +890,102 @@ mod tests {
             .collect();
         let field = pts.clone();
         let base = LazyBackend::from_fn(n, move |i, j| distance(field[i], field[j]).powf(2.5));
-        let mut adapter = crate::TemporalAdapter::new(
-            TemporalChannel::new(base, pts, 2.5, 1)
-                .with_geometric_hints()
-                .with_mobility(MobilityConfig {
-                    model: MobilityModel::RandomWaypoint {
-                        speed: 0.4,
-                        pause: 1,
-                    },
-                    seed: 1,
-                })
-                .with_shadowing(ShadowingConfig {
-                    sigma_db: 4.0,
-                    corr_dist: 3.0,
-                    time_corr: 0.7,
-                    seed: 2,
-                })
-                .with_fading(FadingConfig { seed: 3 }),
-        );
+        let ch = TemporalChannel::new(base, pts, 2.5, 1)
+            .with_geometric_hints()
+            .with_mobility(MobilityConfig {
+                model: MobilityModel::RandomWaypoint {
+                    speed: 0.4,
+                    pause: 1,
+                },
+                seed: 1,
+            })
+            .with_shadowing(ShadowingConfig {
+                sigma_db: 4.0,
+                corr_dist: 3.0,
+                time_corr: 0.7,
+                seed: 2,
+            })
+            .with_fading(FadingConfig { seed: 3 });
+        let (mut scans, mut pairs) = (0, 0);
         for block in [32, 64] {
-            adapter.advance_to(block);
             for src in (0..n).step_by(61) {
-                adapter.reach_at(block, NodeId::new(src), Some(100.0), &mut Vec::new());
+                let (ids, _) = ch
+                    .reach_row(block, NodeId::new(src), 100.0)
+                    .expect("a geometric channel builds its own rows");
+                scans += 1;
+                pairs += ids.len();
             }
         }
-        let stats = adapter.scan_stats();
-        assert!(stats.scans > 0);
-        let per_scan = stats.pairs as f64 / stats.scans as f64;
+        let per_scan = pairs as f64 / scans as f64;
         assert!(
             per_scan < n as f64 / 2.0,
             "{per_scan:.0} pairs per scan on {n} nodes"
         );
     }
 
-    /// The two compaction passes keep exactly what one `retain` over
-    /// the combined bound keeps, in the same order, for every mix of
-    /// layers, and everything they drop has a closed-form decay above
-    /// the reach. Windows hold the source itself, duplicates, unsorted
-    /// ids and ids outside the deployment.
+    /// The ids other than `from` that pass the coarse and the bucket
+    /// test in `block` for `reach`, ascending: the predicate of a reach
+    /// row, by brute force over every node and from the float draw
+    /// rather than the integer bucket.
+    fn passing(ch: &TemporalChannel, block: u64, from: usize, reach: f64) -> Vec<NodeId> {
+        let layered = ch.mobility.is_some() || ch.shadowing.is_some();
+        let guard = layered.then(|| ch.epoch_at(block));
+        let view = ch.view(guard.as_deref());
+        let fade = ch.fade_key(block);
+        let fine = (reach * HINT_MARGIN).powf(2.0 / ch.alpha) * view.scale[from];
+        let coarse = fine * ch.gain_powers[DRAW_BUCKETS - 1];
+        let src = NodeId::new(from);
+        (0..ch.initial.len())
+            .map(NodeId::new)
+            .filter(|&to| {
+                let t = view.scale[to.index()];
+                let d2 = dist_sq(view.pos[from], view.pos[to.index()]);
+                to != src
+                    && d2 <= coarse * t
+                    && fade.is_none_or(|fade| {
+                        let k = (fade.draw(src, to) * DRAW_BUCKETS as f64) as usize;
+                        d2 <= fine * ch.gain_powers[k] * t
+                    })
+            })
+            .collect()
+    }
+
+    /// Asserts that `ch`'s reach row for (`block`, `from`, `reach`) is
+    /// the brute-force scan: below `MAX_DECAY` exactly the ids that pass
+    /// both tests ([`passing`]), at or above it (no pruning) every node
+    /// in reach; ascending, with every decay `decay_in_block`'s bits,
+    /// and nothing in reach left out.
+    fn assert_row_is_the_scan(ch: &TemporalChannel, block: u64, from: usize, reach: f64) {
+        let n = ch.initial.len();
+        let src = NodeId::new(from);
+        let exact = |to: NodeId| ch.decay_in_block(block, src, to);
+        let at = format!("block {block} from {from} reach {reach}");
+        let Some((ids, decays)) = ch.reach_row(block, src, reach) else {
+            assert!(reach >= MAX_DECAY, "{at}: no row");
+            return;
+        };
+        assert!(ids.is_sorted_by(|a, b| a < b), "{at}: {ids:?}");
+        if reach < MAX_DECAY {
+            assert_eq!(ids, passing(ch, block, from, reach), "{at}");
+        }
+        assert!(!ids.contains(&src), "{at}");
+        let got: Vec<u64> = decays.iter().map(|d| d.to_bits()).collect();
+        let want: Vec<u64> = ids.iter().map(|&to| exact(to).to_bits()).collect();
+        assert_eq!(got, want, "{at}");
+        for to in (0..n).map(NodeId::new).filter(|&to| to != src) {
+            assert!(
+                ids.contains(&to) || exact(to) > reach,
+                "{at}: {to:?} dropped"
+            );
+        }
+    }
+
+    /// A row keeps what one `retain` over the combined bound keeps, for
+    /// every mix of layers, when the base's hint window holds the
+    /// source itself, duplicates, unsorted ids and ids outside the
+    /// deployment.
     #[test]
-    fn prune_keeps_what_a_retain_keeps() {
+    fn reach_row_keeps_what_a_retain_keeps() {
         let side = 12;
         let n = side * side;
         let pts: Vec<Point> = (0..n)
@@ -844,7 +995,14 @@ mod tests {
         for mask in 0..8u8 {
             let field = pts.clone();
             let base =
-                LazyBackend::from_fn(n, move |i, j| distance(field[i], field[j]).powf(alpha));
+                LazyBackend::from_fn(n, move |i, j| distance(field[i], field[j]).powf(alpha))
+                    .with_neighbor_hint(move |from, _reach| {
+                        let mut window: Vec<usize> = (0..n).rev().step_by(3).collect();
+                        window.extend([from, n, from, n + 7, 5, 5, usize::MAX]);
+                        window.extend((0..n).step_by(5));
+                        window.extend(0..n);
+                        window
+                    });
             let mut ch = TemporalChannel::new(base, pts.clone(), alpha, 1).with_geometric_hints();
             if mask & 1 != 0 {
                 ch = ch.with_mobility(MobilityConfig {
@@ -866,56 +1024,10 @@ mod tests {
             if mask & 4 != 0 {
                 ch = ch.with_fading(FadingConfig { seed: 6 });
             }
-            let layered = ch.mobility.is_some() || ch.shadowing.is_some();
             for block in [0, 3, 17] {
-                let guard = layered.then(|| ch.epoch_at(block));
-                let epoch = guard.as_deref();
-                let fade = ch.fade_key(block);
-                // The single-pass predicate the two passes replace.
-                let pos = epoch
-                    .and_then(|e| e.mob.as_ref())
-                    .map_or(&ch.initial[..], |s| &s.pos[..]);
-                let scale = epoch.map_or(&[][..], |e| &e.reach_scale[..]);
-                let t = |k: NodeId| scale.get(k.index()).copied().unwrap_or(1.0);
-                for reach in [1.0, 10.0, 100.0, 1e4] {
+                for reach in [1.0, 10.0, 100.0, 1e4, MAX_DECAY] {
                     for from in [0, 7, n / 2 + 5, n - 1] {
-                        let src = NodeId::new(from);
-                        let fine = (reach * HINT_MARGIN).powf(2.0 / alpha) * t(src);
-                        let coarse = fine * ch.gain_powers[DRAW_BUCKETS - 1];
-                        let p = pos[from];
-                        let mut window: Vec<NodeId> =
-                            (0..n).rev().step_by(3).map(NodeId::new).collect();
-                        window.extend([from, n, from, n + 7, 5, 5, usize::MAX].map(NodeId::new));
-                        window.extend((0..n).step_by(5).map(NodeId::new));
-                        let mut want = window.clone();
-                        want.retain(|&to| {
-                            let Some(&q) = pos.get(to.index()) else {
-                                return false;
-                            };
-                            let (dx, dy) = (p.0 - q.0, p.1 - q.1);
-                            let d2 = dx * dx + dy * dy;
-                            if d2 > coarse * t(to) {
-                                return false;
-                            }
-                            fade.is_none_or(|fade| {
-                                let k = (fade.draw(src, to) * DRAW_BUCKETS as f64) as usize;
-                                d2 <= fine * ch.gain_powers[k] * t(to)
-                            })
-                        });
-                        let mut got = window.clone();
-                        ch.prune(epoch, fade, src, reach, &mut got);
-                        assert_eq!(
-                            got, want,
-                            "mask {mask} block {block} reach {reach} from {from}"
-                        );
-                        for &to in window.iter().filter(|&&to| to != src && to.index() < n) {
-                            let d = ch.closed_form(&ch.view(epoch), fade, src, to);
-                            assert!(
-                                got.contains(&to) || d > reach,
-                                "mask {mask} block {block} reach {reach}: ({from}, {to:?}) \
-                                 at {d} dropped"
-                            );
-                        }
+                        assert_row_is_the_scan(&ch, block, from, reach);
                     }
                 }
             }
@@ -966,7 +1078,7 @@ mod tests {
             .collect();
         assert_eq!(
             (KERNEL_VERSION, ch.signature(), crate::draw::mix(&bits)),
-            (1, 11_612_699_182_480_411_602, 10_461_550_440_317_924_435),
+            (2, 9_208_521_378_089_134_838, 16_170_294_241_971_106_643),
             "composite bits moved: bump KERNEL_VERSION and re-pin"
         );
     }
@@ -985,10 +1097,17 @@ mod tests {
         let base = LazyBackend::from_fn(pts.len(), move |i, j| {
             distance(field[i], field[j]).powf(alpha)
         });
-        let mut ch = TemporalChannel::new(base, pts.to_vec(), alpha, 1);
+        let ch = TemporalChannel::new(base, pts.to_vec(), alpha, 1);
         if geometric {
-            ch = ch.with_geometric_hints();
+            layered_channel(ch.with_geometric_hints(), seed, mask)
+        } else {
+            layered_channel(ch, seed, mask)
         }
+    }
+
+    /// `ch` with the layer subset `mask` (bit 0 mobility, bit 1
+    /// shadowing, bit 2 fading).
+    fn layered_channel(mut ch: TemporalChannel, seed: u64, mask: u8) -> TemporalChannel {
         if mask & 1 != 0 {
             ch = ch.with_mobility(MobilityConfig {
                 model: MobilityModel::RandomWaypoint {
@@ -1012,17 +1131,88 @@ mod tests {
         ch
     }
 
+    /// `n` points `spacing` apart: a grid (`layout` 0), random in a
+    /// square of side `20 · spacing` (1) or a line (2).
+    fn deployment(layout: u8, n: usize, spacing: f64, seed: u64) -> Vec<Point> {
+        match layout {
+            1 => (0..n)
+                .map(|k| {
+                    let u = |w: u64| crate::draw::unit(crate::draw::mix(&[seed, k as u64, w]));
+                    (20.0 * spacing * u(0), 20.0 * spacing * u(1))
+                })
+                .collect(),
+            2 => (0..n).map(|k| (k as f64 * spacing, 0.0)).collect(),
+            _ => {
+                let side = (n as f64).sqrt().ceil() as usize;
+                (0..n)
+                    .map(|k| ((k % side) as f64 * spacing, (k / side) as f64 * spacing))
+                    .collect()
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
+        /// A reach row is the brute-force scan (see
+        /// [`assert_row_is_the_scan`]) on grid, random and line
+        /// deployments over a lazy base (no hint), a dense base and a
+        /// lazy base whose hint lists its window in descending order,
+        /// under every layer subset, at reaches from tight to
+        /// `MAX_DECAY` and beyond.
+        #[test]
+        fn reach_row_is_the_brute_force_scan(
+            layout in 0u8..3,
+            kind in 0u8..3,
+            pick in 0usize..8,
+            general in 1.5f64..6.0,
+            n in 2usize..40,
+            spacing in 0.3f64..3.0,
+            seed in 0u64..1000,
+            mask in 0u8..8,
+            blocks in proptest::prop::collection::vec(0u64..80, 2),
+        ) {
+            let alpha = [2.0, 2.5, 3.0, 3.5, 4.0].get(pick).copied().unwrap_or(general);
+            let pts = deployment(layout, n, spacing, seed);
+            let field = pts.clone();
+            let f = move |i: usize, j: usize| distance(field[i], field[j]).powf(alpha);
+            let base: Box<dyn DecayBackend> = match kind {
+                0 => Box::new(LazyBackend::from_fn(n, f)),
+                1 => Box::new(decay_engine::DenseBackend::new(
+                    decay_spaces::geometric_space(&pts, alpha).expect("distinct points"),
+                )),
+                _ => {
+                    let hint = f.clone();
+                    Box::new(LazyBackend::from_fn(n, f).with_neighbor_hint(move |i, reach| {
+                        (0..n).rev().filter(|&j| j != i && hint(i, j) <= reach).collect()
+                    }))
+                }
+            };
+            let ch = layered_channel(
+                TemporalChannel::new(base, pts, alpha, 1).with_geometric_hints(),
+                seed,
+                mask,
+            );
+            let scale = spacing.powf(alpha);
+            for &block in &blocks {
+                for reach in [0.5, 3.0, 30.0, 1e3].map(|r| r * scale).into_iter().chain([MAX_DECAY, 1e305]) {
+                    for from in 0..n {
+                        assert_row_is_the_scan(&ch, block, from, reach);
+                    }
+                }
+            }
+        }
+
         /// The closed form agrees with the layered product to a relative
-        /// `1e-12` for every pair, over α in [1.5, 6], grid and random
+        /// `1e-12` for every pair, over α in [1.5, 6] and the
+        /// square-root kernel's α ∈ {2, 2.5, 3, 3.5, 4}, grid and random
         /// deployments, every layer subset and mobility blocks up to 80
         /// — and at one pair whose endpoint is moved onto (or next to)
         /// its partner, where both evaluations take the mobility clamp.
         #[test]
         fn closed_form_matches_the_layered_product(
-            alpha in 1.5f64..6.0,
+            general in 1.5f64..6.0,
+            pick in 0usize..10,
             random in 0u8..2,
             n in 4usize..30,
             spacing in 0.3f64..3.0,
@@ -1031,19 +1221,8 @@ mod tests {
             blocks in proptest::prop::collection::vec(0u64..80, 3),
             drift in (0usize..30, 1usize..30, 0usize..4),
         ) {
-            let pts: Vec<Point> = if random == 1 {
-                (0..n)
-                    .map(|k| {
-                        let u = |w: u64| crate::draw::unit(crate::draw::mix(&[seed, k as u64, w]));
-                        (20.0 * spacing * u(0), 20.0 * spacing * u(1))
-                    })
-                    .collect()
-            } else {
-                let side = (n as f64).sqrt().ceil() as usize;
-                (0..n)
-                    .map(|k| ((k % side) as f64 * spacing, (k / side) as f64 * spacing))
-                    .collect()
-            };
+            let alpha = [2.0, 2.5, 3.0, 3.5, 4.0].get(pick).copied().unwrap_or(general);
+            let pts = deployment(random, n, spacing, seed);
             let geometric = layered_twin(true, alpha, &pts, seed, mask);
             let layered = layered_twin(false, alpha, &pts, seed, mask);
             let close = |got: f64, want: f64| (got - want).abs() <= want * 1e-12;

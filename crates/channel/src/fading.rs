@@ -56,29 +56,67 @@ impl FadeKey {
 
     /// The link's scrambled key, endpoints ordered by `min`/`max`
     /// rather than a branch.
-    fn hash(self, from: NodeId, to: NodeId) -> u64 {
+    pub(crate) fn hash(self, from: NodeId, to: NodeId) -> u64 {
         let (a, b) = (from.index(), to.index());
         scramble(absorb(self.0, &[a.min(b) as u64, a.max(b) as u64]))
     }
 
-    /// The draw's bucket in [`gain_powers`]: the top bits of the link's
-    /// hash, which equal `⌊draw · DRAW_BUCKETS⌋` exactly because the
-    /// draw is `(hash >> 11) / 2^53`. Always below `DRAW_BUCKETS`.
-    pub(crate) fn bucket(self, from: NodeId, to: NodeId) -> usize {
-        (self.hash(from, to) >> (64 - DRAW_BUCKETS.trailing_zeros())) as usize
-    }
-
-    /// The link's clamped power gain; a geometric channel divides its
-    /// decay by it.
-    pub(crate) fn gain(self, from: NodeId, to: NodeId) -> f64 {
-        gain(self.draw(from, to))
+    /// The hashes of `from`'s row (see [`RowFade`]).
+    pub(crate) fn row(self, from: NodeId) -> RowFade {
+        let from = from.index() as u64;
+        RowFade {
+            key: self.0,
+            from,
+            prefix: absorb(self.0, &[from]),
+        }
     }
 
     /// The multiplicative *decay* factor (`1 / power gain`) for the
     /// link.
     pub(crate) fn decay_factor(self, from: NodeId, to: NodeId) -> f64 {
-        1.0 / self.gain(from, to)
+        1.0 / gain(self.draw(from, to))
     }
+}
+
+/// One row's fade hashes: [`FadeKey::hash`] from a fixed `from`, bit
+/// for bit. The key absorbs the lower endpoint first, so every partner
+/// above `from` extends the chain state with `from` already absorbed,
+/// computed once per row; a partner below `from` pays the full chain.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowFade {
+    key: u64,
+    from: u64,
+    /// `absorb(key, [from])`.
+    prefix: u64,
+}
+
+impl RowFade {
+    /// [`FadeKey::hash`] of `(from, to)`, for `to != from`.
+    #[inline]
+    pub(crate) fn hash(self, to: NodeId) -> u64 {
+        let to = to.index() as u64;
+        let chain = if to > self.from {
+            scramble(self.prefix ^ to)
+        } else {
+            absorb(self.key, &[to, self.from])
+        };
+        scramble(chain)
+    }
+}
+
+/// The bucket in [`gain_powers`] of the draw behind `hash`: its top
+/// bits, which equal `⌊draw · DRAW_BUCKETS⌋` exactly because the draw
+/// is `(hash >> 11) / 2^53`. Always below `DRAW_BUCKETS`.
+#[inline]
+pub(crate) fn bucket(hash: u64) -> usize {
+    (hash >> (64 - DRAW_BUCKETS.trailing_zeros())) as usize
+}
+
+/// The clamped power gain of the link whose fade hash is `hash`; a
+/// geometric channel divides its decay by it.
+#[inline]
+pub(crate) fn hash_gain(hash: u64) -> f64 {
+    gain(unit(hash))
 }
 
 /// The clamped power gain for the uniform draw `u`: a unit-mean
@@ -191,8 +229,31 @@ mod tests {
             let i = NodeId::new((mix(&[k, 3]) % 100_000) as usize);
             let j = NodeId::new((mix(&[k, 4]) % 100_000) as usize);
             let want = (key.draw(i, j) * DRAW_BUCKETS as f64) as usize;
-            assert_eq!(key.bucket(i, j), want, "key {k}");
-            assert_eq!(key.bucket(j, i), want, "key {k} reversed");
+            assert_eq!(bucket(key.hash(i, j)), want, "key {k}");
+            assert_eq!(bucket(key.hash(j, i)), want, "key {k} reversed");
+        }
+    }
+
+    /// A row's prefix-shared hash is the link's hash, bit for bit, with
+    /// the row's source as either endpoint: partners above and below
+    /// it, next to it and at the ends of the id range.
+    #[test]
+    fn row_hash_is_the_link_hash() {
+        for k in 0..20_000u64 {
+            let key = FadingConfig { seed: mix(&[k, 5]) }.block_key(mix(&[k, 6]) % 1_000_000);
+            let i = (mix(&[k, 7]) % 100_000) as usize;
+            let j = match k % 4 {
+                0 => i + 1,
+                1 => i.saturating_sub(1),
+                2 => 0,
+                _ => (mix(&[k, 8]) % 100_000) as usize,
+            };
+            if i == j {
+                continue;
+            }
+            let (a, b) = (NodeId::new(i), NodeId::new(j));
+            assert_eq!(key.row(a).hash(b), key.hash(a, b), "key {k} ({i}, {j})");
+            assert_eq!(key.row(b).hash(a), key.hash(b, a), "key {k} ({j}, {i})");
         }
     }
 }

@@ -18,19 +18,20 @@
 //!   [`TemporalAdapter`] caches them in a per-block view the engine
 //!   advances once per resolution round
 //!   ([`decay_engine::DecayBackend::advance_to`]; block-0 static view
-//!   kept separately, per-source dense rows built by one batched
-//!   [`TemporalBackend::decay_row_in_block`] call), and
+//!   kept separately, per-source rows built by one
+//!   [`TemporalBackend::reach_row`] call), and
 //!   [`TemporalChannel::with_geometric_hints`] shrinks each per-block
 //!   scan from `n` nodes to a conservatively widened window of the base
 //!   topology's hint, pruned pair by pair with a lower bound on the
-//!   decay before any exact evaluation.
+//!   decay before any exact evaluation, in the same call.
 //! * [`TemporalChannel`] — mobility ([`MobilityModel::RandomWaypoint`],
 //!   [`MobilityModel::LevyWalk`], [`MobilityModel::Group`] over
 //!   `decay-spaces` point sets), Gudmundson-style spatially correlated
 //!   log-normal shadowing ([`ShadowingConfig`]), and block Rayleigh
 //!   fading ([`FadingConfig`]) layered multiplicatively on the base
 //!   field; over a declared geometric base the product is evaluated in
-//!   closed form from positions and per-node shadowing shares.
+//!   closed form from positions and per-node shadowing shares (square
+//!   roots instead of `powf` when `2α` is a small integer).
 //! * [`GainTrace`] / [`TraceChannel`] — a hand-rolled JSON
 //!   importer/exporter so externally measured gain matrices replay
 //!   bit-identically (same decays, same engine trace hash).

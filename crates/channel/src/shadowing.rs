@@ -25,9 +25,14 @@
 //!   exactly (see [`cos_sin_quarters`]).
 //! - `A_m` and `B_m` are unit Gaussians, each an AR(1) process across
 //!   coherence blocks with coefficient `time_corr`. They are evaluated
-//!   by a truncated moving-average sum over random-access draws, so any
-//!   block's field can be recomputed from scratch. That is what lets
-//!   checkpoints skip shadowing state entirely.
+//!   by a truncated moving-average sum over random-access innovation
+//!   draws, so any block's field can be recomputed from scratch. That
+//!   is what lets checkpoints skip shadowing state entirely. The channel
+//!   still carries the last `ar_terms` draws of every process from one
+//!   block to the next ([`Innovations`]), so a step forward draws `2M`
+//!   fresh Gaussians instead of `2M · ar_terms`; a backward step or a
+//!   skip redraws the window. The sums run in the same order either
+//!   way, so the values are the same bits.
 //!
 //! # Why it meets the contract
 //!
@@ -83,6 +88,9 @@ const ROUND: f64 = 6_755_399_441_055_744.0;
 /// Terms kept in the truncated AR(1) moving-average sum.
 const MAX_AR_TERMS: u64 = 48;
 
+/// AR(1) coefficient processes: `A_m` and `B_m` for every component.
+const PROCESSES: usize = 2 * COMPONENTS;
+
 /// Version of the field construction, folded into the channel
 /// signature: bump it whenever [`ShadowField::node_values`] changes for
 /// any configuration, so checkpoints taken over the old field fail to
@@ -102,6 +110,20 @@ pub struct ShadowingConfig {
     pub time_corr: f64,
     /// Seed for the wave vectors and coefficient processes.
     pub seed: u64,
+}
+
+/// The last `ar_terms` innovation draws of every coefficient process,
+/// carried from one [`ShadowField::node_values`] call to the next so a
+/// step to the next block draws `2M` fresh Gaussians instead of
+/// `2M · ar_terms`. A fresh (default) window fills on first use.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Innovations {
+    /// The newest block the window holds (`None` before the first fill).
+    block: Option<u64>,
+    /// Slot of the newest draw in each process's ring.
+    head: usize,
+    /// Process `j`'s ring at `draws[j · ar_terms ..][.. ar_terms]`.
+    draws: Vec<f64>,
 }
 
 /// The realized field: wave vectors plus the AR(1) machinery.
@@ -165,38 +187,87 @@ impl ShadowField {
         }
     }
 
-    /// Coefficient process `j`'s AR(1) value at `block` (`A_m` is
-    /// process `2m`, `B_m` process `2m + 1`). History indices wrap
-    /// below block 0 (the draws are pure hashes, so "negative" history
-    /// is just more deterministic noise) — every block sums the full
-    /// coefficient window, keeping the process stationary from the very
-    /// first block instead of ramping variance up over the MA depth.
-    fn coefficient(&self, j: u64, block: u64) -> f64 {
-        let seed = self.config.seed;
-        self.coeffs
-            .iter()
-            .enumerate()
-            .map(|(d, c)| c * gauss(mix(&[seed, STREAM_COEFF, j, block.wrapping_sub(d as u64)])))
-            .sum()
+    /// The innovation draw `w_{block}` of coefficient process `j` (`A_m`
+    /// is process `2m`, `B_m` process `2m + 1`). `block` wraps below 0
+    /// (the draws are pure hashes, so "negative" history is just more
+    /// deterministic noise) — every block sums the full coefficient
+    /// window, keeping the process stationary from the very first block
+    /// instead of ramping variance up over the MA depth.
+    fn innovation(&self, j: usize, block: u64) -> f64 {
+        gauss(mix(&[self.config.seed, STREAM_COEFF, j as u64, block]))
+    }
+
+    /// Moves `window` to `block`: a step of one block draws one fresh
+    /// innovation per process over the oldest; the same block keeps the
+    /// window; any other move (backward, a skip, the first fill) redraws
+    /// all of it.
+    fn slide(&self, window: &mut Innovations, block: u64) {
+        let terms = self.coeffs.len();
+        if window.block == Some(block) {
+            return;
+        }
+        if window.block == Some(block.wrapping_sub(1)) {
+            window.head = (window.head + 1) % terms;
+            for j in 0..PROCESSES {
+                window.draws[j * terms + window.head] = self.innovation(j, block);
+            }
+        } else {
+            window.draws.clear();
+            window.draws.resize(PROCESSES * terms, 0.0);
+            window.head = terms - 1;
+            for j in 0..PROCESSES {
+                for d in 0..terms {
+                    let slot = terms - 1 - d;
+                    window.draws[j * terms + slot] =
+                        self.innovation(j, block.wrapping_sub(d as u64));
+                }
+            }
+        }
+        window.block = Some(block);
+    }
+
+    /// Every coefficient process's AR(1) value at `window`'s block: the
+    /// truncated moving average `x_b = Σ_d c_d · w_{b−d}`, summed in
+    /// order `d = 0, 1, …`.
+    fn coefficients(&self, window: &Innovations) -> [f64; PROCESSES] {
+        let terms = self.coeffs.len();
+        std::array::from_fn(|j| {
+            let draws = &window.draws[j * terms..(j + 1) * terms];
+            // Newest first: slots `head, head − 1, …, 0`, then the
+            // wrapped tail `terms − 1, …, head + 1`.
+            let (through_head, wrapped) = draws.split_at(window.head + 1);
+            let history = through_head.iter().rev().chain(wrapped.iter().rev());
+            self.coeffs.iter().zip(history).map(|(c, w)| c * w).sum()
+        })
     }
 
     /// Per-node field values for one block at the given positions — the
-    /// per-epoch bulk recomputation the channel caches. The `2M`
-    /// coefficients are drawn once per block, so the cost is
-    /// `O(M · ar_terms + nodes · M)`.
+    /// per-epoch bulk recomputation the channel caches. `window` carries
+    /// the innovation draws over from the previous call (see
+    /// [`Innovations`]); the values are the same bits whatever it
+    /// holds. The `2M` coefficients cost `O(M)` fresh draws on a step
+    /// to the next block and `O(M · ar_terms)` otherwise, so the cost is
+    /// at most `O(M · ar_terms + nodes · M)`.
     ///
     /// The per-node loop calls no libm and runs component by component
     /// over the coordinates, so it compiles to packed arithmetic: each
     /// term is a phase in quarter turns (two multiplies and an add)
     /// through [`cos_sin_quarters`]. Every node still sums its
     /// components in order `m = 0, 1, …`.
-    pub(crate) fn node_values(&self, block: u64, positions: &[Point]) -> Vec<f64> {
+    pub(crate) fn node_values(
+        &self,
+        block: u64,
+        positions: &[Point],
+        window: &mut Innovations,
+    ) -> Vec<f64> {
+        self.slide(window, block);
+        let coefficients = self.coefficients(window);
         let scale = (COMPONENTS as f64).sqrt().recip();
         let (xs, ys): (Vec<f64>, Vec<f64>) = positions.iter().copied().unzip();
         let mut values = vec![0.0; positions.len()];
         for (m, &(kx, ky)) in self.waves.iter().enumerate() {
-            let a = scale * self.coefficient(2 * m as u64, block);
-            let b = scale * self.coefficient(2 * m as u64 + 1, block);
+            let a = scale * coefficients[2 * m];
+            let b = scale * coefficients[2 * m + 1];
             for ((f, &x), &y) in values.iter_mut().zip(&xs).zip(&ys) {
                 let (cos, sin) = cos_sin_quarters(kx * x + ky * y);
                 *f += a * cos + b * sin;
@@ -289,6 +360,21 @@ mod tests {
             .collect()
     }
 
+    /// Field values from a fresh innovation window.
+    fn values(f: &ShadowField, block: u64, pts: &[Point]) -> Vec<f64> {
+        f.node_values(block, pts, &mut Innovations::default())
+    }
+
+    /// Process `j`'s AR(1) value at `block`, from scratch: every term's
+    /// innovation drawn anew, summed in order `d = 0, 1, …`.
+    fn coefficient(f: &ShadowField, j: usize, block: u64) -> f64 {
+        f.coeffs
+            .iter()
+            .enumerate()
+            .map(|(d, c)| c * f.innovation(j, block.wrapping_sub(d as u64)))
+            .sum()
+    }
+
     fn field(corr_dist: f64, time_corr: f64, seed: u64) -> ShadowField {
         ShadowField::new(ShadowingConfig {
             sigma_db: 6.0,
@@ -301,11 +387,45 @@ mod tests {
     #[test]
     fn field_is_deterministic_and_seed_sensitive() {
         let pts = grid(4, 1.0);
-        let a = field(2.0, 0.7, 9).node_values(5, &pts);
-        let b = field(2.0, 0.7, 9).node_values(5, &pts);
-        let c = field(2.0, 0.7, 10).node_values(5, &pts);
+        let a = values(&field(2.0, 0.7, 9), 5, &pts);
+        let b = values(&field(2.0, 0.7, 9), 5, &pts);
+        let c = values(&field(2.0, 0.7, 10), 5, &pts);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// A carried innovation window yields the from-scratch coefficients
+    /// and node values bit for bit, whatever path reaches the block:
+    /// forward steps, a repeated block, backward jumps (a restore, a
+    /// monitor replay), skips of several blocks, blocks below the MA
+    /// depth (wrapped history) and `time_corr` 0 (a one-term window).
+    #[test]
+    fn innovation_window_matches_a_from_scratch_evaluation() {
+        let pts = grid(5, 1.5);
+        let path = [
+            0, 1, 2, 2, 3, 4, 9, 10, 11, 3, 4, 0, 60, 61, 62, 62, 30, 31, 200,
+        ];
+        for time_corr in [0.0, 0.5, 0.7, 0.99] {
+            let f = field(2.0, time_corr, 31);
+            let mut window = Innovations::default();
+            for &block in &path {
+                let got = f.node_values(block, &pts, &mut window);
+                let want: Vec<u64> = values(&f, block, &pts)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "time_corr {time_corr} block {block}");
+                let coefficients = f.coefficients(&window);
+                for (j, c) in coefficients.iter().enumerate() {
+                    assert_eq!(
+                        c.to_bits(),
+                        coefficient(&f, j, block).to_bits(),
+                        "time_corr {time_corr} block {block} process {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -344,15 +464,15 @@ mod tests {
             (-700.0, 13.0),
             (12_345.5, -9_876.0),
         ];
-        let got = f.node_values(4, &pts);
+        let got = values(&f, 4, &pts);
         let scale = (COMPONENTS as f64).sqrt().recip();
         for (p, g) in pts.iter().zip(&got) {
             let want: f64 = (0..COMPONENTS)
                 .map(|m| {
                     let (kx, ky) = f.waves[m];
                     let phase = FRAC_PI_2 * (kx * p.0 + ky * p.1);
-                    let a = f.coefficient(2 * m as u64, 4);
-                    let b = f.coefficient(2 * m as u64 + 1, 4);
+                    let a = coefficient(&f, 2 * m, 4);
+                    let b = coefficient(&f, 2 * m + 1, 4);
                     scale * (a * phase.cos() + b * phase.sin())
                 })
                 .sum();
@@ -380,7 +500,7 @@ mod tests {
             let (mut var, mut var_n) = (0.0, 0.0);
             let mut prod = vec![(0.0, 0.0); lags.len()];
             for seed in 0..400 {
-                let v = field(d_corr, 0.0, 1000 + seed).node_values(0, &pts);
+                let v = values(&field(d_corr, 0.0, 1000 + seed), 0, &pts);
                 var += v.iter().map(|x| x * x).sum::<f64>();
                 var_n += v.len() as f64;
                 for (lag, acc) in lags.iter().zip(&mut prod) {
@@ -414,7 +534,10 @@ mod tests {
         let pts = grid(4, 10.0);
         for time_corr in [0.0, 0.5, 0.9] {
             let f = field(2.0, time_corr, 4);
-            let series: Vec<Vec<f64>> = (0..800).map(|b| f.node_values(b, &pts)).collect();
+            let mut window = Innovations::default();
+            let series: Vec<Vec<f64>> = (0..800)
+                .map(|b| f.node_values(b, &pts, &mut window))
+                .collect();
             let (mut lagged, mut power) = (0.0, 0.0);
             for w in series.windows(2) {
                 for (x, y) in w[0].iter().zip(&w[1]) {
@@ -436,7 +559,7 @@ mod tests {
     fn link_factor_is_log_normal_around_one() {
         let pts = vec![(0.0, 0.0), (1.0, 0.0)];
         let f = field(2.0, 0.3, 2);
-        let v = f.node_values(7, &pts);
+        let v = values(&f, 7, &pts);
         let fac = f.link_factor(v[0], v[1]);
         assert!(fac.is_finite() && fac > 0.0);
         // Zero field = exactly no shadowing.

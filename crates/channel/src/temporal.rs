@@ -25,13 +25,16 @@
 //! therefore never invalidate each other's cache — the thrash that
 //! once forced an `O(n)` rescan per call. A tick-aware query for any
 //! other block is answered exactly and uncached. Within a snapshot,
-//! each touched source gets one immutable row: a dense decay cache over
-//! the source's candidate window, built by a single batched
-//! [`TemporalBackend::decay_row_in_block`] call (one epoch solve per
-//! row, not per pair). Reach queries hand the row's decays out with
-//! the receivers, so the engine never looks a pair up again, and
-//! `decay_at` reads (monitors, probes) are served from the same row:
-//! the backend evaluates at most once per (block, pair) of the view.
+//! each touched source gets one immutable row: ascending candidate ids
+//! with their decays, built by one [`TemporalBackend::reach_row`] call
+//! — the backend bounds, prunes and evaluates the row together, with
+//! one epoch solve per row, not per pair. A backend without a
+//! structural bound declines, and the row is a full one over all `n`
+//! nodes from one batched [`TemporalBackend::decay_row_in_block`]
+//! call. Reach queries hand the row's decays out with the receivers,
+//! so the engine never looks a pair up again, and `decay_at` reads
+//! (monitors, probes) are served from the same row: the backend
+//! evaluates at most once per (block, pair) of the view.
 
 use std::cell::OnceCell;
 use std::fmt;
@@ -80,13 +83,14 @@ pub trait TemporalBackend: Send {
             .collect()
     }
 
-    /// A conservative candidate-receiver window for a reach scan: every
-    /// node whose decay from `from` during `block` can possibly be
-    /// `≤ reach` must appear (supersets, duplicates, and `from` itself
-    /// are fine — callers re-filter against the exact field). `None`
-    /// means no structural bound exists and the caller must scan all
-    /// `n` nodes. The default declines.
-    fn reach_candidates(&self, block: u64, from: NodeId, reach: f64) -> Option<Vec<NodeId>> {
+    /// A reach scan's row: ascending node ids other than `from`, with
+    /// their decays during `block`. Every node whose decay from `from`
+    /// is `≤ reach` must appear; others may (callers filter the row
+    /// against `reach`). Each decay must equal
+    /// [`Self::decay_in_block`] bit for bit. `None` means no structural
+    /// bound exists and the caller evaluates a full row over all `n`
+    /// nodes instead. The default declines.
+    fn reach_row(&self, block: u64, from: NodeId, reach: f64) -> Option<(Vec<NodeId>, Vec<f64>)> {
         let _ = (block, from, reach);
         None
     }
@@ -115,9 +119,9 @@ pub struct ScanStats {
     /// reaches and for blocks other than the current view) — at most
     /// one per (block, source) on the cached path.
     pub scans: u64,
-    /// Exact decay evaluations across those scans: the candidates the
-    /// backend's [`TemporalBackend::reach_candidates`] left after its
-    /// bound, not the hint-window width. Dividing by `scans` gives the
+    /// Exact decay evaluations across those scans: the length of the
+    /// backend's [`TemporalBackend::reach_row`], not the hint-window
+    /// width. Dividing by `scans` gives the
     /// mean row length; without structured hints it is `n`.
     pub pairs: u64,
 }
@@ -188,8 +192,8 @@ impl BlockSnapshot {
 /// Adapts a [`TemporalBackend`] to the engine's [`DecayBackend`].
 ///
 /// Reach sets are exact per block — a scan against the instantaneous
-/// field over the backend's candidate window
-/// ([`TemporalBackend::reach_candidates`], all `n` nodes when the
+/// field over the backend's reach row
+/// ([`TemporalBackend::reach_row`], all `n` nodes when the
 /// backend has no structural hint) — and cached in the snapshot of the
 /// block-0 field or of the current view, so the scan cost amortizes
 /// over `block_len` ticks of transmissions. The block-0 snapshot (the
@@ -288,22 +292,20 @@ impl TemporalAdapter {
         self.inner.decay_in_block(snapshot.block, from, to)
     }
 
-    /// Evaluates one candidate window against the instantaneous field.
+    /// Evaluates one reach row against the instantaneous field: the
+    /// backend's own row, or a full row over all `n` nodes when it has
+    /// none. The backend times its rows itself.
     fn scan(&self, block: u64, from: NodeId, reach: f64) -> SourceRow {
-        let (candidates, window_reach) = match self.inner.reach_candidates(block, from, reach) {
-            None => (None, f64::INFINITY),
-            Some(mut c) => {
-                c.retain(|&v| v != from && v.index() < self.n);
-                c.sort_unstable();
-                c.dedup();
-                (Some(c), reach)
+        let sink = self.inner.telemetry();
+        let (candidates, window_reach, decays) = match self.inner.reach_row(block, from, reach) {
+            Some((ids, decays)) => (Some(ids), reach, decays),
+            None => {
+                let timer = sink.timer_start();
+                let decays = self.inner.decay_row_in_block(block, from, self.all_nodes());
+                sink.timer_stop(Timer::RowBuild, timer);
+                (None, f64::INFINITY, decays)
             }
         };
-        let sink = self.inner.telemetry();
-        let timer = sink.timer_start();
-        let targets = candidates.as_deref().unwrap_or_else(|| self.all_nodes());
-        let decays = self.inner.decay_row_in_block(block, from, targets);
-        sink.timer_stop(Timer::RowBuild, timer);
         sink.add(Counter::RowsBuilt, 1);
         sink.add(Counter::RowPairs, decays.len() as u64);
         SourceRow {
@@ -676,13 +678,22 @@ mod tests {
             fn decay_in_block(&self, block: u64, from: NodeId, to: NodeId) -> f64 {
                 pulse(10).decay_in_block(block, from, to)
             }
-            fn reach_candidates(&self, _b: u64, from: NodeId, reach: f64) -> Option<Vec<NodeId>> {
+            fn reach_row(
+                &self,
+                block: u64,
+                from: NodeId,
+                reach: f64,
+            ) -> Option<(Vec<NodeId>, Vec<f64>)> {
                 let w = reach.sqrt().ceil() as usize + 1;
-                Some(
-                    (from.index().saturating_sub(w)..=(from.index() + w).min(9))
-                        .map(NodeId::new)
-                        .collect(),
-                )
+                let ids: Vec<NodeId> = (from.index().saturating_sub(w)..=(from.index() + w).min(9))
+                    .map(NodeId::new)
+                    .filter(|&to| to != from)
+                    .collect();
+                let decays = ids
+                    .iter()
+                    .map(|&to| self.decay_in_block(block, from, to))
+                    .collect();
+                Some((ids, decays))
             }
             fn telemetry(&self) -> &Counters {
                 &self.0

@@ -174,6 +174,7 @@ fn restore_rejects_a_different_channel() {
 /// its undeclared (layered) twin's: the kernel version word is the only
 /// difference. A checkpoint carrying that old signature is refused, so
 /// it can never replay under the new kernel's bits — and vice versa.
+/// So is one carrying the version-1 closed form's signature.
 #[test]
 fn restore_rejects_a_checkpoint_from_the_layered_kernel() {
     let layered = || {
@@ -190,9 +191,26 @@ fn restore_rejects_a_checkpoint_from_the_layered_kernel() {
 
     let mut new = engine_over(stormy_channel(1, 8), 7);
     new.run_until(100);
-    let snap: Checkpoint<Gossiper> =
-        Checkpoint::from_bytes(&new.checkpoint().to_bytes()).expect("decodes");
+    let bytes = new.checkpoint().to_bytes();
+    let snap: Checkpoint<Gossiper> = Checkpoint::from_bytes(&bytes).expect("decodes");
     assert!(Engine::restore(layered(), snap).is_err());
+
+    // The same checkpoint under the version-1 kernel's signature for
+    // this channel (the plain `powf` kernel, before square roots) is
+    // refused too: its bits differ from the current kernel's.
+    let current = stormy_channel(1, 8).channel_signature();
+    let version_1: u64 = 15_156_646_943_768_219_932;
+    assert_ne!(current, version_1);
+    let at = bytes
+        .windows(8)
+        .position(|w| w == current.to_le_bytes())
+        .expect("the checkpoint records the channel signature");
+    let mut old_kernel = bytes.clone();
+    old_kernel[at..at + 8].copy_from_slice(&version_1.to_le_bytes());
+    let snap: Checkpoint<Gossiper> = Checkpoint::from_bytes(&old_kernel).expect("decodes");
+    assert_eq!(snap.channel_signature(), version_1);
+    let err = Engine::restore(stormy_channel(1, 8), snap).unwrap_err();
+    assert!(matches!(err, EngineError::ChannelMismatch { .. }), "{err}");
 }
 
 #[test]
@@ -417,4 +435,60 @@ proptest! {
         prop_assert_eq!(full.trace_hash(), resumed.trace_hash(), "split {}", split);
         prop_assert_eq!(full.stats(), resumed.stats());
     }
+}
+
+/// With timers compiled in, a storm-shaped run (a 12 × 12 grid at
+/// α = 2.5 under every layer) times its reach windows and its row
+/// builds inside the channel, and the two spans are disjoint and nest
+/// inside the engine's `resolve`: both are non-zero and their sum is at
+/// most `resolve`'s.
+#[cfg(feature = "telemetry-timing")]
+#[test]
+fn reach_window_and_row_build_are_disjoint_inside_resolve() {
+    use decay_core::telemetry::Timer;
+    let side = 12;
+    let pts: Vec<Point> = (0..side * side)
+        .map(|i| ((i % side) as f64, (i / side) as f64))
+        .collect();
+    let field = pts.clone();
+    let base = LazyBackend::from_fn(pts.len(), move |i, j| {
+        distance(field[i], field[j]).powf(2.5)
+    });
+    let channel = TemporalChannel::new(base, pts.clone(), 2.5, 2).with_geometric_hints();
+    let behaviors = pts.iter().map(|_| Gossiper { heard: 0 }).collect();
+    let config = EngineConfig {
+        reach_decay: Some(36.0),
+        top_k: Some(5),
+        record_trace: false,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(
+        TemporalAdapter::new(storm_layers(channel, 3)),
+        behaviors,
+        SinrParams::default(),
+        config,
+        11,
+    )
+    .expect("engine builds");
+    engine.run_until(200);
+    let channel = engine
+        .backend()
+        .telemetry()
+        .expect("a temporal backend keeps a sink")
+        .snapshot();
+    let ns = |timer| channel.timer_ns(timer).expect("timing is compiled in");
+    let (window, rows) = (ns(Timer::ReachWindow), ns(Timer::RowBuild));
+    let resolve = engine
+        .telemetry()
+        .snapshot()
+        .timer_ns(Timer::Resolve)
+        .expect("timing is compiled in");
+    assert!(
+        window > 0 && rows > 0,
+        "reach_window {window}, row_build {rows}"
+    );
+    assert!(
+        window + rows <= resolve,
+        "reach_window {window} + row_build {rows} > resolve {resolve}"
+    );
 }

@@ -124,13 +124,15 @@ pub enum Timer {
     Dispatch,
     /// SINR resolution rounds.
     Resolve,
-    /// Temporal decay-row builds.
+    /// Temporal decay-row builds: the closed form over a reach row's
+    /// survivors, or a full row where the channel has no reach row.
     RowBuild,
     /// Temporal epoch solves: the per-block recompute of mobility
     /// positions, shadowing field values and reach scales.
     EpochSolve,
-    /// Temporal reach windows: the base's hint query plus the per-pair
-    /// prune, after the epoch solve.
+    /// Temporal reach windows: the base's hint query plus the coarse
+    /// and bucket passes over it, after the epoch solve and before the
+    /// row build.
     ReachWindow,
 }
 
