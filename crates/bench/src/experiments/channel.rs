@@ -122,6 +122,7 @@ pub fn e38_channel_throughput() -> Table {
             "deterministic",
         ],
     );
+    t.mark_wall_clock("events/s");
     // Sized for the debug-mode smoke test; the `engine_bench` bin
     // measures the same workload at 10k nodes in release mode.
     let n = 2_000;

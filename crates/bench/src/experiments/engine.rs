@@ -50,6 +50,7 @@ pub fn e36_event_engine() -> Table {
             "deterministic",
         ],
     );
+    t.mark_wall_clock("events/s");
     let params = SinrParams::default();
 
     // Small instance: both substrates complete the same broadcast task.

@@ -18,6 +18,9 @@ pub struct Table {
     /// One-line verdict filled by the experiment, e.g.
     /// `"holds on all 12 instances"`.
     pub verdict: String,
+    /// Indices of the columns that hold wall-clock measurements (see
+    /// [`Table::mark_wall_clock`]).
+    pub wall_clock: Vec<usize>,
 }
 
 impl Table {
@@ -35,6 +38,42 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             verdict: String::new(),
+            wall_clock: Vec::new(),
+        }
+    }
+
+    /// Marks the column headed `header` as a wall-clock measurement: the
+    /// one kind of cell that differs between two runs of the same code.
+    /// [`Table::without_wall_clock`] drops it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no column is headed `header`.
+    pub fn mark_wall_clock(&mut self, header: &str) {
+        let col = self
+            .headers
+            .iter()
+            .position(|h| h == header)
+            .unwrap_or_else(|| panic!("table {} has no column {header:?}", self.id));
+        self.wall_clock.push(col);
+    }
+
+    /// The table without its wall-clock columns: a pure function of the
+    /// code and its seeds, which the registry golden pins.
+    pub fn without_wall_clock(&self) -> Table {
+        let keep = |cells: &[String]| -> Vec<String> {
+            cells
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !self.wall_clock.contains(i))
+                .map(|(_, c)| c.clone())
+                .collect()
+        };
+        Table {
+            headers: keep(&self.headers),
+            rows: self.rows.iter().map(|r| keep(r)).collect(),
+            wall_clock: Vec::new(),
+            ..self.clone()
         }
     }
 
@@ -168,6 +207,16 @@ mod tests {
         assert!(s.contains("verdict: holds"));
         let csv = t.to_csv();
         assert_eq!(csv, "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn wall_clock_columns_are_dropped() {
+        let mut t = Table::new("E0", "demo", "c", &["a", "rate", "b"]);
+        t.push_row(vec!["1".into(), "123456".into(), "2".into()]);
+        t.mark_wall_clock("rate");
+        let stable = t.without_wall_clock();
+        assert_eq!(stable.to_csv(), "a,b\n1,2\n");
+        assert!(stable.wall_clock.is_empty());
     }
 
     #[test]
