@@ -41,6 +41,8 @@ mod event_contention;
 mod multimsg;
 mod queueing;
 mod regret;
+#[cfg(test)]
+mod substrate_check;
 
 pub use adversarial::{
     adversarial_regret_game, AdversarialConfig, AdversarialOutcome, AvailabilityModel, JammingModel,

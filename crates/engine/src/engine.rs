@@ -39,7 +39,7 @@ use crate::rng::EngineRng;
 
 /// Reserved RNG stream ids; per-node streams start after these.
 const STREAM_CHURN: u64 = 0;
-const STREAM_FADING: u64 = 1;
+pub(crate) const STREAM_FADING: u64 = 1;
 const STREAM_JITTER: u64 = 2;
 const STREAM_JAM: u64 = 3;
 const STREAM_NODE_BASE: u64 = 4;

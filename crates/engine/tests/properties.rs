@@ -315,16 +315,14 @@ fn slot_adapter_runs_netsim_behaviors() {
 
     let n = 6;
     let behaviors = (0..n)
-        .map(|_| {
-            SlotAdapter::new(Aloha {
-                p: 0.3,
-                received: Vec::new(),
-                acks: 0,
-            })
+        .map(|_| Aloha {
+            p: 0.3,
+            received: Vec::new(),
+            acks: 0,
         })
         .collect();
-    let mut engine = Engine::new(
-        line_backend(n),
+    let mut engine = SlotAdapter::engine(
+        line_backend(n).space().clone(),
         behaviors,
         SinrParams::default(),
         EngineConfig::default(),

@@ -8,9 +8,10 @@
 
 use std::collections::BTreeSet;
 
+use decay_core::DecaySpace;
 use decay_core::NodeId;
-use decay_engine::{DenseBackend, Engine, EngineConfig, SlotAdapter};
-use decay_netsim::{Action, FaultPlan, NodeBehavior, Simulator, SlotContext};
+use decay_engine::{EngineConfig, SlotAdapter, Tick};
+use decay_netsim::{Action, FaultPlan, NodeBehavior, ReceptionModel, Simulator, SlotContext};
 use decay_scenario::TopologySpec;
 use decay_sinr::SinrParams;
 
@@ -72,14 +73,12 @@ fn slot_adapter_matches_native_simulator_on_1k_nodes() {
     }
 
     // The same behaviors, unmodified, through the engine's SlotAdapter.
-    let behaviors: Vec<SlotAdapter<Lockstep>> =
-        (0..1000).map(|_| SlotAdapter::new(Lockstep)).collect();
     let config = EngineConfig {
         faults,
         record_trace: true,
         ..EngineConfig::default()
     };
-    let mut engine = Engine::new(DenseBackend::new(space), behaviors, params, config, 1).unwrap();
+    let mut engine = SlotAdapter::engine(space, vec![Lockstep; 1000], params, config, 1).unwrap();
     engine.run_until(SLOTS as u64 - 1);
     let mut adapted: Vec<DeliverySet> = vec![DeliverySet::new(); SLOTS];
     for record in engine.trace() {
@@ -111,4 +110,101 @@ fn slot_adapter_matches_native_simulator_on_1k_nodes() {
         .filter(|&&(from, _, _)| from == 17)
         .count();
     assert_eq!(from_17_after_crash, 0);
+}
+
+/// Runs `slots` slots natively and on the slot engine and asserts equal
+/// per-slot transmitter counts and delivery sets; returns the deliveries.
+fn assert_substrates_agree<B: NodeBehavior>(
+    space: &DecaySpace,
+    make: impl Fn() -> Vec<B>,
+    params: SinrParams,
+    reception: ReceptionModel,
+    faults: &FaultPlan,
+    seed: u64,
+    slots: usize,
+) -> usize {
+    let mut sim = Simulator::new(space.clone(), make(), params, seed).unwrap();
+    sim.set_reception_model(reception);
+    sim.set_fault_plan(faults.clone());
+    let config = EngineConfig {
+        reception,
+        faults: faults.clone(),
+        record_trace: true,
+        ..EngineConfig::default()
+    };
+    let mut engine = SlotAdapter::engine(space.clone(), make(), params, config, seed).unwrap();
+    let mut total = 0;
+    for slot in 0..slots {
+        let report = sim.step();
+        let before = engine.stats().transmissions;
+        engine.run_until(slot as Tick);
+        let sent = engine.stats().transmissions - before;
+        assert_eq!(sent as usize, report.transmitters.len(), "slot {slot}");
+        let mut native: Vec<_> = report
+            .deliveries
+            .iter()
+            .map(|d| (d.from.index(), d.to.index(), d.message))
+            .collect();
+        let mut adapted: Vec<_> = engine
+            .drain_trace()
+            .iter()
+            .map(|d| (d.from.index(), d.to.index(), d.message))
+            .collect();
+        native.sort_unstable();
+        adapted.sort_unstable();
+        assert_eq!(native, adapted, "slot {slot}");
+        total += native.len();
+    }
+    total
+}
+
+/// E30's behavior: nodes 0 and 2 always transmit, node 1 listens.
+struct ProbePair;
+
+impl NodeBehavior for ProbePair {
+    fn on_slot(&mut self, ctx: &mut SlotContext<'_>) -> Action {
+        match ctx.node.index() {
+            0 | 2 => Action::Transmit {
+                power: 1.0,
+                message: ctx.node.index() as u64,
+            },
+            _ => Action::Listen,
+        }
+    }
+}
+
+#[test]
+fn probe_pair_matches_at_every_e30_margin() {
+    for &d in &[0.5, 0.707, 0.9, 1.0, 1.12, 1.41, 2.0] {
+        let pos = [(0.0, 0.0), (1.0, 0.0), (1.0 + d, 0.0)];
+        let space = decay_spaces::geometric_space(&pos, 2.0).unwrap();
+        for model in [ReceptionModel::Threshold, ReceptionModel::Rayleigh] {
+            let make = || (0..3).map(|_| ProbePair).collect::<Vec<_>>();
+            let params = SinrParams::default();
+            assert_substrates_agree(&space, make, params, model, &FaultPlan::none(), 9, 3000);
+        }
+    }
+}
+
+#[test]
+fn rayleigh_lockstep_matches_with_a_crash() {
+    let space = TopologySpec::Random {
+        n: 300,
+        size: 30.0,
+        alpha: 2.5,
+        seed: 42,
+    }
+    .dense_space();
+    let faults = FaultPlan::none().with_crash(NodeId::new(17), 20);
+    let params = SinrParams::new(1.0, 0.01).unwrap();
+    let seen = assert_substrates_agree(
+        &space,
+        || vec![Lockstep; 300],
+        params,
+        ReceptionModel::Rayleigh,
+        &faults,
+        3,
+        60,
+    );
+    assert!(seen > 100, "{seen}");
 }
