@@ -1,6 +1,6 @@
 //! The discrete-event engine experiment (E36): scaling, determinism, and
-//! checkpoint fidelity of `decay-engine` versus the slot-synchronous
-//! simulator.
+//! checkpoint fidelity of native event protocols next to a slot protocol
+//! run at lockstep cost.
 
 use std::time::Instant;
 
@@ -28,9 +28,10 @@ fn lazy_line(n: usize) -> LazyBackend {
     })
 }
 
-/// E36 — the event engine: same protocol as the slot simulator at small
-/// n, then scaling to node counts the dense simulator cannot represent,
-/// with churn and a verified mid-run checkpoint.
+/// E36 — the event engine: the slot broadcast protocol (a netsim
+/// behavior) at small n, then the native event protocol at node counts a
+/// dense matrix cannot represent, with churn and a verified mid-run
+/// checkpoint.
 pub fn e36_event_engine() -> Table {
     let mut t = Table::new(
         "E36",
@@ -53,7 +54,8 @@ pub fn e36_event_engine() -> Table {
     t.mark_wall_clock("events/s");
     let params = SinrParams::default();
 
-    // Small instance: both substrates complete the same broadcast task.
+    // Small instance: the slot and the event protocol complete the same
+    // broadcast task.
     let pts = line_points(48, 1.0);
     let space = geometric_space(&pts, 2.0).expect("distinct points");
     let slot_report = run_local_broadcast(

@@ -18,9 +18,10 @@ use decay_distributed::{
     BroadcastConfig, ColoringConfig, ContentionConfig, ContentionStrategy, JammingModel,
     MultiBroadcastConfig,
 };
+use decay_engine::{EngineConfig, SlotAdapter, Tick};
 use decay_netsim::{
     compare_decays, infer_decay_from_prr, run_probe_campaign, Action, FaultPlan, NodeBehavior,
-    ReceptionModel, Simulator, SlotContext,
+    ReceptionModel, SlotContext,
 };
 use decay_sinr::{inductive_independence, sample_feasible_sets, ConflictGraph, LinkId, SinrParams};
 use decay_spaces::geometric_space;
@@ -541,18 +542,20 @@ pub fn e30_reception_thresholding() -> Table {
         let closed = 1.0 / (1.0 + 1.0 / (d * d));
         let run = |model: ReceptionModel| -> f64 {
             let behaviors = (0..3).map(|_| ProbePair).collect();
-            let mut sim = Simulator::new(space.clone(), behaviors, SinrParams::default(), 9)
-                .expect("3 behaviors for 3 nodes");
-            sim.set_reception_model(model);
-            let mut captures = 0usize;
-            for _ in 0..slots {
-                let r = sim.step();
-                captures += r
-                    .deliveries
-                    .iter()
-                    .filter(|dv| dv.from == NodeId::new(0) && dv.to == NodeId::new(1))
-                    .count();
-            }
+            let config = EngineConfig {
+                reception: model,
+                record_trace: true,
+                ..EngineConfig::default()
+            };
+            let mut engine =
+                SlotAdapter::engine(space.clone(), behaviors, SinrParams::default(), config, 9)
+                    .expect("3 behaviors for 3 nodes");
+            engine.run_until(slots as Tick - 1);
+            let captures = engine
+                .trace()
+                .iter()
+                .filter(|dv| dv.from == NodeId::new(0) && dv.to == NodeId::new(1))
+                .count();
             captures as f64 / slots as f64
         };
         let prr_threshold = run(ReceptionModel::Threshold);

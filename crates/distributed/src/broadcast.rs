@@ -8,7 +8,8 @@
 //! round complexity is governed by the fading parameter `γ` of the space.
 
 use decay_core::DecaySpace;
-use decay_netsim::{Action, NodeBehavior, ReceptionModel, Simulator, SlotContext};
+use decay_engine::{EngineConfig, SlotAdapter, Tick};
+use decay_netsim::{Action, NodeBehavior, ReceptionModel, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
 
@@ -139,15 +140,25 @@ pub fn run_local_broadcast(
         };
         n
     ];
-    let mut sim = Simulator::new(space.clone(), behaviors, *params, config.seed)
-        .expect("behavior count matches");
-    sim.set_reception_model(config.reception);
+    let engine_config = EngineConfig {
+        reception: config.reception,
+        record_trace: true,
+        ..EngineConfig::default()
+    };
+    let mut engine = SlotAdapter::engine(
+        space.clone(),
+        behaviors,
+        *params,
+        engine_config,
+        config.seed,
+    )
+    .expect("behavior count matches");
     let mut delivered = vec![false; n * n];
     let mut remaining = required_count;
     let mut completed_in = None;
     for slot in 0..config.max_slots {
-        let report = sim.step();
-        for d in &report.deliveries {
+        engine.run_until(slot as Tick);
+        for d in engine.drain_trace() {
             let idx = d.from.index() * n + d.to.index();
             if required[idx] && !delivered[idx] {
                 delivered[idx] = true;
@@ -175,55 +186,6 @@ pub fn run_local_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decay_netsim::{FaultPlan, ReceptionModel};
-
-    /// Spaces and parameters for the one-time substrate comparison.
-    fn substrate_cases() -> Vec<(DecaySpace, SinrParams, ReceptionModel, FaultPlan, u64)> {
-        use decay_core::NodeId;
-        let line = |n: usize, a: f64| {
-            DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(a)).unwrap()
-        };
-        let noisy = SinrParams::new(1.0, 0.01).unwrap();
-        let faults = FaultPlan::none()
-            .with_outage(NodeId::new(3), 5, 40)
-            .with_crash(NodeId::new(7), 60);
-        let crash = FaultPlan::none().with_crash(NodeId::new(7), 60);
-        let mut cases = Vec::new();
-        for seed in 0..4 {
-            for model in [ReceptionModel::Threshold, ReceptionModel::Rayleigh] {
-                cases.push((
-                    line(24, 2.0),
-                    SinrParams::default(),
-                    model,
-                    FaultPlan::none(),
-                    seed,
-                ));
-                cases.push((line(20, 3.0), noisy, model, FaultPlan::none(), seed));
-                // A node back from an outage transmits first in its
-                // tick on the engine, which reorders Rayleigh fade draws;
-                // crashes never re-wake.
-                let plan = match model {
-                    ReceptionModel::Threshold => faults.clone(),
-                    ReceptionModel::Rayleigh => crash.clone(),
-                };
-                cases.push((line(16, 2.5), noisy, model, plan, seed));
-            }
-        }
-        cases
-    }
-
-    #[test]
-    fn substrates_agree() {
-        let mut seen = 0;
-        for (space, params, model, faults, seed) in substrate_cases() {
-            let make = || vec![Broadcaster { p: 0.1, power: 1.0 }; space.len()];
-            seen += crate::substrate_check::assert_substrates_agree(
-                &space, make, params, model, &faults, seed, 300,
-            );
-        }
-        assert!(seen > 1000, "{seen}");
-    }
-
     fn line(n: usize, alpha: f64) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(alpha)).unwrap()
     }

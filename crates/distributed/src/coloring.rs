@@ -22,7 +22,8 @@
 //! Experiment E27 measures rounds and colors against `Δ + 1`.
 
 use decay_core::{DecaySpace, NodeId};
-use decay_netsim::{Action, NodeBehavior, Simulator, SlotContext};
+use decay_engine::{Engine, EngineConfig, SlotAdapter, Tick};
+use decay_netsim::{Action, NodeBehavior, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
 
@@ -184,15 +185,28 @@ pub fn run_coloring(
             rank: i,
         })
         .collect();
-    let mut sim = Simulator::new(space.clone(), behaviors, *params, config.seed)
-        .expect("behavior count matches node count");
-    let adj_check = adj.clone();
-    let (slots, completed) = sim.run_until(config.max_slots, |_, sim| {
-        let colors: Vec<Option<usize>> =
-            (0..n).map(|i| sim.behavior(NodeId::new(i)).color).collect();
-        is_proper_coloring(&adj_check, &colors)
-    });
-    let colors: Vec<Option<usize>> = (0..n).map(|i| sim.behavior(NodeId::new(i)).color).collect();
+    let mut engine = SlotAdapter::engine(
+        space.clone(),
+        behaviors,
+        *params,
+        EngineConfig::default(),
+        config.seed,
+    )
+    .expect("behavior count matches node count");
+    let colors_of = |engine: &Engine<SlotAdapter<ColoringNode>>| -> Vec<Option<usize>> {
+        (0..n)
+            .map(|i| engine.behavior(NodeId::new(i)).inner().color)
+            .collect()
+    };
+    let (mut slots, mut completed) = (config.max_slots, false);
+    for slot in 0..config.max_slots {
+        engine.run_until(slot as Tick);
+        if is_proper_coloring(&adj, &colors_of(&engine)) {
+            (slots, completed) = (slot + 1, true);
+            break;
+        }
+    }
+    let colors = colors_of(&engine);
     let mut used: Vec<usize> = colors.iter().flatten().copied().collect();
     used.sort_unstable();
     used.dedup();
@@ -208,66 +222,6 @@ pub fn run_coloring(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decay_netsim::{FaultPlan, ReceptionModel};
-
-    /// Spaces and parameters for the one-time substrate comparison.
-    fn substrate_cases() -> Vec<(DecaySpace, SinrParams, ReceptionModel, FaultPlan, u64)> {
-        use decay_core::NodeId;
-        let line = |n: usize, a: f64| {
-            DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(a)).unwrap()
-        };
-        let noisy = SinrParams::new(1.0, 0.01).unwrap();
-        let faults = FaultPlan::none()
-            .with_outage(NodeId::new(3), 5, 40)
-            .with_crash(NodeId::new(7), 60);
-        let crash = FaultPlan::none().with_crash(NodeId::new(7), 60);
-        let mut cases = Vec::new();
-        for seed in 0..4 {
-            for model in [ReceptionModel::Threshold, ReceptionModel::Rayleigh] {
-                cases.push((
-                    line(24, 2.0),
-                    SinrParams::default(),
-                    model,
-                    FaultPlan::none(),
-                    seed,
-                ));
-                cases.push((line(20, 3.0), noisy, model, FaultPlan::none(), seed));
-                // A node back from an outage transmits first in its
-                // tick on the engine, which reorders Rayleigh fade draws;
-                // crashes never re-wake.
-                let plan = match model {
-                    ReceptionModel::Threshold => faults.clone(),
-                    ReceptionModel::Rayleigh => crash.clone(),
-                };
-                cases.push((line(16, 2.5), noisy, model, plan, seed));
-            }
-        }
-        cases
-    }
-
-    #[test]
-    fn substrates_agree() {
-        let mut seen = 0;
-        for (space, params, model, faults, seed) in substrate_cases() {
-            let make = || {
-                (0..space.len())
-                    .map(|i| ColoringNode {
-                        color: None,
-                        taken: Vec::new(),
-                        p_send: 0.15,
-                        power: 1.0,
-                        f_max: 4.0,
-                        rank: i,
-                    })
-                    .collect::<Vec<_>>()
-            };
-            seen += crate::substrate_check::assert_substrates_agree(
-                &space, make, params, model, &faults, seed, 300,
-            );
-        }
-        assert!(seen > 1000, "{seen}");
-    }
-
     fn line(n: usize, spacing: f64) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| {
             ((i as f64) - (j as f64)).abs().powi(2) * spacing * spacing

@@ -11,7 +11,8 @@
 //! late candidates can still hear them.
 
 use decay_core::{DecaySpace, NodeId};
-use decay_netsim::{Action, NodeBehavior, Simulator, SlotContext};
+use decay_engine::{Engine, EngineConfig, SlotAdapter, Tick};
+use decay_netsim::{Action, NodeBehavior, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
 
@@ -143,12 +144,21 @@ pub fn run_dominating_set(
         };
         n
     ];
-    let mut sim = Simulator::new(space.clone(), behaviors, *params, config.seed)
-        .expect("behavior count matches");
+    let mut engine = SlotAdapter::engine(
+        space.clone(),
+        behaviors,
+        *params,
+        EngineConfig::default(),
+        config.seed,
+    )
+    .expect("behavior count matches");
+    let role = |engine: &Engine<SlotAdapter<DominatingNode>>, i: usize| {
+        engine.behavior(NodeId::new(i)).inner().role
+    };
     let mut completed_in = None;
     for slot in 0..config.max_slots {
-        sim.step();
-        let done = (0..n).all(|i| sim.behavior(NodeId::new(i)).role != Role::Candidate);
+        engine.run_until(slot as Tick);
+        let done = (0..n).all(|i| role(&engine, i) != Role::Candidate);
         if done {
             completed_in = Some(slot + 1);
             break;
@@ -156,11 +166,11 @@ pub fn run_dominating_set(
     }
     // Any leftover candidates dominate themselves (budget exhaustion).
     let dominators: Vec<NodeId> = (0..n)
-        .filter(|&i| sim.behavior(NodeId::new(i)).role != Role::Dominated)
+        .filter(|&i| role(&engine, i) != Role::Dominated)
         .map(NodeId::new)
         .collect();
     let valid = (0..n).all(|i| {
-        sim.behavior(NodeId::new(i)).role != Role::Dominated
+        role(&engine, i) != Role::Dominated
             || dominators
                 .iter()
                 .any(|&u| space.decay(u, NodeId::new(i)) <= config.neighborhood_decay)
@@ -201,65 +211,6 @@ pub fn greedy_dominating_set(space: &DecaySpace, f_max: f64) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decay_netsim::{FaultPlan, ReceptionModel};
-
-    /// Spaces and parameters for the one-time substrate comparison.
-    fn substrate_cases() -> Vec<(DecaySpace, SinrParams, ReceptionModel, FaultPlan, u64)> {
-        use decay_core::NodeId;
-        let line = |n: usize, a: f64| {
-            DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(a)).unwrap()
-        };
-        let noisy = SinrParams::new(1.0, 0.01).unwrap();
-        let faults = FaultPlan::none()
-            .with_outage(NodeId::new(3), 5, 40)
-            .with_crash(NodeId::new(7), 60);
-        let crash = FaultPlan::none().with_crash(NodeId::new(7), 60);
-        let mut cases = Vec::new();
-        for seed in 0..4 {
-            for model in [ReceptionModel::Threshold, ReceptionModel::Rayleigh] {
-                cases.push((
-                    line(24, 2.0),
-                    SinrParams::default(),
-                    model,
-                    FaultPlan::none(),
-                    seed,
-                ));
-                cases.push((line(20, 3.0), noisy, model, FaultPlan::none(), seed));
-                // A node back from an outage transmits first in its
-                // tick on the engine, which reorders Rayleigh fade draws;
-                // crashes never re-wake.
-                let plan = match model {
-                    ReceptionModel::Threshold => faults.clone(),
-                    ReceptionModel::Rayleigh => crash.clone(),
-                };
-                cases.push((line(16, 2.5), noisy, model, plan, seed));
-            }
-        }
-        cases
-    }
-
-    #[test]
-    fn substrates_agree() {
-        let mut seen = 0;
-        for (space, params, model, faults, seed) in substrate_cases() {
-            let make = || {
-                vec![
-                    DominatingNode {
-                        role: Role::Candidate,
-                        p: 0.1,
-                        power: 1.0,
-                        min_rssi: 1.0 / 4.0,
-                    };
-                    space.len()
-                ]
-            };
-            seen += crate::substrate_check::assert_substrates_agree(
-                &space, make, params, model, &faults, seed, 300,
-            );
-        }
-        assert!(seen > 100, "{seen}");
-    }
-
     fn line(n: usize, alpha: f64) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(alpha)).unwrap()
     }

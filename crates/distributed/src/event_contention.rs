@@ -9,7 +9,7 @@
 //! reception resolution: an attempt succeeds when the link's receiver
 //! actually captures the transmission under SINR. Backoff senders
 //! recover multiplicatively over the *elapsed* ticks since their last
-//! attempt, the event-driven equivalent of the slot simulator's per-slot
+//! attempt, the event-driven equivalent of the slot protocol's per-slot
 //! recovery.
 
 use decay_core::{DecaySpace, NodeId};

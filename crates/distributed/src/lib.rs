@@ -25,8 +25,9 @@
 //!   backends with churn, latency, jamming and checkpointing.
 //!
 //! All are deterministic in their seeds and run on
-//! [`decay_netsim::Simulator`], [`decay_engine::Engine`], or directly on
-//! affectance matrices.
+//! [`decay_engine::Engine`] (the slot protocols through
+//! [`decay_engine::SlotAdapter::engine`]) or directly on affectance
+//! matrices.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,8 +42,6 @@ mod event_contention;
 mod multimsg;
 mod queueing;
 mod regret;
-#[cfg(test)]
-mod substrate_check;
 
 pub use adversarial::{
     adversarial_regret_game, AdversarialConfig, AdversarialOutcome, AvailabilityModel, JammingModel,

@@ -16,7 +16,8 @@
 //! measures completion slots against `n`, `k`, and the space.
 
 use decay_core::{DecaySpace, NodeId};
-use decay_netsim::{Action, FaultPlan, NodeBehavior, Simulator, SlotContext};
+use decay_engine::{Engine, EngineConfig, SlotAdapter, Tick};
+use decay_netsim::{Action, FaultPlan, NodeBehavior, SlotContext};
 use decay_sinr::SinrParams;
 use rand::Rng;
 
@@ -173,21 +174,36 @@ pub fn run_multi_broadcast_with_faults(
             }
         })
         .collect();
-    let mut sim = Simulator::new(space.clone(), behaviors, *params, config.seed)
-        .expect("behavior count matches node count");
-    sim.set_fault_plan(faults.clone());
+    let engine_config = EngineConfig {
+        faults: faults.clone(),
+        ..EngineConfig::default()
+    };
+    let mut engine = SlotAdapter::engine(
+        space.clone(),
+        behaviors,
+        *params,
+        engine_config,
+        config.seed,
+    )
+    .expect("behavior count matches node count");
     let alive: Vec<bool> = (0..n)
         .map(|i| !faults.is_down(NodeId::new(i), config.max_slots))
         .collect();
-    let (slots, completed) = sim.run_until(config.max_slots, |_, sim| {
-        (0..n).all(|i| !alive[i] || sim.behavior(NodeId::new(i)).known == full)
-    });
+    fn gossip(engine: &Engine<SlotAdapter<Gossip>>, i: usize) -> &Gossip {
+        engine.behavior(NodeId::new(i)).inner()
+    }
+    let (mut slots, mut completed) = (config.max_slots, false);
+    for slot in 0..config.max_slots {
+        engine.run_until(slot as Tick);
+        if (0..n).all(|i| !alive[i] || gossip(&engine, i).known == full) {
+            (slots, completed) = (slot + 1, true);
+            break;
+        }
+    }
     MultiBroadcastReport {
         completed,
         slots,
-        known_counts: (0..n)
-            .map(|i| sim.behavior(NodeId::new(i)).known_count())
-            .collect(),
+        known_counts: (0..n).map(|i| gossip(&engine, i).known_count()).collect(),
         messages: k,
     }
 }
@@ -195,69 +211,6 @@ pub fn run_multi_broadcast_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decay_netsim::{FaultPlan, ReceptionModel};
-
-    /// Spaces and parameters for the one-time substrate comparison.
-    fn substrate_cases() -> Vec<(DecaySpace, SinrParams, ReceptionModel, FaultPlan, u64)> {
-        use decay_core::NodeId;
-        let line = |n: usize, a: f64| {
-            DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(a)).unwrap()
-        };
-        let noisy = SinrParams::new(1.0, 0.01).unwrap();
-        let faults = FaultPlan::none()
-            .with_outage(NodeId::new(3), 5, 40)
-            .with_crash(NodeId::new(7), 60);
-        let crash = FaultPlan::none().with_crash(NodeId::new(7), 60);
-        let mut cases = Vec::new();
-        for seed in 0..4 {
-            for model in [ReceptionModel::Threshold, ReceptionModel::Rayleigh] {
-                cases.push((
-                    line(24, 2.0),
-                    SinrParams::default(),
-                    model,
-                    FaultPlan::none(),
-                    seed,
-                ));
-                cases.push((line(20, 3.0), noisy, model, FaultPlan::none(), seed));
-                // A node back from an outage transmits first in its
-                // tick on the engine, which reorders Rayleigh fade draws;
-                // crashes never re-wake.
-                let plan = match model {
-                    ReceptionModel::Threshold => faults.clone(),
-                    ReceptionModel::Rayleigh => crash.clone(),
-                };
-                cases.push((line(16, 2.5), noisy, model, plan, seed));
-            }
-        }
-        cases
-    }
-
-    #[test]
-    fn substrates_agree() {
-        let mut seen = 0;
-        for (space, params, model, faults, seed) in substrate_cases() {
-            let make = || {
-                (0..space.len())
-                    .map(|i| Gossip {
-                        known: if i == 0 {
-                            1
-                        } else if i == space.len() - 1 {
-                            2
-                        } else {
-                            0
-                        },
-                        p_send: 0.1,
-                        power: 1.0,
-                    })
-                    .collect::<Vec<_>>()
-            };
-            seen += crate::substrate_check::assert_substrates_agree(
-                &space, make, params, model, &faults, seed, 300,
-            );
-        }
-        assert!(seen > 1000, "{seen}");
-    }
-
     fn line(n: usize) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powi(2)).unwrap()
     }

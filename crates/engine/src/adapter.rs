@@ -15,7 +15,9 @@
 //! here, in one place. Node `i` draws its slot decisions from its
 //! adapter's own stream, seeded `seed ^ i·φ`, and the engine's fading
 //! stream is seeded `seed ^ FADING_SALT`. Slot runs use no churn,
-//! jitter or jamming streams.
+//! jitter or jamming streams. Ticks go in id order, except that a node
+//! back from an outage of two slots or more transmits first in its tick:
+//! its wake was re-queued when the outage began.
 
 use decay_core::{DecaySpace, NodeId};
 use decay_netsim::{Action, NodeBehavior, SlotContext};

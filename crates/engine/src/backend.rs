@@ -1,11 +1,10 @@
 //! Decay-space storage backends.
 //!
-//! The slot-synchronous simulator in `decay-netsim` owns a
-//! [`DecaySpace`] — a dense row-major `n × n` matrix, which caps
+//! A [`DecaySpace`] is a dense row-major `n × n` matrix, which caps
 //! experiments at a few thousand nodes (a million-node space would need
 //! 8 TB). The engine instead talks to a [`DecayBackend`]: dense for
-//! small spaces (a stored matrix), [`LazyBackend`] (a formula evaluated
-//! on demand, zero storage) for large ones.
+//! small spaces (a stored matrix, as slot runs use), [`LazyBackend`] (a
+//! formula evaluated on demand, zero storage) for large ones.
 //!
 //! Backends also answer the *reachability* query that makes event-driven
 //! reception resolution cheap: [`DecayBackend::reach_at`] enumerates the

@@ -100,7 +100,7 @@ impl NodeCtx<'_> {
     }
 
     /// Turns the radio on: the node becomes a standing reception
-    /// candidate until it sleeps or goes down. Unlike the slot simulator
+    /// candidate until it sleeps or goes down. Unlike a slot protocol
     /// there is no per-slot listen decision — listening is a mode, which
     /// is what lets idle listeners cost nothing.
     pub fn listen(&mut self) {
@@ -168,7 +168,7 @@ pub trait EventBehavior {
     /// transmitted, with the listeners that captured the transmission
     /// (deliveries are *scheduled* for them; latency may still delay, and
     /// churn may still drop, the actual arrival). An acknowledgment-style
-    /// oracle, as in the slot simulator.
+    /// oracle, as for slot protocols.
     fn on_transmit_result(&mut self, ctx: &mut NodeCtx<'_>, receivers: &[NodeId]) {
         let _ = (ctx, receivers);
     }
@@ -257,7 +257,7 @@ pub struct EngineConfig {
     /// only its `k` strongest concurrent signals; weaker interferers are
     /// dropped. `None` sums all concurrent transmissions (exact).
     pub top_k: Option<usize>,
-    /// Reception model, shared with the slot simulator.
+    /// Reception model.
     pub reception: ReceptionModel,
     /// Delivery latency model.
     pub latency: LatencyModel,
@@ -1567,8 +1567,8 @@ impl<B: EventBehavior> Engine<B> {
                 let (_, power, _) = txs[k];
                 let fade = match self.config.reception {
                     ReceptionModel::Threshold => 1.0,
-                    // Unit-mean exponential via inverse CDF, as in the
-                    // slot simulator.
+                    // Unit-mean exponential via inverse CDF; `gen` draws
+                    // from [0, 1), so `1 - u` is in (0, 1].
                     ReceptionModel::Rayleigh => -(1.0 - self.fading_rng.gen::<f64>()).ln(),
                 };
                 rx.push((k, fade * power / decay));
@@ -1582,7 +1582,7 @@ impl<B: EventBehavior> Engine<B> {
                     rx.truncate(keep);
                 }
             }
-            // First strict maximum wins ties, as in the slot simulator.
+            // First strict maximum wins ties.
             let (mut best_k, mut best_p) = rx[0];
             let mut total = 0.0;
             for &(k, p) in &rx {

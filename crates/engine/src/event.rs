@@ -18,9 +18,8 @@ use decay_core::NodeId;
 
 use crate::codec::{Codec, CodecError};
 
-/// Simulation time, in discrete ticks. A tick plays the role of a slot in
-/// the slot-synchronous simulator: transmissions within one tick contend
-/// with each other under SINR.
+/// Simulation time, in discrete ticks. A tick plays the role of a slot:
+/// transmissions within one tick contend with each other under SINR.
 pub type Tick = u64;
 
 /// What happens when an event fires.

@@ -1,15 +1,15 @@
 //! # decay-engine
 //!
 //! A deterministic discrete-event simulation engine for decay spaces —
-//! the scale-out execution substrate for the Section 3 program of
-//! *Beyond Geometry* (PODC 2014): distributed algorithms transfer
-//! unchanged to arbitrary decay spaces, so the simulator should scale to
-//! the spaces, not the other way around.
+//! the one execution substrate for the Section 3 program of *Beyond
+//! Geometry* (PODC 2014): distributed algorithms transfer unchanged to
+//! arbitrary decay spaces, so the simulator should scale to the spaces,
+//! not the other way around.
 //!
-//! The slot-synchronous [`decay_netsim::Simulator`] materializes a dense
-//! `O(n²)` decay matrix and steps *every* node *every* slot, capping
-//! realistic experiments at a few thousand nodes. This engine replaces
-//! both costs:
+//! A slot-synchronous run over a dense `O(n²)` decay matrix steps
+//! *every* node *every* slot, capping realistic experiments at a few
+//! thousand nodes. This engine removes both costs for protocols written
+//! against it, and still runs slot protocols at lockstep cost:
 //!
 //! * **Event queue over a tick clock** ([`Engine`]) — only nodes with a
 //!   scheduled event cost work; idle listeners are free.
@@ -31,8 +31,10 @@
 //!   grid-aligned re-tuning whose identity is folded into checkpoint
 //!   signatures), composed over one shared drive loop
 //!   ([`drive_probed`] / [`drive_until`]).
-//! * **Compatibility** ([`SlotAdapter`]) — every existing
-//!   [`decay_netsim::NodeBehavior`] protocol runs unmodified.
+//! * **Slot protocols** ([`SlotAdapter::engine`]) — every
+//!   [`decay_netsim::NodeBehavior`] protocol runs unmodified on a dense
+//!   backend, one slot per tick, with seeded per-node and fading
+//!   streams.
 //!
 //! # Quickstart
 //!

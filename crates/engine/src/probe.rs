@@ -478,7 +478,7 @@ impl WindowedPrr {
         transmitters.dedup();
         let deliveries_in_window = std::mem::take(&mut self.pending);
         self.tracker
-            .record_window(slot, &transmitters, &deliveries_in_window);
+            .record(slot, &transmitters, &deliveries_in_window);
         self.at_boundary = (stats.transmissions, stats.deliveries);
         self.next_boundary += self.window;
     }

@@ -6,9 +6,9 @@
 use decay_core::NodeId;
 use decay_engine::{
     Checkpoint, ChurnConfig, Codec, CodecError, DenseBackend, Engine, EngineConfig, EventBehavior,
-    JamSchedule, LatencyModel, LazyBackend, NodeCtx, SlotAdapter, Tick,
+    JamSchedule, LatencyModel, LazyBackend, NodeCtx, Tick,
 };
-use decay_netsim::{Action, FaultPlan, NodeBehavior, ReceptionModel, SlotContext};
+use decay_netsim::{FaultPlan, ReceptionModel};
 use decay_sinr::SinrParams;
 use proptest::prelude::*;
 use rand::Rng;
@@ -280,67 +280,6 @@ fn fault_plan_freezes_and_resumes_wakes() {
         .filter(|(t, _)| *t >= 30)
         .count();
     assert!(heard_after > 0, "node 0 never resumed after its outage");
-}
-
-/// The slot adapter runs unmodified `decay_netsim` behaviors with
-/// slot-equivalent semantics: transmitters never hear their own tick,
-/// listeners capture under SINR, acks arrive.
-#[test]
-fn slot_adapter_runs_netsim_behaviors() {
-    #[derive(Debug, Clone, PartialEq)]
-    struct Aloha {
-        p: f64,
-        received: Vec<(NodeId, u64)>,
-        acks: usize,
-    }
-
-    impl NodeBehavior for Aloha {
-        fn on_slot(&mut self, ctx: &mut SlotContext<'_>) -> Action {
-            if ctx.rng.gen_range(0.0..1.0) < self.p {
-                Action::Transmit {
-                    power: 1.0,
-                    message: ctx.node.index() as u64,
-                }
-            } else {
-                Action::Listen
-            }
-        }
-        fn on_receive(&mut self, from: NodeId, message: u64, _power: f64) {
-            self.received.push((from, message));
-        }
-        fn on_transmit_result(&mut self, receivers: usize) {
-            self.acks += receivers;
-        }
-    }
-
-    let n = 6;
-    let behaviors = (0..n)
-        .map(|_| Aloha {
-            p: 0.3,
-            received: Vec::new(),
-            acks: 0,
-        })
-        .collect();
-    let mut engine = SlotAdapter::engine(
-        line_backend(n).space().clone(),
-        behaviors,
-        SinrParams::default(),
-        EngineConfig::default(),
-        11,
-    )
-    .unwrap();
-    engine.run_until(200);
-    let stats = engine.stats();
-    assert!(stats.transmissions > 0);
-    assert!(stats.deliveries > 0);
-    let total_received: usize = (0..n)
-        .map(|i| engine.behavior(NodeId::new(i)).inner().received.len())
-        .sum();
-    let total_acks: usize = (0..n)
-        .map(|i| engine.behavior(NodeId::new(i)).inner().acks)
-        .sum();
-    assert_eq!(total_received as u64, stats.deliveries);
-    assert_eq!(total_acks as u64, stats.deliveries);
 }
 
 /// Lazy and dense backends over the same decay function produce the same

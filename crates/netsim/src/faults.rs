@@ -1,4 +1,4 @@
-//! Crash-fault injection for the simulator.
+//! Crash-fault injection for slot runs.
 //!
 //! A [`FaultPlan`] declares slot intervals during which given nodes are
 //! *down*: a down node neither transmits, listens, nor runs its behavior

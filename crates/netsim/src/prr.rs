@@ -15,7 +15,10 @@
 use decay_core::{DecaySpace, NodeId};
 use decay_sinr::SinrParams;
 
-use crate::{Action, NodeBehavior, ReceptionModel, Simulator, SlotContext};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::ReceptionModel;
 
 /// Packet reception rates for every ordered (transmitter, receiver) pair,
 /// produced by a probe campaign.
@@ -55,37 +58,15 @@ impl PrrMatrix {
     }
 }
 
-/// Probe behavior: transmit in your own round-robin slot, listen
-/// otherwise, count which senders you heard.
-struct Probe {
-    power: f64,
-    heard: Vec<u32>,
-}
-
-impl NodeBehavior for Probe {
-    fn on_slot(&mut self, ctx: &mut SlotContext<'_>) -> Action {
-        if ctx.slot % ctx.nodes == ctx.node.index() {
-            Action::Transmit {
-                power: self.power,
-                message: ctx.node.index() as u64,
-            }
-        } else {
-            Action::Listen
-        }
-    }
-
-    fn on_receive(&mut self, from: NodeId, _message: u64, _power: f64) {
-        self.heard[from.index()] += 1;
-    }
-}
-
 /// Runs a round-robin probe campaign: `rounds` cycles in which each node
 /// transmits alone at `power` while everyone else listens, under the given
 /// reception model.
 ///
 /// Probes are interference-free by construction, so with
 /// [`ReceptionModel::Rayleigh`] the expected reception rate for pair
-/// `(s, r)` is exactly `exp(-β·N·f(s,r)/P)`.
+/// `(s, r)` is exactly `exp(-β·N·f(s,r)/P)`. Each slot draws one fade per
+/// listener, in ascending order, from one stream seeded
+/// `seed ^ 0xD1B5_4A32_D192_ED03`.
 ///
 /// # Panics
 ///
@@ -104,23 +85,29 @@ pub fn run_probe_campaign(
         "probe power must be positive"
     );
     let n = space.len();
-    let behaviors = (0..n)
-        .map(|_| Probe {
-            power,
-            heard: vec![0; n],
-        })
-        .collect();
-    let mut sim = Simulator::new(space.clone(), behaviors, *params, seed)
-        .expect("behavior count matches node count");
-    sim.set_reception_model(model);
-    for _ in 0..rounds * n {
-        sim.step();
-    }
+    let mut fading = StdRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
     let mut successes = vec![0u32; n * n];
-    for rx in 0..n {
-        let heard = &sim.behavior(NodeId::new(rx)).heard;
-        for tx in 0..n {
-            successes[tx * n + rx] = heard[tx];
+    for slot in 0..rounds * n {
+        let tx = slot % n;
+        for rx in (0..n).filter(|&rx| rx != tx) {
+            let fade = match model {
+                ReceptionModel::Threshold => 1.0,
+                // Unit-mean exponential via inverse CDF; `gen` draws
+                // from [0, 1), so `1 - u` is in (0, 1].
+                ReceptionModel::Rayleigh => -(1.0 - fading.gen::<f64>()).ln(),
+            };
+            let p = fade * power / space.decay(NodeId::new(tx), NodeId::new(rx));
+            // The SINR engine's sum: noise plus every signal, minus the
+            // captured one. It rounds differently from `noise` alone.
+            let interference = (params.noise() + p) - p;
+            let sinr = if interference > 0.0 {
+                p / interference
+            } else {
+                f64::INFINITY
+            };
+            if sinr >= params.beta() * (1.0 - 1e-12) {
+                successes[tx * n + rx] += 1;
+            }
         }
     }
     PrrMatrix {
@@ -133,12 +120,11 @@ pub fn run_probe_campaign(
 /// Streaming per-pair reception statistics over *arbitrary* traffic.
 ///
 /// [`PrrMatrix`] comes from the dedicated interference-free probe
-/// campaign; this tracker instead folds the [`SlotReport`](crate::SlotReport)s of any
-/// running protocol into per-ordered-pair attempt/success counts, so
-/// harness-side code can read PRR out of real traffic without
-/// re-instrumenting behaviors. (The event-driven scenario runner in
-/// `decay-scenario` computes its protocol-level PRR from engine traces
-/// instead; this export serves slot-synchronous experiments.)
+/// campaign; this tracker instead folds the transmitters and deliveries
+/// of any running protocol into per-ordered-pair attempt/success counts,
+/// so harness-side code can read PRR out of real traffic without
+/// re-instrumenting behaviors. `decay_engine::probe::WindowedPrr` feeds
+/// it one engine window at a time.
 ///
 /// An "attempt" at pair `(tx, rx)` is a slot in which `tx` transmitted
 /// (every other node is a potential receiver under the broadcast
@@ -196,69 +182,42 @@ impl PrrTracker {
         }
     }
 
-    /// Folds one slot's outcome into the statistics (and the sliding
-    /// window, when one is configured — slots older than `window` slots
-    /// before the report's slot are evicted).
+    /// Folds one slot's traffic into the statistics: the nodes that
+    /// transmitted and every delivered `(from, to)` pair. With a sliding
+    /// window, slots older than `window` slots before `slot` are evicted.
+    ///
+    /// A caller may collapse a window of ticks onto one synthetic slot;
+    /// `decay_engine::probe::WindowedPrr` does, and since an engine
+    /// trace records no silent attempts it passes the transmitters seen
+    /// delivering in the window.
     ///
     /// # Panics
     ///
-    /// Panics if the report mentions nodes outside the tracked range.
-    pub fn record(&mut self, report: &crate::SlotReport) {
-        for t in &report.transmitters {
-            self.attempts[t.index()] += 1;
-        }
-        for d in &report.deliveries {
-            self.successes[d.from.index() * self.n + d.to.index()] += 1;
-            self.deliveries += 1;
-        }
-        if self.window > 0 {
-            self.recent.push_back(WindowSlot {
-                slot: report.slot,
-                transmitters: report.transmitters.clone(),
-                deliveries: report.deliveries.iter().map(|d| (d.from, d.to)).collect(),
-            });
-            let horizon = report.slot.saturating_sub(self.window - 1);
-            while self.recent.front().is_some_and(|s| s.slot < horizon) {
-                self.recent.pop_front();
-            }
-        }
-    }
-
-    /// Folds one *engine-side* window of traffic into the statistics:
-    /// a whole tick window collapses onto the synthetic slot `slot`,
-    /// with the transmitters observed delivering in it and every
-    /// `(from, to)` delivery pair. Window semantics match
-    /// [`Self::record`] — slots older than `window` before `slot` are
-    /// evicted.
-    ///
-    /// This is the feed used by `decay_engine::probe::WindowedPrr`:
-    /// the event engine's delivery trace has no per-slot
-    /// [`crate::SlotReport`]s (and no record of silent attempts), so
-    /// attempts here count *delivering* transmitters per window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a delivery mentions nodes outside the tracked range.
-    pub fn record_window(
+    /// Panics if a node is outside the tracked range.
+    pub fn record(
         &mut self,
         slot: usize,
         transmitters: &[NodeId],
         deliveries: &[(NodeId, NodeId)],
     ) {
-        let report = crate::SlotReport {
-            slot,
-            transmitters: transmitters.to_vec(),
-            deliveries: deliveries
-                .iter()
-                .map(|&(from, to)| crate::Delivery {
-                    to,
-                    from,
-                    message: 0,
-                })
-                .collect(),
-            downed: Vec::new(),
-        };
-        self.record(&report);
+        for t in transmitters {
+            self.attempts[t.index()] += 1;
+        }
+        for &(from, to) in deliveries {
+            self.successes[from.index() * self.n + to.index()] += 1;
+            self.deliveries += 1;
+        }
+        if self.window > 0 {
+            self.recent.push_back(WindowSlot {
+                slot,
+                transmitters: transmitters.to_vec(),
+                deliveries: deliveries.to_vec(),
+            });
+            let horizon = slot.saturating_sub(self.window - 1);
+            while self.recent.front().is_some_and(|s| s.slot < horizon) {
+                self.recent.pop_front();
+            }
+        }
     }
 
     /// The sliding window length in slots (0 when windowing is off).
@@ -558,35 +517,24 @@ mod tests {
         DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(alpha)).unwrap()
     }
 
+    /// Feeds `slots` slots of round-robin traffic on a noiseless line:
+    /// each node transmits alone in its slot and everyone hears it.
+    fn round_robin(tracker: &mut PrrTracker, n: usize, slots: usize) {
+        for slot in 0..slots {
+            let tx = NodeId::new(slot % n);
+            let heard: Vec<_> = (0..n)
+                .filter(|&rx| rx != tx.index())
+                .map(|rx| (tx, NodeId::new(rx)))
+                .collect();
+            tracker.record(slot, &[tx], &heard);
+        }
+    }
+
     #[test]
     fn tracker_accumulates_arbitrary_traffic() {
-        // Round-robin traffic (each node transmits alone in its slot on a
-        // noiseless line) delivers to everyone: PRR 1 on every pair.
-        struct RoundRobin;
-        impl NodeBehavior for RoundRobin {
-            fn on_slot(&mut self, ctx: &mut SlotContext<'_>) -> Action {
-                if ctx.slot % ctx.nodes == ctx.node.index() {
-                    Action::Transmit {
-                        power: 1.0,
-                        message: 0,
-                    }
-                } else {
-                    Action::Listen
-                }
-            }
-        }
         let n = 4;
-        let mut sim = Simulator::new(
-            line(n, 2.0),
-            (0..n).map(|_| RoundRobin).collect(),
-            SinrParams::default(),
-            1,
-        )
-        .unwrap();
         let mut tracker = PrrTracker::new(n);
-        for _ in 0..3 * n {
-            tracker.record(&sim.step());
-        }
+        round_robin(&mut tracker, n, 3 * n);
         assert_eq!(tracker.nodes(), n);
         for tx in 0..n {
             assert_eq!(tracker.attempts(NodeId::new(tx)), 3);
@@ -601,23 +549,15 @@ mod tests {
         assert_eq!(tracker.overall(), 1.0);
     }
 
-    /// Hand-built slot reports: node 0 transmits every slot; `delivered`
-    /// controls whether node 1 captures it.
-    fn synthetic_report(slot: usize, delivered: bool) -> crate::SlotReport {
-        crate::SlotReport {
-            slot,
-            transmitters: vec![NodeId::new(0)],
-            deliveries: if delivered {
-                vec![crate::Delivery {
-                    to: NodeId::new(1),
-                    from: NodeId::new(0),
-                    message: 7,
-                }]
-            } else {
-                vec![]
-            },
-            downed: vec![],
-        }
+    /// Node 0 transmits in `slot`; `delivered` says whether node 1
+    /// captures it.
+    fn record_probe(tracker: &mut PrrTracker, slot: usize, delivered: bool) {
+        let pair: &[(NodeId, NodeId)] = if delivered {
+            &[(NodeId::new(0), NodeId::new(1))]
+        } else {
+            &[]
+        };
+        tracker.record(slot, &[NodeId::new(0)], pair);
     }
 
     #[test]
@@ -627,11 +567,11 @@ mod tests {
         let (from, to) = (NodeId::new(0), NodeId::new(1));
         let mut tracker = PrrTracker::with_window(2, 20);
         for slot in 0..50 {
-            tracker.record(&synthetic_report(slot, true));
+            record_probe(&mut tracker, slot, true);
         }
         assert_eq!(tracker.windowed_rate(from, to), 1.0);
         for slot in 50..100 {
-            tracker.record(&synthetic_report(slot, false));
+            record_probe(&mut tracker, slot, false);
         }
         // Lifetime average still says "half works"...
         assert_eq!(tracker.rate(from, to), 0.5);
@@ -643,41 +583,19 @@ mod tests {
 
         // Partial recovery shows up at window resolution.
         for slot in 100..110 {
-            tracker.record(&synthetic_report(slot, true));
+            record_probe(&mut tracker, slot, true);
         }
         assert_eq!(tracker.windowed_rate(from, to), 0.5, "10 of last 20");
         assert_eq!(tracker.rate(from, to), 60.0 / 110.0);
     }
 
     #[test]
-    fn record_window_matches_equivalent_slot_reports() {
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let mut via_reports = PrrTracker::with_window(3, 4);
-        let mut via_windows = PrrTracker::with_window(3, 4);
-        for slot in 0..6 {
-            via_reports.record(&synthetic_report(slot, slot % 2 == 0));
-            let pairs: &[(NodeId, NodeId)] = if slot % 2 == 0 { &[(a, b)] } else { &[] };
-            via_windows.record_window(slot, &[a], pairs);
-        }
-        assert_eq!(via_windows.attempts(a), via_reports.attempts(a));
-        assert_eq!(via_windows.successes(a, b), via_reports.successes(a, b));
-        assert_eq!(
-            via_windows.windowed_rate(a, b),
-            via_reports.windowed_rate(a, b)
-        );
-        assert_eq!(
-            via_windows.windowed_overall(),
-            via_reports.windowed_overall()
-        );
-    }
-
-    #[test]
-    fn window_eviction_follows_the_report_slot() {
+    fn window_eviction_follows_the_recorded_slot() {
         let mut tracker = PrrTracker::with_window(3, 8);
-        tracker.record(&synthetic_report(0, true));
+        record_probe(&mut tracker, 0, true);
         // A jump in slot numbers (paused simulation, sparse recording)
         // evicts everything older than the window.
-        tracker.record(&synthetic_report(100, false));
+        record_probe(&mut tracker, 100, false);
         assert_eq!(tracker.windowed_attempts(NodeId::new(0)), 1);
         assert_eq!(tracker.windowed_rate(NodeId::new(0), NodeId::new(1)), 0.0);
         // Lifetime stats keep the full history.
@@ -698,31 +616,9 @@ mod tests {
     #[test]
     fn windowed_tracker_agrees_with_lifetime_inside_one_window() {
         // While total traffic fits in the window, both views agree.
-        struct RoundRobin;
-        impl NodeBehavior for RoundRobin {
-            fn on_slot(&mut self, ctx: &mut SlotContext<'_>) -> Action {
-                if ctx.slot % ctx.nodes == ctx.node.index() {
-                    Action::Transmit {
-                        power: 1.0,
-                        message: 0,
-                    }
-                } else {
-                    Action::Listen
-                }
-            }
-        }
         let n = 4;
-        let mut sim = Simulator::new(
-            line(n, 2.0),
-            (0..n).map(|_| RoundRobin).collect(),
-            SinrParams::default(),
-            1,
-        )
-        .unwrap();
         let mut tracker = PrrTracker::with_window(n, 100);
-        for _ in 0..3 * n {
-            tracker.record(&sim.step());
-        }
+        round_robin(&mut tracker, n, 3 * n);
         for tx in 0..n {
             for rx in 0..n {
                 if tx != rx {

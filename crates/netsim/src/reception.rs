@@ -4,7 +4,7 @@
 //! The paper's model is deterministic SINR *thresholding* — transmission
 //! succeeds iff `SINR ≥ β` (Section 2.1) — and cites Dams, Kesselheim and
 //! Hoefer [10] for the fact that stochastic-filter models such as Rayleigh
-//! fading can be simulated by thresholding algorithms. The simulator
+//! fading can be simulated by thresholding algorithms. The engine
 //! supports both, so that the near-thresholding relationship between SINR
 //! level and packet reception rate (one of the experimentally verified
 //! assumptions the paper lists in its introduction) can be measured rather

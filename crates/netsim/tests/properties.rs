@@ -1,14 +1,10 @@
-//! Property tests: the simulator's reception models, fault plans and the
-//! PRR inference pipeline hold their invariants on random spaces.
+//! Property tests: probe-campaign rates and the PRR inference pipeline
+//! hold their invariants on random spaces.
 
-use decay_core::{DecaySpace, NodeId};
-use decay_netsim::{
-    infer_decay_from_prr, run_probe_campaign, Action, FaultPlan, NodeBehavior, ReceptionModel,
-    Simulator, SlotContext,
-};
+use decay_core::DecaySpace;
+use decay_netsim::{infer_decay_from_prr, run_probe_campaign, ReceptionModel};
 use decay_sinr::SinrParams;
 use proptest::prelude::*;
-use rand::Rng as _;
 
 fn arb_space(n: usize) -> impl Strategy<Value = DecaySpace> {
     prop::collection::vec(0.5f64..20.0, n * n).prop_map(move |mut vals| {
@@ -19,52 +15,8 @@ fn arb_space(n: usize) -> impl Strategy<Value = DecaySpace> {
     })
 }
 
-struct Chatty(f64);
-
-impl NodeBehavior for Chatty {
-    fn on_slot(&mut self, ctx: &mut SlotContext<'_>) -> Action {
-        if ctx.rng.gen_range(0.0..1.0) < self.0 {
-            Action::Transmit {
-                power: 1.0,
-                message: ctx.node.index() as u64,
-            }
-        } else {
-            Action::Listen
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
-
-    #[test]
-    fn downed_nodes_never_transmit_or_receive(
-        space in arb_space(6),
-        seed in 0u64..100,
-        victim in 0usize..6,
-        from in 0usize..20,
-        len in 1usize..20,
-    ) {
-        let mut sim = Simulator::new(
-            space,
-            (0..6).map(|_| Chatty(0.5)).collect(),
-            SinrParams::default(),
-            seed,
-        ).unwrap();
-        sim.set_fault_plan(
-            FaultPlan::none().with_outage(NodeId::new(victim), from, from + len),
-        );
-        for _ in 0..(from + len + 5) {
-            let r = sim.step();
-            let down = r.downed.contains(&NodeId::new(victim));
-            let slot_in_outage = from <= r.slot && r.slot < from + len;
-            prop_assert_eq!(down, slot_in_outage, "slot {}", r.slot);
-            if down {
-                prop_assert!(!r.transmitters.contains(&NodeId::new(victim)));
-                prop_assert!(r.deliveries.iter().all(|d| d.to != NodeId::new(victim)));
-            }
-        }
-    }
 
     #[test]
     fn rayleigh_prr_rates_are_probabilities_and_monotone_in_decay(
@@ -104,25 +56,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reception_models_share_node_decisions(
-        space in arb_space(5),
-        seed in 0u64..100,
-    ) {
-        // The fading RNG is a separate stream: protocol decisions must be
-        // identical across reception models.
-        let run = |model: ReceptionModel| {
-            let mut sim = Simulator::new(
-                space.clone(),
-                (0..5).map(|_| Chatty(0.4)).collect(),
-                SinrParams::new(1.0, 0.1).unwrap(),
-                seed,
-            ).unwrap();
-            sim.set_reception_model(model);
-            (0..30).map(|_| sim.step().transmitters).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(run(ReceptionModel::Threshold), run(ReceptionModel::Rayleigh));
     }
 }

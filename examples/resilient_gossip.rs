@@ -1,6 +1,6 @@
 //! Multi-message gossip broadcast surviving crash faults, with coloring
 //! and contention resolution as warm-ups — the Section 3.3 protocol
-//! family running on the slot-synchronous SINR simulator.
+//! family running as slot protocols on the event engine.
 //!
 //! ```text
 //! cargo run --release --example resilient_gossip

@@ -4,7 +4,7 @@
 //! Realistic Wireless Models* (Bodlaender & Halldórsson, PODC 2014,
 //! arXiv:1402.5003): decay spaces and their parameters, SINR machinery,
 //! capacity algorithms, hardness constructions, an indoor propagation
-//! simulator, a slot-synchronous network simulator, and distributed
+//! simulator, a discrete-event network engine, and distributed
 //! protocols.
 //!
 //! This facade re-exports the workspace crates under stable module names;
@@ -17,8 +17,8 @@
 //! | [`spaces`] | geometric/random/special/adversarial space generators |
 //! | [`envsim`] | indoor propagation + RSSI measurement simulator |
 //! | [`capacity`] | Algorithm 1, greedy baselines, exact optimum, amicability, scheduling |
-//! | [`netsim`] | slot-synchronous SINR network simulator |
-//! | [`engine`] | discrete-event engine: lazy million-node backends, churn, checkpointing |
+//! | [`netsim`] | slot protocol vocabulary, fault plans, reception models, PRR-based decay inference |
+//! | [`engine`] | discrete-event engine: lazy million-node backends, churn, checkpointing, slot protocols |
 //! | [`channel`] | time-varying gain fields: mobility, shadowing, fading, trace replay, ζ(t) monitoring |
 //! | [`distributed`] | regret capacity game, randomized local broadcast (slot + event-driven) |
 //! | [`scenario`] | declarative JSON scenario specs, metrics, golden-trace digests |
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use decay_envsim::{Device, FloorPlan, MeasurementModel, OfficeConfig, PropagationModel};
     pub use decay_netsim::{
         compare_decays, infer_decay_from_prr, run_probe_campaign, Action, FaultPlan, NodeBehavior,
-        PrrTracker, ReceptionModel, Simulator, SlotContext,
+        PrrTracker, ReceptionModel, SlotContext,
     };
     pub use decay_scenario::{
         chrome_trace_json, runlog, AdaptiveSpec, BackendSpec, ChannelSpec, CompiledScenario,

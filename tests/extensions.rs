@@ -244,23 +244,20 @@ fn rayleigh_netsim_thresholding_shape() {
         }
         let pos = [(0.0, 0.0), (1.0, 0.0), (1.0 + d, 0.0)];
         let space = geometric_space(&pos, 2.0).unwrap();
-        let mut sim = Simulator::new(
-            space,
-            (0..3).map(|_| Pair).collect(),
-            SinrParams::default(),
-            5,
-        )
-        .unwrap();
-        sim.set_reception_model(ReceptionModel::Rayleigh);
-        let mut hits = 0;
-        for _ in 0..2000 {
-            hits += sim
-                .step()
-                .deliveries
-                .iter()
-                .filter(|dv| dv.from == NodeId::new(0) && dv.to == NodeId::new(1))
-                .count();
-        }
+        let config = EngineConfig {
+            reception: ReceptionModel::Rayleigh,
+            record_trace: true,
+            ..EngineConfig::default()
+        };
+        let behaviors = (0..3).map(|_| Pair).collect();
+        let mut engine =
+            SlotAdapter::engine(space, behaviors, SinrParams::default(), config, 5).unwrap();
+        engine.run_until(1999);
+        let hits = engine
+            .trace()
+            .iter()
+            .filter(|dv| dv.from == NodeId::new(0) && dv.to == NodeId::new(1))
+            .count();
         hits as f64 / 2000.0
     };
     let low = run(0.707); // margin ~ -3 dB
