@@ -186,6 +186,7 @@ pub fn run_local_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
+
     fn line(n: usize, alpha: f64) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(alpha)).unwrap()
     }

@@ -222,6 +222,7 @@ pub fn run_coloring(
 #[cfg(test)]
 mod tests {
     use super::*;
+
     fn line(n: usize, spacing: f64) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| {
             ((i as f64) - (j as f64)).abs().powi(2) * spacing * spacing

@@ -211,6 +211,7 @@ pub fn greedy_dominating_set(space: &DecaySpace, f_max: f64) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
     fn line(n: usize, alpha: f64) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powf(alpha)).unwrap()
     }

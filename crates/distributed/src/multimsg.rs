@@ -211,6 +211,7 @@ pub fn run_multi_broadcast_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+
     fn line(n: usize) -> DecaySpace {
         DecaySpace::from_fn(n, |i, j| ((i as f64) - (j as f64)).abs().powi(2)).unwrap()
     }

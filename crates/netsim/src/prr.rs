@@ -97,8 +97,9 @@ pub fn run_probe_campaign(
                 ReceptionModel::Rayleigh => -(1.0 - fading.gen::<f64>()).ln(),
             };
             let p = fade * power / space.decay(NodeId::new(tx), NodeId::new(rx));
-            // The SINR engine's sum: noise plus every signal, minus the
-            // captured one. It rounds differently from `noise` alone.
+            // Noise plus every signal minus the captured one, not
+            // `noise`: the two round differently, and the registry
+            // golden pins the counts this expression gives.
             let interference = (params.noise() + p) - p;
             let sinr = if interference > 0.0 {
                 p / interference
